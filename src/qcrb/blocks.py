@@ -67,13 +67,19 @@ def _order_degenerate(vectors: Array, values: Array, width: float) -> Array:
     return out
 
 
-def decompose(rho, tol: Tolerances = DEFAULT) -> BlockDecomposition:
+def decompose(rho, tol: Tolerances = DEFAULT,
+              spectrum: linalg.HermEigen | None = None) -> BlockDecomposition:
     """Split rho into range and null subspaces.
 
-    Eigenvalues >= ``tol.rank`` form the range.  When anything is dropped,
-    the ratio (smallest kept)/(largest dropped) must exceed ``tol.gap``
-    unless the largest dropped value is below 1e-14; otherwise the rank is
-    numerically ambiguous and IllDeterminedRank is raised.
+    Eigenvalues >= ``tol.rank`` form the range.  The rank is numerically
+    ambiguous, and IllDeterminedRank is raised, when an eigenvalue lies
+    within the eigensolver's absolute error (10 n eps max|lambda|) of
+    ``tol.rank``, or when anything is dropped and the ratio (smallest
+    kept)/(largest dropped) is below ``tol.gap`` while the largest dropped
+    value is at least 1e-14.
+
+    ``spectrum`` is the eigendecomposition of rho when the caller already
+    holds one (``StateBundle.spectrum``); it replaces a second one here.
     """
     rho = linalg.as_matrix(rho)
     n = rho.shape[0]
@@ -83,13 +89,19 @@ def decompose(rho, tol: Tolerances = DEFAULT) -> BlockDecomposition:
         raise InvalidState("state is not Hermitian")
     if abs(complex(np.trace(rho)) - 1.0) > 10.0 * tol.state:
         raise InvalidState("state trace deviates from 1")
-    eig = linalg.herm_eigen(rho, tol)
+    eig = linalg.herm_eigen(rho, tol) if spectrum is None else spectrum
     if eig.values[0] < -tol.state:
         raise InvalidState(f"state has negative eigenvalue {eig.values[0]:.3e}")
 
     kept = eig.values >= tol.rank
     if not np.any(kept):
         raise InvalidState("state has no eigenvalue above the rank threshold")
+    band = 10.0 * n * np.finfo(float).eps * float(np.max(np.abs(eig.values)))
+    near = eig.values[np.abs(eig.values - tol.rank) <= band]
+    if near.size:
+        raise IllDeterminedRank(
+            f"eigenvalue {near[0]:.3e} lies within {band:.1e} of the rank threshold {tol.rank:.1e}"
+        )
     dropped = eig.values[~kept]
     if dropped.size:
         largest_dropped = float(np.max(dropped))

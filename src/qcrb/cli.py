@@ -185,7 +185,7 @@ def _resolve_theta(model: StateModel, override) -> np.ndarray:
 def _analysis(model: StateModel, theta, h: float, tol: Tolerances, seed: int,
               warnings: list[str]):
     bundle = eval_bundle(model, theta, h=h, tol=tol)
-    dec = blocks.decompose(bundle.rho, tol)
+    dec = blocks.decompose(bundle.rho, tol, bundle.spectrum)
     for l, drho in enumerate(bundle.drho):
         mass = blocks.null_block_residual(drho, dec)
         if mass > tol.nullblock * (1.0 + linalg.fro(drho)):
@@ -274,7 +274,10 @@ def _cmd_construct(args, tol: Tolerances, seed: int, warnings: list[str]) -> tup
     report["optimality"] = _optimality_json(optimality)
     report["saturation"] = _saturation_json(saturation)
     if args.out:
-        Path(args.out).write_text(json.dumps(effects_to_json(povm), indent=2) + "\n", encoding="utf-8")
+        # compact: indent would force json's pure-Python encoder on a file
+        # only programs read
+        payload = json.dumps(effects_to_json(povm), separators=(",", ":"))
+        Path(args.out).write_text(payload + "\n", encoding="utf-8")
     code = EXIT_OK if (optimality.passed and saturation.passed) else EXIT_FAILED
     return report, code
 
@@ -304,7 +307,7 @@ def _cmd_simulate(args, tol: Tolerances, seed: int, warnings: list[str]) -> tupl
     model = load_model(args.model, tol)
     theta = _resolve_theta(model, args.theta)
     bundle = eval_bundle(model, theta, h=args.h, tol=tol)
-    dec = blocks.decompose(bundle.rho, tol)
+    dec = blocks.decompose(bundle.rho, tol, bundle.spectrum)
     povm, flags = _load_povm_file(args.povm, bundle.rho, dec, tol)
     report: dict = {
         "model": _model_json(model),

@@ -200,10 +200,7 @@ def find_W(slds: SldSet, tol: Tolerances = DEFAULT, seed: int = 11) -> WCandidat
 
     stacked = np.vstack(slds.Lpz)
     _, svals, vh = linalg.svd(stacked)
-    # Gram-based SVD cannot resolve singular values below ~sqrt(eps)*smax,
-    # so the kernel cut sits at 1e-7 relative.
-    cut = max(tol.zero, 1e-7) * svals[0]
-    kernel_mask = svals <= cut
+    kernel_mask = svals <= tol.zero * svals[0]
     v_full = linalg.dag(vh)
     kernel = v_full[:, kernel_mask]
     coimage = v_full[:, ~kernel_mask]

@@ -19,7 +19,7 @@ class Tolerances:
     eig: float = 1e-10           # eigendecomposition residuals
     diag: float = 1e-8           # off-diagonal mass after joint diagonalization
     comm: float = 1e-8           # commutativity gate for joint diagonalization
-    sv: float = 1e-8             # singular-value truncation (Gram-based SVD floor)
+    sv: float = 1e-8             # relative singular-value truncation in pinv
     state: float = 1e-10         # density-matrix invariants
     trace: float = 1e-7          # trace of state derivatives
     rank: float = 1e-8           # eigenvalue threshold separating range from null space

@@ -86,10 +86,13 @@ def _fisher_inverse(f_c: Array, tol: Tolerances) -> Array:
     lo, hi = float(eig.values[0]), float(eig.values[-1])
     if lo <= 0.0 or hi <= 1e-18 or hi / lo > tol.fisher_cond:
         direction = np.real(eig.vectors[:, 0])
+        # canonical sign (largest-magnitude entry positive); "+ 0.0" below
+        # turns the negative zeros that rounding leaves into 0.0
         direction = direction / np.linalg.norm(direction)
+        direction = direction * np.sign(direction[np.argmax(np.abs(direction))])
         raise SingularFisher(
             "classical Fisher matrix is singular along direction "
-            f"{np.round(direction, 6).tolist()}",
+            f"{(np.round(direction, 6) + 0.0).tolist()}",
             direction=direction,
         )
     vecs = np.real(eig.vectors)
@@ -173,7 +176,7 @@ def fc_convergence_study(model: StateModel, povm: Povm, theta, deltas,
     """
     theta = np.asarray(theta, dtype=float)
     base = eval_bundle(model, theta, h=h, tol=tol)
-    dec = blocks.decompose(base.rho, tol)
+    dec = blocks.decompose(base.rho, tol, base.spectrum)
     f_theta = qfim(compute_slds(base, dec, tol)).F
     rows = []
     for delta in deltas:

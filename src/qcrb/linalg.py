@@ -1,14 +1,17 @@
-"""Self-contained dense complex linear algebra.
+"""Dense complex linear algebra with a deterministic gauge.
 
-All routines work on plain complex ``numpy`` arrays and use explicit,
-deterministic algorithms sized for desk-scale matrices (n <= ~32):
+All routines work on plain complex ``numpy`` arrays.  The factorizations
+come from LAPACK through ``numpy.linalg``; this module adds the gates and
+the gauge that make their output deterministic:
 
-* Hermitian eigendecomposition by cyclic Jacobi rotations, chosen for
-  determinism and high relative accuracy at these dimensions.
-* SVD (and Moore-Penrose pseudoinverse) from the eigendecomposition of
-  the Gram matrix A^dag A plus left-vector recovery.  Forming the Gram
-  matrix limits resolvable singular values to about sqrt(eps)*s_max,
-  which fixes the default truncation threshold.
+* Hermitian eigendecomposition (``eigh``) behind a hermiticity gate, with
+  ascending eigenvalues and each eigenvector's phase fixed so that its
+  largest-magnitude entry is real positive.  LAPACK is backward stable, so
+  an eigenvalue is accurate to about n*eps*||A|| in absolute terms, not
+  relative to its own size; callers that cut a spectrum at a threshold
+  must treat values within that band of it as ambiguous.
+* SVD (``svd``) with the full right basis, and the Moore-Penrose
+  pseudoinverse built on it with relative singular-value truncation.
 * Joint diagonalization of a commuting Hermitian family via a seeded
   random linear combination, with retries and a sequential refinement
   fallback inside degenerate eigenspaces.
@@ -34,10 +37,6 @@ from .errors import (
 )
 
 Array = np.ndarray
-
-# Left singular vectors are only recovered for s_i above this fraction of
-# s_max; below it the Gram-matrix route carries no usable information.
-_SV_RECOVERY_FLOOR = 1e-13
 
 
 def as_matrix(a) -> Array:
@@ -103,89 +102,38 @@ class HermEigen:
     vectors: Array
 
 
-def herm_eigen(a, tol: Tolerances = DEFAULT, max_sweeps: int = 100) -> HermEigen:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+def herm_eigen(a, tol: Tolerances = DEFAULT) -> HermEigen:
+    """Eigendecomposition of a Hermitian matrix by LAPACK (``numpy.linalg.eigh``).
 
-    Raises NotHermitian when the input fails the hermiticity gate and
-    NoConvergence when the sweep budget is exhausted before the
-    off-diagonal mass falls below roundoff.
+    Values ascend; each eigenvector's largest-magnitude entry is real
+    positive.  Raises NotHermitian when the input fails the hermiticity
+    gate and NoConvergence when LAPACK reports that it did not converge.
     """
     work = require_hermitian(a, tol.herm)
-    n = work.shape[0]
-    vecs = np.eye(n, dtype=complex)
-    scale = 1.0 + fro(work)
-    stop = 1e-14 * scale
-    skip = stop / (4.0 * n * n)
-
-    converged = offdiag_norm(work) <= stop
-    for _ in range(max_sweeps):
-        if converged:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                b = work[p, q]
-                ab = abs(b)
-                if ab <= skip:
-                    continue
-                app = work[p, p].real
-                aqq = work[q, q].real
-                phase = b / ab
-                tau = (aqq - app) / (2.0 * ab)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # unitary J = I except J[p,p]=J[q,q]=c, J[p,q]=s*phase,
-                # J[q,p]=-s*conj(phase); apply A <- J^dag A J, V <- V J.
-                col_p = work[:, p].copy()
-                col_q = work[:, q].copy()
-                work[:, p] = c * col_p - s * np.conj(phase) * col_q
-                work[:, q] = s * phase * col_p + c * col_q
-                row_p = work[p, :].copy()
-                row_q = work[q, :].copy()
-                work[p, :] = c * row_p - s * phase * row_q
-                work[q, :] = s * np.conj(phase) * row_p + c * row_q
-                work[p, q] = 0.0
-                work[q, p] = 0.0
-                work[p, p] = work[p, p].real
-                work[q, q] = work[q, q].real
-                vp = vecs[:, p].copy()
-                vq = vecs[:, q].copy()
-                vecs[:, p] = c * vp - s * np.conj(phase) * vq
-                vecs[:, q] = s * phase * vp + c * vq
-        converged = offdiag_norm(work) <= stop
-    if not converged and offdiag_norm(work) > 10.0 * stop:
-        raise NoConvergence(f"Jacobi sweeps exhausted at off-diagonal mass {offdiag_norm(work):.3e}")
-
-    values = work.diagonal().real.copy()
-    order = np.argsort(values, kind="stable")
-    return HermEigen(values[order], fix_phases(vecs[:, order]))
+    try:
+        values, vectors = np.linalg.eigh(work)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"eigh did not converge: {exc}") from exc
+    return HermEigen(values, fix_phases(vectors))
 
 
 def svd(a) -> tuple[Array, Array, Array]:
-    """SVD from the Gram-matrix eigendecomposition.
+    """Singular value decomposition by LAPACK (``numpy.linalg.svd``).
 
-    Returns (U, s, Vh) with s descending and the full right basis (Vh is
-    n x n, including the numerical kernel).  Left vectors are recovered as
-    A v_i / s_i; columns whose singular value sits below the recovery
-    floor are left as zero.
+    Returns (U, s, Vh) with U of shape m x n, s descending and zero-padded
+    to length n, and the full right basis (Vh is n x n, including the
+    kernel).  Columns of U beyond min(m, n) are zero.
     """
     a = as_matrix(a)
     m, n = a.shape
-    gram = dag(a) @ a
-    eig = herm_eigen(gram)
-    order = np.argsort(eig.values, kind="stable")[::-1]
-    w = np.clip(eig.values[order], 0.0, None)
-    s = np.sqrt(w)
-    v = eig.vectors[:, order]
-    u = np.zeros((m, n), dtype=complex)
-    smax = s[0] if s.size else 0.0
-    for i in range(n):
-        if smax > 0.0 and s[i] > _SV_RECOVERY_FLOOR * smax:
-            u[:, i] = (a @ v[:, i]) / s[i]
-    return u, s, dag(v)
+    try:
+        u, s, vh = np.linalg.svd(a, full_matrices=m < n)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"svd did not converge: {exc}") from exc
+    if m < n:
+        u = np.hstack([u, np.zeros((m, n - m), dtype=complex)])
+        s = np.concatenate([s, np.zeros(n - m)])
+    return u, s, vh
 
 
 def pinv(a, sv_cut: float = DEFAULT.sv) -> Array:
@@ -199,7 +147,7 @@ def pinv(a, sv_cut: float = DEFAULT.sv) -> Array:
     a = as_matrix(a)
     m, n = a.shape
     u, s, vh = svd(a)
-    if s.size == 0 or s[0] <= 0.0:
+    if s[0] <= 0.0:
         return np.zeros((n, m), dtype=complex)
     keep = s > sv_cut * s[0]
     v = dag(vh)[:, keep]

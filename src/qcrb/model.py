@@ -60,6 +60,7 @@ class StateBundle:
     theta: Array
     rho: Array
     drho: tuple[Array, ...]
+    spectrum: Optional[linalg.HermEigen] = None   # eigendecomposition of rho
 
 
 def in_box(model: StateModel, theta: Array, margin: float = 0.0) -> bool:
@@ -82,8 +83,12 @@ def _require_in_box(model: StateModel, theta: Array, margin: float) -> Array:
     return theta
 
 
-def validate_state(rho: Array, n_s: int, tol: Tolerances = DEFAULT) -> Array:
-    """Gate hermiticity, positivity and unit trace of a density matrix."""
+def validate_state(rho: Array, n_s: int, tol: Tolerances = DEFAULT) -> linalg.HermEigen:
+    """Gate hermiticity, positivity and unit trace of a density matrix.
+
+    Returns the eigendecomposition of rho made for the positivity gate, so
+    that ``blocks.decompose`` need not make a second one.
+    """
     rho = linalg.as_matrix(rho)
     if rho.shape != (n_s, n_s):
         raise InvalidState(f"state has shape {rho.shape}, expected {(n_s, n_s)}")
@@ -92,10 +97,10 @@ def validate_state(rho: Array, n_s: int, tol: Tolerances = DEFAULT) -> Array:
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > 10.0 * tol.state:
         raise InvalidState(f"state trace {tr} deviates from 1")
-    evals = linalg.herm_eigen(rho, tol).values
-    if evals[0] < -tol.state:
-        raise InvalidState(f"state has negative eigenvalue {evals[0]:.3e}")
-    return rho
+    spectrum = linalg.herm_eigen(rho, tol)
+    if spectrum.values[0] < -tol.state:
+        raise InvalidState(f"state has negative eigenvalue {spectrum.values[0]:.3e}")
+    return spectrum
 
 
 def _fd_derivative(model: StateModel, theta: Array, l: int, h: float) -> Array:
@@ -129,7 +134,8 @@ def eval_bundle(
     needs_fd = (not analytic_available) or (not use_analytic) or cross_check
     theta = _require_in_box(model, theta, h if needs_fd else 0.0)
 
-    rho = validate_state(model.eval_rho(theta), model.n_s, tol)
+    rho = linalg.as_matrix(model.eval_rho(theta))
+    spectrum = validate_state(rho, model.n_s, tol)
 
     analytic = None
     if analytic_available and (use_analytic or cross_check):
@@ -154,7 +160,7 @@ def eval_bundle(
             raise InvalidState(f"derivative {l} is not Hermitian")
         if abs(complex(np.trace(d))) > tol.trace:
             raise InvalidState(f"derivative {l} has trace {complex(np.trace(d)):.3e}")
-    return StateBundle(theta=theta, rho=rho, drho=tuple(drho))
+    return StateBundle(theta=theta, rho=rho, drho=tuple(drho), spectrum=spectrum)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +436,8 @@ def _make_stencil_model(obj: dict, tol: Tolerances) -> StateModel:
     if not isinstance(plus, list) or not isinstance(minus, list) or len(plus) != p or len(minus) != p:
         raise StencilIncomplete(f"stencil needs {p} forward and {p} backward points")
     n_s = rho_center.shape[0]
-    table: dict[tuple[float, ...], Array] = {tuple(center): validate_state(rho_center, n_s, tol)}
+    validate_state(rho_center, n_s, tol)
+    table: dict[tuple[float, ...], Array] = {tuple(center): rho_center}
     for l in range(p):
         step = np.zeros(p)
         step[l] = h
@@ -439,8 +446,10 @@ def _make_stencil_model(obj: dict, tol: Tolerances) -> StateModel:
             lo = linalg.matrix_from_json(minus[l])
         except ValueError as exc:
             raise ParseError(f"bad stencil matrix for parameter {l}: {exc}") from exc
-        table[tuple(center + step)] = validate_state(hi, n_s, tol)
-        table[tuple(center - step)] = validate_state(lo, n_s, tol)
+        validate_state(hi, n_s, tol)
+        validate_state(lo, n_s, tol)
+        table[tuple(center + step)] = hi
+        table[tuple(center - step)] = lo
 
     def lookup(theta: Array) -> Array:
         key = tuple(float(t) for t in theta)

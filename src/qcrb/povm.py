@@ -84,7 +84,8 @@ def validate_effects(effects, n_s: int, tol: Tolerances = DEFAULT) -> tuple[list
     """Gate completeness and positivity; clip tiny negative eigenvalues.
 
     Completeness violations are hard errors; eigenvalues in
-    [-tol.povm, 0) are clipped to zero with a warning entry.
+    [-tol.povm, 0) beyond the roundoff floor (1e-13 relative) are clipped
+    to zero with a warning entry.
     """
     mats = []
     warnings: list[str] = []
@@ -98,12 +99,12 @@ def validate_effects(effects, n_s: int, tol: Tolerances = DEFAULT) -> tuple[list
         eig = linalg.herm_eigen(m)
         if eig.values[0] < -tol.povm * (1.0 + eig.values[-1]):
             raise InvalidPovm(f"effect {k} has negative eigenvalue {eig.values[0]:.3e}")
-        if eig.values[0] < 0.0:
+        # an effect that is PSD up to roundoff is kept as given: rebuilding it
+        # from its eigenvectors would only swap in the eigensolver's roundoff
+        if eig.values[0] < -1e-13 * (1.0 + eig.values[-1]):
             clipped = np.clip(eig.values, 0.0, None)
             m = (eig.vectors * clipped) @ linalg.dag(eig.vectors)
-            # only violations beyond the roundoff floor are worth reporting
-            if eig.values[0] < -1e-13 * (1.0 + eig.values[-1]):
-                warnings.append(f"effect {k}: clipped eigenvalue {eig.values[0]:.3e} to zero")
+            warnings.append(f"effect {k}: clipped eigenvalue {eig.values[0]:.3e} to zero")
         mats.append(m)
     total = sum(mats)
     defect = linalg.fro(total - np.eye(n_s))

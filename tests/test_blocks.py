@@ -43,6 +43,25 @@ class TestDecompose:
         with pytest.raises(IllDeterminedRank):
             blocks.decompose(rho)
 
+    def test_eigenvalue_on_the_threshold_is_ambiguous(self):
+        # kept by ">= tol.rank", but any roundoff could have dropped it
+        rho = np.diag([1.0 - DEFAULT.rank, DEFAULT.rank, 0.0])
+        with pytest.raises(IllDeterminedRank):
+            blocks.decompose(rho)
+
+    def test_reuses_the_bundle_spectrum(self, example2, monkeypatch):
+        bundle = model.eval_bundle(example2, [0.25, 0.5])
+        fresh = blocks.decompose(bundle.rho)
+
+        def no_second_eigen(*_, **__):
+            raise AssertionError("rho was decomposed twice")
+
+        monkeypatch.setattr(linalg, "herm_eigen", no_second_eigen)
+        reused = blocks.decompose(bundle.rho, DEFAULT, bundle.spectrum)
+        assert np.array_equal(fresh.V, reused.V)
+        assert np.array_equal(fresh.Y, reused.Y)
+        assert np.array_equal(fresh.q, reused.q)
+
     def test_clean_zero_modes_pass_the_gap_test(self, example2):
         bundle = model.eval_bundle(example2, [0.25, 0.5])
         blocks.decompose(bundle.rho)  # exact zero eigenvalue, no gap ambiguity

@@ -1,10 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import qcrb
 from qcrb.cli import main, report_schema
+
+from conftest import WORKING_POINTS
 
 SCHEMA = report_schema()
 
@@ -124,6 +131,15 @@ class TestConstruct:
         payload = json.loads(povm_path.read_text())
         assert len(payload["effects"]) == 3
         assert report["povm"]["labels"].count("null") == 1
+
+    def test_povm_file_is_compact_json(self, tmp_path, ex2_file):
+        povm_path = tmp_path / "povm.json"
+        report_path = tmp_path / "report.json"
+        main(["construct", ex2_file, "--out", str(povm_path), "--report", str(report_path)])
+        text = povm_path.read_text()
+        assert text.count("\n") == 1 and " " not in text
+        report = json.loads(report_path.read_text())
+        assert json.loads(text) == {"effects": report["povm"]["effects"]}
 
     def test_classical_diag_no_null_effects(self, tmp_path, diag_file):
         povm_path = tmp_path / "povm.json"
@@ -298,3 +314,37 @@ class TestUsage:
         code, report = run_to_file(tmp_path, ["analyze", str(tmp_path / "nope.json")])
         assert code == 1
         assert report["error"]["type"] == "ParseError"
+
+
+# Runs analyze and construct on every built-in model in one interpreter and
+# prints each report and POVM file, tagged with its name.
+_BUILTIN_REPORTS = """
+import json, pathlib, sys
+from qcrb.cli import main
+work = pathlib.Path(sys.argv[1])
+for name, theta in json.loads(sys.argv[2]).items():
+    cfg = work / (name + ".json")
+    cfg.write_text(json.dumps({"model": name, "theta": theta}))
+    main(["analyze", str(cfg), "--out", str(work / (name + ".analyze"))])
+    main(["construct", str(cfg), "--out", str(work / (name + ".povm")),
+          "--report", str(work / (name + ".construct"))])
+for path in sorted(work.glob("*.*")):
+    print(path.name, path.read_text())
+"""
+
+
+def test_builtin_reports_do_not_depend_on_blas_threads(tmp_path):
+    points = json.dumps({name: theta.tolist() for name, theta in WORKING_POINTS.items()})
+    src = str(Path(qcrb.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        work = tmp_path / threads
+        work.mkdir()
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "QCRB_SEED")}
+        env.update(PYTHONPATH=src, OMP_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", _BUILTIN_REPORTS, str(work), points],
+                              env=env, capture_output=True, text=True, timeout=120, check=True)
+        outputs.append(proc.stdout)
+    assert outputs[0].count(".analyze ") == len(WORKING_POINTS)
+    assert outputs[0] == outputs[1]

@@ -44,12 +44,16 @@ class TestHermEigen:
         with pytest.raises(NotHermitian):
             linalg.herm_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-    def test_budget_exhaustion(self):
+    def test_lapack_failure_is_no_convergence(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(NoConvergence):
-            linalg.herm_eigen(pauli("x"), max_sweeps=0)
+            linalg.herm_eigen(pauli("x"))
 
     def test_diagonal_converges_without_sweeps(self):
-        eig = linalg.herm_eigen(np.diag([2.0, -1.0]), max_sweeps=0)
+        eig = linalg.herm_eigen(np.diag([2.0, -1.0]))
         assert np.allclose(eig.values, [-1.0, 2.0])
 
     def test_deterministic(self):
@@ -59,6 +63,30 @@ class TestHermEigen:
         e2 = linalg.herm_eigen(a)
         assert np.array_equal(e1.vectors, e2.vectors)
         assert np.array_equal(e1.values, e2.values)
+
+
+class TestSvd:
+    def test_wide_rank_deficient_matches_numpy(self):
+        rng = np.random.default_rng(5)
+        left = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+        right = rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))
+        a = left @ right  # 3 x 6, rank 2
+        u, s, vh = linalg.svd(a)
+        assert (u.shape, s.shape, vh.shape) == ((3, 6), (6,), (6, 6))
+        ref = np.linalg.svd(a, compute_uv=False)
+        assert np.allclose(s[:3], ref, rtol=0.0, atol=1e-12)
+        assert np.all(s[3:] == 0.0)
+        assert s[2] <= 1e-14 * s[0]
+        assert linalg.fro(vh @ linalg.dag(vh) - np.eye(6)) <= 1e-12
+        assert linalg.fro((u * s) @ vh - a) <= 1e-12 * linalg.fro(a)
+
+    def test_lapack_failure_is_no_convergence(self, monkeypatch):
+        def fail(*_, **__):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(NoConvergence):
+            linalg.svd(np.eye(2))
 
 
 class TestPinv:

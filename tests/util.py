@@ -1,8 +1,8 @@
 """Shared test helpers: independent oracles and random-object factories.
 
-Oracles deliberately route through numpy.linalg (or explicit series /
-characteristic-polynomial constructions) so they share no code with the
-package's own Jacobi/Gram-based routines.
+Oracles are independent constructions (dense Sylvester solves, explicit
+series, characteristic-polynomial roots) that call numpy.linalg directly
+and share no code with the package's own gauge-fixed routines.
 """
 
 from __future__ import annotations
