@@ -16,6 +16,7 @@ import numpy as np
 from . import linalg
 from .config import DEFAULT, Tolerances
 from .errors import DimensionMismatch, IllDeterminedRank, InvalidState
+from .model import validate_state
 
 Array = np.ndarray
 
@@ -78,21 +79,16 @@ def decompose(rho, tol: Tolerances = DEFAULT,
     kept)/(largest dropped) is below ``tol.gap`` while the largest dropped
     value is at least 1e-14.
 
-    ``spectrum`` is the eigendecomposition of rho when the caller already
-    holds one (``StateBundle.spectrum``); it replaces a second one here.
+    A bare rho goes through :func:`model.validate_state`, the one gate for
+    hermiticity, unit trace and positivity.  ``spectrum`` is the
+    eigendecomposition that gate returned when the caller already holds
+    one (``StateBundle.spectrum``); it is trusted and rho is not read.
     """
-    rho = linalg.as_matrix(rho)
-    n = rho.shape[0]
-    if rho.shape != (n, n):
-        raise DimensionMismatch("state must be square")
-    if linalg.herm_defect(rho) > tol.state:
-        raise InvalidState("state is not Hermitian")
-    if abs(complex(np.trace(rho)) - 1.0) > 10.0 * tol.state:
-        raise InvalidState("state trace deviates from 1")
-    eig = linalg.herm_eigen(rho, tol) if spectrum is None else spectrum
-    if eig.values[0] < -tol.state:
-        raise InvalidState(f"state has negative eigenvalue {eig.values[0]:.3e}")
-
+    eig = spectrum
+    if eig is None:
+        rho = linalg.as_matrix(rho)
+        eig = validate_state(rho, rho.shape[0], tol)
+    n = eig.values.size
     kept = eig.values >= tol.rank
     if not np.any(kept):
         raise InvalidState("state has no eigenvalue above the rank threshold")
@@ -172,12 +168,3 @@ def embed_parts(
 def null_block_residual(drho, dec: BlockDecomposition) -> float:
     """Frobenius mass of the null-null block of a state derivative."""
     return linalg.fro(block_of(drho, dec).ozz)
-
-
-def frame_change(dec: BlockDecomposition, v_other: Array, y_other: Array) -> tuple[Array, Array]:
-    """Unitaries relating another (range, null) frame to this decomposition.
-
-    Returns ``(T, S)`` with ``T = V^dag V_other`` and ``S = Y^dag Y_other``;
-    blocks transform as ``O_pp -> T^dag O_pp T`` and ``O_pz -> T^dag O_pz S``.
-    """
-    return linalg.dag(dec.V) @ v_other, linalg.dag(dec.Y) @ y_other

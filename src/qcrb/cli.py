@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__, blocks, linalg
 from .conditions import SATURABLE_PROJECTIVE, UNDETERMINED, ConditionReport, evaluate_conditions
 from .config import DEFAULT, Tolerances, parse_overrides
-from .errors import ConditionFailed, QcrbError, SingularFisher
+from .errors import ConditionFailed, ParseError, QcrbError, SingularFisher
 from .estimate import SimConfig, fc_convergence_study, run_trials, study_csv
 from .model import StateModel, eval_bundle, load_model
 from .povm import (
@@ -44,6 +44,7 @@ EXIT_FAILED = 2
 EXIT_UNDETERMINED = 3
 
 _ERROR_EXIT = {ConditionFailed: EXIT_FAILED, SingularFisher: EXIT_FAILED}
+_VERDICT_EXIT = {SATURABLE_PROJECTIVE: EXIT_OK, UNDETERMINED: EXIT_UNDETERMINED}
 
 
 def report_schema() -> dict:
@@ -93,7 +94,6 @@ def _conditions_json(report: ConditionReport) -> dict:
         "c1": _verdict_json(report.c1),
         "c3": _verdict_json(report.c3),
         "partial_commutativity": _verdict_json(report.partial_comm),
-        "c2": None if report.c2 is None else _verdict_json(report.c2),
         "c4": {
             "certified": bool(c4.certified),
             "residual": float(c4.residual),
@@ -179,29 +179,31 @@ def _resolve_theta(model: StateModel, override) -> np.ndarray:
         return np.asarray(override, dtype=float)
     if model.default_theta is not None:
         return np.asarray(model.default_theta, dtype=float)
-    raise QcrbError("no theta: pass --theta or put a 'theta' entry in the model file")
+    raise ParseError("no theta: pass --theta or put a 'theta' entry in the model file")
 
 
-def _analysis(model: StateModel, theta, h: float, tol: Tolerances, seed: int,
-              warnings: list[str]):
-    bundle = eval_bundle(model, theta, h=h, tol=tol)
-    dec = blocks.decompose(bundle.rho, tol, bundle.spectrum)
-    for l, drho in enumerate(bundle.drho):
-        mass = blocks.null_block_residual(drho, dec)
-        if mass > tol.nullblock * (1.0 + linalg.fro(drho)):
-            warnings.append(
-                f"RankDriftWarning: derivative {l} has null-null mass {mass:.3e}"
-            )
-    slds = compute_slds(bundle, dec, tol)
-    fim = qfim(slds)
-    conditions = evaluate_conditions(slds, tol, seed=seed)
-    return bundle, dec, slds, fim, conditions
+def _simulation_inputs(args, p: int, seed: int) -> tuple[SimConfig, Optional[tuple]]:
+    """The simulate options as a trial config and, with --study, (direction, magnitudes)."""
+    for flag in ("delta", "direction"):
+        value = getattr(args, flag)
+        if value is not None and len(value) != p:
+            raise ParseError(f"--{flag} needs {p} values, got {len(value)}")
+    config = SimConfig(seed=seed, N=args.N, R=args.R, delta=tuple(args.delta or ()))
+    if not args.study:
+        return config, None
+    try:
+        magnitudes = [float(x) for x in args.study.split(",") if x]
+    except ValueError as exc:
+        raise ParseError(f"--study needs comma-separated numbers: {exc}") from exc
+    direction = np.ones(p) if args.direction is None else np.asarray(args.direction, dtype=float)
+    norm = float(np.linalg.norm(direction))
+    if norm == 0.0:
+        raise ParseError("--direction must be non-zero")
+    return config, (direction / norm, magnitudes)
 
 
-def _analysis_sections(model, theta, bundle, dec, slds, fim, conditions, tol) -> dict:
+def _analysis_sections(model, theta, bundle, dec, fim, conditions) -> dict:
     return {
-        "model": _model_json(model),
-        "theta": _real_vector(theta),
         "decomposition": {
             "r_plus": dec.r_plus,
             "r_zero": dec.r_zero,
@@ -221,6 +223,31 @@ def _analysis_sections(model, theta, bundle, dec, slds, fim, conditions, tol) ->
     }
 
 
+def _simulation_sections(model, povm, theta, config, study, args, tol) -> dict:
+    if study is not None:
+        direction, magnitudes = study
+        rows = fc_convergence_study(
+            model, povm, theta, [m * direction for m in magnitudes], h=args.h, tol=tol
+        )
+        csv_path = args.csv or "fc_study.csv"
+        Path(csv_path).write_text(study_csv(rows), encoding="utf-8")
+        return {"study": {"direction": _real_vector(direction), "rows": rows, "csv_path": csv_path}}
+    result = run_trials(model, povm, theta, config, h=args.h, tol=tol)
+    return {
+        "simulation": {
+            "theta_sim": _real_vector(result.theta_sim),
+            "N": result.N,
+            "R": result.R,
+            "seed": result.seed,
+            "rel_err": result.rel_err,
+            "emp_cov": _real_matrix(result.emp_cov),
+            "pred_cov": _real_matrix(result.pred_cov),
+            "mean_shift": _real_vector(result.mean_shift),
+            "excluded_outcome_mass": result.excluded_outcome_mass,
+        }
+    }
+
+
 def _emit(report: dict, out_path: Optional[str]) -> None:
     payload = json.dumps(report, indent=2)
     if out_path:
@@ -233,35 +260,47 @@ def _load_povm_file(path: str, rho, dec, tol: Tolerances) -> tuple[Povm, list[st
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
-        raise QcrbError(f"cannot read POVM file {path}: {exc}") from exc
+        raise ParseError(f"cannot read POVM file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise QcrbError(f"POVM file {path} is not valid JSON: {exc}") from exc
+        raise ParseError(f"POVM file {path} is not valid JSON: {exc}") from exc
     effects = effects_from_json(obj)
     return make_povm(effects, rho, dec, tol)
 
 
-def _cmd_analyze(args, tol: Tolerances, seed: int, warnings: list[str]) -> tuple[dict, int]:
+def _run(args, tol: Tolerances, seed: int, warnings: list[str]) -> tuple[dict, int]:
+    """The one pipeline behind every subcommand; returns the report sections and exit code.
+
+    load -> theta -> state bundle -> decomposition -> SLDs, QFIM and
+    conditions (not for simulate) -> POVM, built or read from a file ->
+    optimality and saturation, or the simulation.
+    """
     model = load_model(args.model, tol)
     theta = _resolve_theta(model, args.theta)
-    bundle, dec, slds, fim, conditions = _analysis(model, theta, args.h, tol, seed, warnings)
-    report = _analysis_sections(model, theta, bundle, dec, slds, fim, conditions, tol)
-    if conditions.classification == SATURABLE_PROJECTIVE:
-        code = EXIT_OK
-    elif conditions.classification == UNDETERMINED:
-        code = EXIT_UNDETERMINED
+    if args.command == "simulate":
+        config, study = _simulation_inputs(args, model.p, seed)
+    bundle = eval_bundle(model, theta, h=args.h, tol=tol)
+    dec = blocks.decompose(bundle.rho, tol, bundle.spectrum)
+    report: dict = {"model": _model_json(model), "theta": _real_vector(theta)}
+    if args.command != "simulate":
+        slds = compute_slds(bundle, dec, tol)
+        fim = qfim(slds)
+        conditions = evaluate_conditions(slds, tol, seed=seed)
+        report.update(_analysis_sections(model, theta, bundle, dec, fim, conditions))
+        if args.command == "analyze":
+            return report, _VERDICT_EXIT.get(conditions.classification, EXIT_FAILED)
+
+    if args.command == "construct":
+        if conditions.classification != SATURABLE_PROJECTIVE:
+            raise ConditionFailed(
+                f"classification is {conditions.classification}; nothing to construct")
+        povm = construct_optimal(slds, conditions.c4, tol, seed=seed)
     else:
-        code = EXIT_FAILED
-    return report, code
+        povm, flags = _load_povm_file(args.povm, bundle.rho, dec, tol)
+        warnings.extend(flags)
+    if args.command == "simulate":
+        report.update(_simulation_sections(model, povm, theta, config, study, args, tol))
+        return report, EXIT_OK
 
-
-def _cmd_construct(args, tol: Tolerances, seed: int, warnings: list[str]) -> tuple[dict, int]:
-    model = load_model(args.model, tol)
-    theta = _resolve_theta(model, args.theta)
-    bundle, dec, slds, fim, conditions = _analysis(model, theta, args.h, tol, seed, warnings)
-    report = _analysis_sections(model, theta, bundle, dec, slds, fim, conditions, tol)
-    if conditions.classification != SATURABLE_PROJECTIVE:
-        raise ConditionFailed(f"classification is {conditions.classification}; nothing to construct")
-    povm = construct_optimal(slds, conditions.c4, tol, seed=seed)
     optimality = verify_optimality(povm, slds, dec, tol)
     saturation = saturation_check(povm, slds, bundle, tol)
     report["povm"] = {
@@ -269,94 +308,17 @@ def _cmd_construct(args, tol: Tolerances, seed: int, warnings: list[str]) -> tup
         "labels": list(povm.labels),
         "projective": povm.projective,
         "probabilities": _real_vector(outcome_probabilities(povm, bundle.rho)),
-        "effects": [linalg.matrix_to_json(e) for e in povm.effects],
     }
+    if args.command == "construct":
+        report["povm"]["effects"] = [linalg.matrix_to_json(e) for e in povm.effects]
     report["optimality"] = _optimality_json(optimality)
     report["saturation"] = _saturation_json(saturation)
-    if args.out:
+    if args.command == "construct" and args.out:
         # compact: indent would force json's pure-Python encoder on a file
         # only programs read
         payload = json.dumps(effects_to_json(povm), separators=(",", ":"))
         Path(args.out).write_text(payload + "\n", encoding="utf-8")
-    code = EXIT_OK if (optimality.passed and saturation.passed) else EXIT_FAILED
-    return report, code
-
-
-def _cmd_verify(args, tol: Tolerances, seed: int, warnings: list[str]) -> tuple[dict, int]:
-    model = load_model(args.model, tol)
-    theta = _resolve_theta(model, args.theta)
-    bundle, dec, slds, fim, conditions = _analysis(model, theta, args.h, tol, seed, warnings)
-    report = _analysis_sections(model, theta, bundle, dec, slds, fim, conditions, tol)
-    povm, flags = _load_povm_file(args.povm, bundle.rho, dec, tol)
-    optimality = verify_optimality(povm, slds, dec, tol)
-    saturation = saturation_check(povm, slds, bundle, tol)
-    report["povm"] = {
-        "n_effects": len(povm),
-        "labels": list(povm.labels),
-        "projective": povm.projective,
-        "probabilities": _real_vector(outcome_probabilities(povm, bundle.rho)),
-    }
-    report["optimality"] = _optimality_json(optimality)
-    report["saturation"] = _saturation_json(saturation)
-    warnings.extend(flags)
-    code = EXIT_OK if (optimality.passed and saturation.passed) else EXIT_FAILED
-    return report, code
-
-
-def _cmd_simulate(args, tol: Tolerances, seed: int, warnings: list[str]) -> tuple[dict, int]:
-    model = load_model(args.model, tol)
-    theta = _resolve_theta(model, args.theta)
-    bundle = eval_bundle(model, theta, h=args.h, tol=tol)
-    dec = blocks.decompose(bundle.rho, tol, bundle.spectrum)
-    povm, flags = _load_povm_file(args.povm, bundle.rho, dec, tol)
-    report: dict = {
-        "model": _model_json(model),
-        "theta": _real_vector(theta),
-    }
-    warnings.extend(flags)
-    if args.study:
-        direction = np.ones(model.p) / math.sqrt(model.p)
-        if args.direction is not None:
-            direction = np.asarray(args.direction, dtype=float)
-            norm = float(np.linalg.norm(direction))
-            if norm == 0.0:
-                raise QcrbError("--direction must be non-zero")
-            direction = direction / norm
-        magnitudes = [float(x) for x in args.study.split(",") if x]
-        rows = fc_convergence_study(
-            model, povm, theta, [m * direction for m in magnitudes], h=args.h, tol=tol
-        )
-        csv_path = args.csv or "fc_study.csv"
-        Path(csv_path).write_text(study_csv(rows), encoding="utf-8")
-        report["study"] = {
-            "direction": _real_vector(direction),
-            "rows": rows,
-            "csv_path": csv_path,
-        }
-        return report, EXIT_OK
-    delta = tuple(float(x) for x in (args.delta if args.delta is not None else []))
-    config = SimConfig(seed=seed, N=args.N, R=args.R, delta=delta)
-    result = run_trials(model, povm, theta, config, h=args.h, tol=tol)
-    report["simulation"] = {
-        "theta_sim": _real_vector(result.theta_sim),
-        "N": result.N,
-        "R": result.R,
-        "seed": result.seed,
-        "rel_err": result.rel_err,
-        "emp_cov": _real_matrix(result.emp_cov),
-        "pred_cov": _real_matrix(result.pred_cov),
-        "mean_shift": _real_vector(result.mean_shift),
-        "excluded_outcome_mass": result.excluded_outcome_mass,
-    }
-    return report, EXIT_OK
-
-
-_COMMANDS = {
-    "analyze": _cmd_analyze,
-    "construct": _cmd_construct,
-    "verify": _cmd_verify,
-    "simulate": _cmd_simulate,
-}
+    return report, EXIT_OK if (optimality.passed and saturation.passed) else EXIT_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -400,6 +362,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_options(args) -> int:
+    """Range-check --h and return the seed (--seed, else QCRB_SEED, else 0)."""
+    if args.h is not None and not (math.isfinite(args.h) and args.h > 0.0):
+        raise ParseError(f"--h must be finite and positive, got {args.h}")
+    text = os.environ.get("QCRB_SEED", "0") if args.seed is None else args.seed
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise ParseError(f"seed must be a non-negative integer, got {text!r}")
+    return seed
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -408,37 +384,26 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    try:
-        overrides = parse_overrides(args.tol)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    tol = DEFAULT.replace(**overrides)
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("QCRB_SEED", "0"))
-
-    base: dict = {
+    report: dict = {
         "tool": {"name": "qcrb", "version": __version__},
         "command": args.command,
-        "tolerances": tol.as_dict(),
+        "tolerances": DEFAULT.as_dict(),
         "warnings": [],
     }
-    if args.h is not None:
-        base["fd_step"] = float(args.h)
-
-    out_path = getattr(args, "report", None) if args.command == "construct" else args.out
+    out_path = args.report if args.command == "construct" else args.out
     try:
-        sections, code = _COMMANDS[args.command](args, tol, seed, base["warnings"])
+        tol = DEFAULT.replace(**parse_overrides(args.tol))
+        report["tolerances"] = tol.as_dict()
+        seed = _check_options(args)
+        if args.h is not None:
+            report["fd_step"] = float(args.h)
+        sections, code = _run(args, tol, seed, report["warnings"])
+        report.update(sections)
     except QcrbError as exc:
         code = _ERROR_EXIT.get(type(exc), EXIT_ERROR)
-        base["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        base["exit_code"] = code
-        _emit(base, out_path)
-        return code
-    base.update(sections)
-    base["exit_code"] = code
-    _emit(base, out_path)
+        report["error"] = {"type": type(exc).__name__, "message": str(exc)}
+    report["exit_code"] = code
+    _emit(report, out_path)
     return code
 
 

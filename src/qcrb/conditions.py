@@ -7,8 +7,9 @@ for this problem:
 2. a supplied unitary frame change U(theta) on the range solves the
    coupled PDE system  d_l U = U V^dag d_l V,  i.e.
    M_l = U^dag d_l U - V^dag d_l V = 0  for every l, checked as
-   max_l ||M_l||_F (verification only — and only the fixed-range special
-   case is solved here);
+   max_l ||M_l||_F (library verification only, not part of the reports
+   or the classification — and only the fixed-range special case is
+   solved here);
 3. Lpz_l Lpz_m^dag is Hermitian for every pair (l, m);
 4. some unitary W on the null space makes corresponding columns of
    Lpz_l W and Lpz_m W real multiples of each other (or jointly zero).
@@ -22,6 +23,7 @@ never claims condition 4 is violated.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -70,7 +72,6 @@ class ConditionReport:
     c3: Verdict
     partial_comm: Verdict
     c4: WCandidate
-    c2: Optional[Verdict]
     classification: str
 
 
@@ -111,11 +112,12 @@ def check_partial_commutativity(slds: SldSet, tol: Tolerances = DEFAULT) -> Verd
 def verify_W(slds: SldSet, w: Array, tol: Tolerances = DEFAULT) -> tuple[Verdict, Array]:
     """Check column-wise real proportionality of the Lpz blocks under W.
 
-    For each column s and ordered pair (l, m): both columns vanishing
-    passes unconstrained; exactly one vanishing fails; otherwise the ratio
-    must be real within ``tol.c4`` and the least-squares residual below
-    ``tol.c4`` times the column scale.  Returns the verdict and the lam
-    table (p x p x r0, NaN where unconstrained, 1 on the diagonal).
+    Each column s and ordered pair (l, m) goes through
+    :func:`linalg.real_ratio` at ``tol.zero`` and ``tol.c4``: both columns
+    vanishing passes unconstrained, exactly one vanishing fails, otherwise
+    the ratio must be real and the relative residual small.  Returns the
+    verdict and the lam table (p x p x r0, NaN where unconstrained, 1 on
+    the diagonal).
     """
     w = linalg.as_matrix(w)
     r0 = slds.dec.r_zero
@@ -132,26 +134,12 @@ def verify_W(slds: SldSet, w: Array, tol: Tolerances = DEFAULT) -> tuple[Verdict
     worst = 0.0
     passed = True
     for s in range(r0):
-        norms = [float(np.linalg.norm(cols[l][:, s])) for l in range(p)]
-        for l in range(p):
-            for m in range(p):
-                if l == m:
-                    continue
-                u_col = cols[l][:, s]
-                v_col = cols[m][:, s]
-                nu, nv = norms[l], norms[m]
-                if nu <= tol.zero and nv <= tol.zero:
-                    continue
-                if min(nu, nv) <= tol.zero < max(nu, nv):
-                    passed = False
-                    worst = max(worst, 1.0)
-                    continue
-                raw = complex(np.vdot(v_col, u_col)) / (nv * nv)
-                lam[l, m, s] = raw.real
-                resid = float(np.linalg.norm(u_col - raw.real * v_col)) / max(nu, nv)
-                worst = max(worst, resid, abs(raw.imag))
-                if resid > tol.c4 or abs(raw.imag) > tol.c4:
-                    passed = False
+        for l, m in itertools.permutations(range(p), 2):
+            fit = linalg.real_ratio(cols[l][:, s], cols[m][:, s], tol.zero, tol.c4)
+            if fit is not None:
+                lam[l, m, s], resid, imag, ok = fit
+                worst = max(worst, resid, imag)
+                passed = passed and ok
     return Verdict(passed=passed, residual=worst), lam
 
 
@@ -343,7 +331,6 @@ def classify(c1: Verdict, c3: Verdict, c4: WCandidate) -> str:
 def evaluate_conditions(
     slds: SldSet,
     tol: Tolerances = DEFAULT,
-    c2: Optional[Verdict] = None,
     seed: int = 11,
 ) -> ConditionReport:
     """Run all block-level checks and classify the model at this point."""
@@ -356,6 +343,5 @@ def evaluate_conditions(
         c3=c3,
         partial_comm=pc,
         c4=c4,
-        c2=c2,
         classification=classify(c1, c3, c4),
     )

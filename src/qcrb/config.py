@@ -10,13 +10,15 @@ relative to ``1 + ||.||_F`` of the operands.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
+
+from .errors import ParseError
 
 
 @dataclass(frozen=True)
 class Tolerances:
     herm: float = 1e-10          # hermiticity gate
-    eig: float = 1e-10           # eigendecomposition residuals
     diag: float = 1e-8           # off-diagonal mass after joint diagonalization
     comm: float = 1e-8           # commutativity gate for joint diagonalization
     sv: float = 1e-8             # relative singular-value truncation in pinv
@@ -25,7 +27,6 @@ class Tolerances:
     rank: float = 1e-8           # eigenvalue threshold separating range from null space
     gap: float = 1e4             # minimum ratio (smallest kept)/(largest dropped)
     nullblock: float = 1e-6      # allowed null-null mass of state derivatives
-    sld: float = 1e-9            # residual of the block SLD equations
     cond: float = 1e-8           # condition residuals (commutators, effect constants)
     c4: float = 1e-8             # column-proportionality residuals
     consistency: float = 1e-6    # |c_lm * c_ml - 1| gate for paired constants
@@ -50,13 +51,23 @@ DEFAULT = Tolerances()
 
 
 def parse_overrides(pairs: list[str]) -> dict[str, float]:
-    """Parse ``name=value`` strings into a tolerance override dict."""
+    """Parse ``name=value`` strings into a tolerance override dict.
+
+    Every value must be a finite positive number, and ``gap`` above 1.
+    """
     names = {f.name for f in dataclasses.fields(Tolerances)}
     out: dict[str, float] = {}
     for item in pairs:
-        name, _, value = item.partition("=")
+        name, _, text = item.partition("=")
         name = name.strip()
-        if name not in names or not value:
-            raise ValueError(f"unknown tolerance override {item!r}")
-        out[name] = float(value)
+        if name not in names or not text:
+            raise ParseError(f"unknown tolerance override {item!r}")
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and value > (1.0 if name == "gap" else 0.0)):
+            bound = "finite and above 1" if name == "gap" else "finite and positive"
+            raise ParseError(f"tolerance override {item!r} must be {bound}")
+        out[name] = value
     return out

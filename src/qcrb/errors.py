@@ -34,7 +34,7 @@ class DerivativeInconsistent(QcrbError):
 
 
 class ParseError(QcrbError):
-    """A config or data file does not match its schema."""
+    """An input (config file, data file or command-line value) is malformed or out of range."""
 
 
 class UnknownModel(QcrbError):
@@ -87,7 +87,3 @@ class SingularFisher(QcrbError):
 
 class InvalidPovm(QcrbError):
     """Effects are not PSD within tolerance or do not sum to the identity."""
-
-
-class RankDriftWarning(UserWarning):
-    """Non-fatal notice that the null-null block of a derivative is suspiciously large."""

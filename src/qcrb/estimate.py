@@ -24,8 +24,8 @@ import numpy as np
 
 from . import blocks, linalg
 from .config import DEFAULT, Tolerances
-from .errors import NegativeProbability, SingularFisher
-from .model import StateBundle, StateModel, eval_bundle
+from .errors import NegativeProbability, ParseError, SingularFisher
+from .model import StateModel, eval_bundle
 from .povm import Povm, classical_fi, outcome_probabilities
 from .sld import compute_slds, qfim
 
@@ -41,7 +41,7 @@ class SimConfig:
 
     def __post_init__(self):
         if self.N < 1 or self.R < 2:
-            raise ValueError("need N >= 1 copies and R >= 2 trials")
+            raise ParseError("need N >= 1 copies and R >= 2 trials")
 
 
 @dataclass(frozen=True)
@@ -55,28 +55,6 @@ class SimResult:
     N: int
     R: int
     seed: int
-
-
-def _checked_probabilities(povm: Povm, rho: Array, tol: Tolerances) -> Array:
-    probs = outcome_probabilities(povm, rho)
-    if np.min(probs) < -tol.povm:
-        raise NegativeProbability(f"outcome probability {np.min(probs):.3e} below -{tol.povm}")
-    probs = np.clip(probs, 0.0, None)
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise NegativeProbability(f"outcome probabilities sum to {total}")
-    return probs / total
-
-
-def sample_counts(povm: Povm, rho: Array, n: int, seed, tol: Tolerances = DEFAULT) -> Array:
-    """Multinomial outcome counts via inverse-CDF on a seeded PCG64 stream."""
-    probs = _checked_probabilities(povm, rho, tol)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    edges = np.cumsum(probs)
-    edges[-1] = 1.0
-    draws = rng.random(n)
-    outcomes = np.searchsorted(edges, draws, side="left")
-    return np.bincount(outcomes, minlength=len(probs)).astype(np.int64)
 
 
 def _fisher_inverse(f_c: Array, tol: Tolerances) -> Array:
@@ -99,30 +77,6 @@ def _fisher_inverse(f_c: Array, tol: Tolerances) -> Array:
     return (vecs / eig.values) @ vecs.T
 
 
-def score_table(povm: Povm, bundle: StateBundle, tol: Tolerances = DEFAULT) -> tuple[Array, Array, Array]:
-    """Outcome probabilities, probability gradients and the kept-outcome mask."""
-    probs = _checked_probabilities(povm, bundle.rho, tol)
-    p = len(bundle.drho)
-    grads = np.zeros((len(probs), p))
-    for k, e in enumerate(povm.effects):
-        for l, d in enumerate(bundle.drho):
-            grads[k, l] = float(np.real(np.trace(d @ e)))
-    kept = probs > tol.prob
-    return probs, grads, kept
-
-
-def one_step_estimate(counts: Array, povm: Povm, bundle: StateBundle, f_c: Array,
-                      tol: Tolerances = DEFAULT) -> Array:
-    """Score-based one-step estimator around the simulation point."""
-    counts = np.asarray(counts)
-    n = int(counts.sum())
-    probs, grads, kept = score_table(povm, bundle, tol)
-    dlnp = np.zeros_like(grads)
-    dlnp[kept] = grads[kept] / probs[kept, None]
-    score = counts @ dlnp
-    return np.asarray(bundle.theta, dtype=float) + (_fisher_inverse(f_c, tol) @ score) / n
-
-
 def run_trials(model: StateModel, povm: Povm, theta, config: SimConfig,
                h: float | None = None, tol: Tolerances = DEFAULT) -> SimResult:
     """Repeated-trial comparison of empirical covariance with F_c^{-1}/N."""
@@ -130,7 +84,16 @@ def run_trials(model: StateModel, povm: Povm, theta, config: SimConfig,
     delta = np.asarray(config.delta if config.delta else np.zeros_like(theta), dtype=float)
     theta_sim = theta + delta
     bundle = eval_bundle(model, theta_sim, h=h, tol=tol)
-    probs, grads, kept = score_table(povm, bundle, tol)
+    probs = outcome_probabilities(povm, bundle.rho)
+    if np.min(probs) < -tol.povm:
+        raise NegativeProbability(f"outcome probability {np.min(probs):.3e} below -{tol.povm}")
+    probs = np.clip(probs, 0.0, None)
+    total = probs.sum()
+    if abs(total - 1.0) > 1e-9:
+        raise NegativeProbability(f"outcome probabilities sum to {total}")
+    probs = probs / total
+    grads = np.array([[float(np.real(np.trace(d @ e))) for d in bundle.drho] for e in povm.effects])
+    kept = probs > tol.prob
     f_c = classical_fi(povm, bundle, tol)
     f_c_inv = _fisher_inverse(f_c, tol)
     pred_cov = f_c_inv / config.N

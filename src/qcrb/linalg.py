@@ -163,6 +163,26 @@ def comm_norm(a, b) -> float:
     return fro(a @ b - b @ a)
 
 
+def real_ratio(u: Array, v: Array, zero: float,
+               gate: float) -> tuple[float, float, float, bool] | None:
+    """Fit ``u ~ c v`` with a real constant c, for the real-proportionality tests.
+
+    Returns None when both u and v are zero (norm <= ``zero``): the pair is
+    unconstrained.  Otherwise returns ``(c, residual, imag, ok)`` with
+    c = Re<v,u>/|v|^2, residual = |u - c v| / max(|u|, |v|), imag =
+    |Im<v,u>|/|v|^2, and ok when both are within ``gate``.  When exactly one
+    of them is zero, c is NaN, the residual is 1 and the pair fails.
+    """
+    nu, nv = fro(u), fro(v)
+    if max(nu, nv) <= zero:
+        return None
+    if min(nu, nv) <= zero:
+        return math.nan, 1.0, 0.0, False
+    raw = hs_inner(v, u) / (nv * nv)
+    resid = fro(u - raw.real * v) / max(nu, nv)
+    return raw.real, resid, abs(raw.imag), resid <= gate and abs(raw.imag) <= gate
+
+
 def _family_diagonal(u: Array, mats: list[Array], tol_diag: float) -> bool:
     for mat in mats:
         conj = dag(u) @ mat @ u
@@ -171,15 +191,28 @@ def _family_diagonal(u: Array, mats: list[Array], tol_diag: float) -> bool:
     return True
 
 
-def _split_by_gaps(values: Array, width: float) -> list[list[int]]:
-    """Group indices of sorted values into clusters separated by > width."""
-    order = np.argsort(values, kind="stable")
-    clusters: list[list[int]] = [[int(order[0])]]
-    for idx in order[1:]:
-        if values[idx] - values[clusters[-1][-1]] > width:
-            clusters.append([int(idx)])
-        else:
-            clusters[-1].append(int(idx))
+def gap_clusters(values, width: float) -> list[list[int]]:
+    """Cluster the rows of ``values`` (length n, or n x k) at gaps wider than ``width``.
+
+    Column 0 splits first, then each cluster is split by column 1, and so
+    on (single linkage between neighbours in sorted order).  Clusters come
+    in ascending order; inside a cluster the indices keep their original
+    order, so differences below ``width`` never decide an order.
+    """
+    values = np.asarray(values, dtype=float).reshape(len(values), -1)
+    clusters = [list(range(values.shape[0]))]
+    for col in values.T:
+        refined: list[list[int]] = []
+        for cluster in clusters:
+            ranked = sorted(cluster, key=lambda i: col[i])
+            part = [ranked[0]]
+            for prev, idx in zip(ranked, ranked[1:]):
+                if col[idx] - col[prev] > width:
+                    refined.append(sorted(part))
+                    part = []
+                part.append(idx)
+            refined.append(sorted(part))
+        clusters = refined
     return clusters
 
 
@@ -196,18 +229,23 @@ def _sequential_refine(mats: list[Array], tol: Tolerances) -> Array:
             eig = herm_eigen(0.5 * (sub + dag(sub)))
             u[:, cols] = u[:, cols] @ eig.vectors
             width = tol.cluster * (1.0 + float(np.max(np.abs(eig.values))))
-            for part in _split_by_gaps(eig.values, width):
+            for part in gap_clusters(eig.values, width):
                 next_clusters.append([cluster[i] for i in part])
         clusters = next_clusters
     return u
 
 
-def _finish_joint(u: Array, mats: list[Array]) -> tuple[Array, Array]:
+def joint_width(joint: Array, tol: Tolerances) -> float:
+    """Width at which joint eigenvalues count as equal."""
+    return tol.cluster * (1.0 + float(np.max(np.abs(joint))))
+
+
+def _finish_joint(u: Array, mats: list[Array], tol: Tolerances) -> tuple[Array, Array]:
     n = u.shape[0]
     joint = np.zeros((n, len(mats)))
     for l, mat in enumerate(mats):
         joint[:, l] = (dag(u) @ mat @ u).diagonal().real
-    order = np.lexsort(tuple(joint[:, l] for l in reversed(range(len(mats)))))
+    order = [i for cluster in gap_clusters(joint, joint_width(joint, tol)) for i in cluster]
     return fix_phases(u[:, order]), joint[order, :]
 
 
@@ -220,8 +258,10 @@ def simultaneous_diagonalize(
     """Jointly diagonalize a commuting family of Hermitian matrices.
 
     Returns ``(U, joint)`` where the columns of the unitary U are common
-    eigenvectors sorted lexicographically by their joint eigenvalue tuple
-    and ``joint[s, l]`` is the eigenvalue of the l-th operator on column s.
+    eigenvectors and ``joint[s, l]`` is the eigenvalue of the l-th operator
+    on column s.  Columns are ordered by :func:`gap_clusters` of ``joint``
+    at :func:`joint_width`: ascending in operator 0, ties within the width
+    broken by operator 1, and so on, so roundoff never decides the order.
 
     The strategy diagonalizes a seeded random linear combination and
     verifies; on failure it retries with fresh weights, then falls back to
@@ -246,10 +286,10 @@ def simultaneous_diagonalize(
         combo = sum(w * m for w, m in zip(weights, mats))
         u = herm_eigen(0.5 * (combo + dag(combo))).vectors
         if _family_diagonal(u, mats, tol.diag):
-            return _finish_joint(u, mats)
+            return _finish_joint(u, mats, tol)
     u = _sequential_refine(mats, tol)
     if _family_diagonal(u, mats, tol.diag):
-        return _finish_joint(u, mats)
+        return _finish_joint(u, mats, tol)
     raise DegeneracyUnresolved("could not split degenerate joint eigenspaces")
 
 
@@ -260,16 +300,16 @@ def matrix_to_json(a) -> list:
 
 
 def matrix_from_json(obj) -> Array:
-    """Inverse of :func:`matrix_to_json`, validating shape and finiteness."""
-    if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
-        raise ValueError("matrix JSON must be a non-empty list of rows")
-    ncols = len(obj[0])
-    if ncols < 1 or any(len(r) != ncols for r in obj):
-        raise ValueError("matrix JSON rows have inconsistent lengths")
-    out = np.zeros((len(obj), ncols), dtype=complex)
-    for i, row in enumerate(obj):
-        for j, entry in enumerate(row):
-            if not (isinstance(entry, list) and len(entry) == 2):
-                raise ValueError("matrix entries must be [re, im] pairs")
-            out[i, j] = complex(float(entry[0]), float(entry[1]))
+    """Inverse of :func:`matrix_to_json`, validating shape and finiteness.
+
+    Any malformed payload raises ValueError.
+    """
+    try:
+        parts = np.array(obj, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"matrix JSON must be rows of [re, im] number pairs: {exc}") from exc
+    if parts.ndim != 3 or parts.shape[2] != 2:
+        raise ValueError("matrix JSON must be a non-empty list of rows of [re, im] pairs")
+    out = np.empty(parts.shape[:2], dtype=complex)
+    out.real, out.imag = parts[..., 0], parts[..., 1]
     return as_matrix(out)

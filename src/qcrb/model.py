@@ -367,36 +367,20 @@ def make_pure_state() -> StateModel:
     )
 
 
-_REGISTRY: dict[str, dict] = {
-    "example2": {"factory": make_example2, "constants": {"d": 0.6, "c1": 1.0, "c2": 2.0}},
-    "fixed_range": {"factory": make_fixed_range, "constants": {}},
-    "classical_diag": {"factory": make_classical_diag, "constants": {}},
-    "qubit_xy": {"factory": make_qubit_xy, "constants": {}},
-    "pure_state": {"factory": make_pure_state, "constants": {}},
+# name -> (factory, constants a config file may bind)
+_REGISTRY: dict[str, tuple[Callable[..., StateModel], tuple[str, ...]]] = {
+    "example2": (make_example2, ("d", "c1", "c2")),
+    "fixed_range": (make_fixed_range, ()),
+    "classical_diag": (make_classical_diag, ()),
+    "qubit_xy": (make_qubit_xy, ()),
+    "pure_state": (make_pure_state, ()),
 }
-
-
-def builtin_registry() -> list[dict]:
-    """Descriptors (name, dimensions, box, constants) of the built-in models."""
-    out = []
-    for name, entry in _REGISTRY.items():
-        probe = entry["factory"]()
-        out.append(
-            {
-                "name": name,
-                "n_s": probe.n_s,
-                "p": probe.p,
-                "box": [list(b) for b in probe.box],
-                "constants": dict(entry["constants"]),
-            }
-        )
-    return out
 
 
 def build_model(name: str, **constants) -> StateModel:
     if name not in _REGISTRY:
         raise UnknownModel(f"no built-in model named {name!r}")
-    return _REGISTRY[name]["factory"](**constants)
+    return _REGISTRY[name][0](**constants)
 
 
 # ---------------------------------------------------------------------------
@@ -404,11 +388,21 @@ def build_model(name: str, **constants) -> StateModel:
 # ---------------------------------------------------------------------------
 
 
+def _number(value, what: str) -> float:
+    try:
+        out = float(value)
+    except (TypeError, ValueError):
+        out = math.nan
+    if not math.isfinite(out):
+        raise ParseError(f"{what} must be a finite number, got {value!r}")
+    return out
+
+
 def _as_complex(value) -> complex:
     if isinstance(value, (int, float)):
-        return complex(value)
+        return complex(_number(value, "'d'"))
     if isinstance(value, list) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
+        return complex(_number(value[0], "'d'"), _number(value[1], "'d'"))
     raise ParseError(f"expected a number or [re, im] pair, got {value!r}")
 
 
@@ -418,7 +412,7 @@ def _parse_theta(obj, p: int) -> Optional[tuple[float, ...]]:
         return None
     if not isinstance(theta, list) or len(theta) != p:
         raise ParseError(f"'theta' must be a list of {p} numbers")
-    return tuple(float(t) for t in theta)
+    return tuple(_number(t, "'theta' entry") for t in theta)
 
 
 def _make_stencil_model(obj: dict, tol: Tolerances) -> StateModel:
@@ -488,14 +482,13 @@ def model_from_config(obj: dict, tol: Tolerances = DEFAULT) -> StateModel:
         return _make_stencil_model(obj, tol)
     if name not in _REGISTRY:
         raise UnknownModel(f"no built-in model named {name!r}")
-    allowed = set(_REGISTRY[name]["constants"])
     constants = {}
     for key, value in obj.items():
         if key in ("model", "theta", "box"):
             continue
-        if key not in allowed:
+        if key not in _REGISTRY[name][1]:
             raise ParseError(f"model {name!r} does not take a constant {key!r}")
-        constants[key] = _as_complex(value) if key == "d" else float(value)
+        constants[key] = _as_complex(value) if key == "d" else _number(value, repr(key))
     built = build_model(name, **constants)
     box = built.box
     if "box" in obj:
@@ -506,7 +499,7 @@ def model_from_config(obj: dict, tol: Tolerances = DEFAULT) -> StateModel:
             or not all(isinstance(b, list) and len(b) == 2 for b in raw)
         ):
             raise ParseError(f"'box' must be a list of {built.p} [lo, hi] pairs")
-        box = tuple((float(lo), float(hi)) for lo, hi in raw)
+        box = tuple((_number(lo, "'box' entry"), _number(hi, "'box' entry")) for lo, hi in raw)
         if any(not lo < hi for lo, hi in box):
             raise InvalidState("box intervals must be non-empty")
     theta = _parse_theta(obj, built.p)

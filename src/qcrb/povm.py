@@ -12,6 +12,7 @@ compared against the regular/null split of the QFIM.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,7 +22,7 @@ from . import blocks, linalg
 from .blocks import BlockDecomposition
 from .conditions import WCandidate, check_condition1
 from .config import DEFAULT, Tolerances
-from .errors import ConditionFailed, InvalidPovm, NotBlockDiagonal
+from .errors import ConditionFailed, InvalidPovm, NotBlockDiagonal, ParseError
 from .model import StateBundle
 from .sld import SldSet, embed_sld, qfim
 
@@ -157,28 +158,6 @@ def make_povm(effects, rho: Array, dec: Optional[BlockDecomposition] = None,
     return povm, warnings + flags
 
 
-def _cluster_columns(joint: Array, tol: Tolerances) -> list[list[int]]:
-    """Group column indices by joint eigenvalue tuple, splitting at gaps per operator."""
-    n, n_ops = joint.shape
-    clusters = [list(range(n))]
-    scale = tol.cluster * (1.0 + float(np.max(np.abs(joint))))
-    for l in range(n_ops):
-        refined: list[list[int]] = []
-        for cluster in clusters:
-            vals = joint[cluster, l]
-            order = np.argsort(vals, kind="stable")
-            current = [cluster[order[0]]]
-            for idx in order[1:]:
-                if joint[cluster[idx], l] - joint[current[-1], l] > scale:
-                    refined.append(current)
-                    current = [cluster[idx]]
-                else:
-                    current.append(cluster[idx])
-            refined.append(current)
-        clusters = refined
-    return clusters
-
-
 def construct_optimal(slds: SldSet, w: Optional[WCandidate] = None,
                       tol: Tolerances = DEFAULT, seed: int = 11) -> Povm:
     """Build the optimal projective POVM from commuting ++ blocks and W.
@@ -200,7 +179,7 @@ def construct_optimal(slds: SldSet, w: Optional[WCandidate] = None,
     u, joint = linalg.simultaneous_diagonalize(list(slds.Lpp), tol, seed=seed)
     effects: list[Array] = []
     labels: list[str] = []
-    for cluster in _cluster_columns(joint, tol):
+    for cluster in linalg.gap_clusters(joint, linalg.joint_width(joint, tol)):
         cols = u[:, cluster]
         proj = cols @ linalg.dag(cols)
         effects.append(blocks.embed_parts(dec, opp=proj))
@@ -291,29 +270,18 @@ def verify_optimality(povm: Povm, slds: SldSet, dec: BlockDecomposition,
     for k in povm.null_indices:
         e00 = blocks.block_of(povm.effects[k], dec).ozz
         prods = [e00 @ linalg.dag(slds.Lpz[l]) for l in range(p)]
-        norms = [linalg.fro(m) for m in prods]
         consts = np.full((p, p), np.nan)
         np.fill_diagonal(consts, 1.0)
         worst = 0.0
         imag_worst = 0.0
         ok = True
-        for l in range(p):
-            for m in range(p):
-                if l == m:
-                    continue
-                if norms[l] <= tol.zero and norms[m] <= tol.zero:
-                    continue
-                if min(norms[l], norms[m]) <= tol.zero < max(norms[l], norms[m]):
-                    ok = False
-                    worst = max(worst, 1.0)
-                    continue
-                raw = linalg.hs_inner(prods[m], prods[l]) / (norms[m] ** 2)
-                consts[l, m] = raw.real
-                resid = linalg.fro(prods[l] - raw.real * prods[m]) / max(norms[l], norms[m])
+        for l, m in itertools.permutations(range(p), 2):
+            fit = linalg.real_ratio(prods[l], prods[m], tol.zero, tol.c4)
+            if fit is not None:
+                consts[l, m], resid, imag, pair_ok = fit
                 worst = max(worst, resid)
-                imag_worst = max(imag_worst, abs(raw.imag))
-                if resid > tol.c4 or abs(raw.imag) > tol.c4:
-                    ok = False
+                imag_worst = max(imag_worst, imag)
+                ok = ok and pair_ok
         for l in range(p):
             for m in range(l + 1, p):
                 if np.isnan(consts[l, m]) or np.isnan(consts[m, l]):
@@ -419,4 +387,7 @@ def effects_from_json(obj) -> list[Array]:
         raise InvalidPovm("POVM JSON must be an object with an 'effects' list")
     if not obj["effects"]:
         raise InvalidPovm("POVM must contain at least one effect")
-    return [linalg.matrix_from_json(e) for e in obj["effects"]]
+    try:
+        return [linalg.matrix_from_json(e) for e in obj["effects"]]
+    except ValueError as exc:
+        raise ParseError(f"bad POVM effect: {exc}") from exc

@@ -70,6 +70,10 @@ class TestDecompose:
         with pytest.raises(InvalidState):
             blocks.decompose(np.eye(3))  # trace 3
 
+    def test_non_square_state_rejected_by_the_state_gate(self):
+        with pytest.raises(InvalidState):
+            blocks.decompose(np.eye(2, 3) / 2.0)
+
     def test_deterministic(self, example2):
         bundle = model.eval_bundle(example2, [0.25, 0.5])
         d1 = blocks.decompose(bundle.rho)

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,7 @@ import pytest
 
 import qcrb
 from qcrb.cli import main, report_schema
+from qcrb.config import Tolerances
 
 from conftest import WORKING_POINTS
 
@@ -249,8 +252,8 @@ class TestSimulate:
 class TestRankDrift:
     def test_drifting_family_warns_and_errors(self, tmp_path):
         # stencil whose forward point leaks weight into the null space:
-        # the derivative acquires null-null mass, which is flagged in the
-        # report warnings before the SLD solve rejects the family
+        # the derivative acquires null-null mass, and the SLD solve rejects
+        # the family
         import qcrb.model as qmodel
 
         mdl = qmodel.build_model("example2")
@@ -271,7 +274,6 @@ class TestRankDrift:
         code, report = run_to_file(tmp_path, ["analyze", str(path)])
         assert code == 1
         assert report["error"]["type"] == "RankDrift"
-        assert any("RankDriftWarning" in w for w in report["warnings"])
 
 
 class TestUndetermined:
@@ -314,6 +316,65 @@ class TestUsage:
         code, report = run_to_file(tmp_path, ["analyze", str(tmp_path / "nope.json")])
         assert code == 1
         assert report["error"]["type"] == "ParseError"
+
+    def test_malformed_seed_variable(self, tmp_path, ex2_file, monkeypatch):
+        monkeypatch.setenv("QCRB_SEED", "abc")
+        code, report = run_to_file(tmp_path, ["analyze", ex2_file])
+        assert code == 1
+        assert report["error"]["type"] == "ParseError"
+
+
+GOOD = {"model": "example2", "theta": [0.25, 0.5]}
+EYE = [[[1.0, 0.0] if i == j else [0.0, 0.0] for j in range(3)] for i in range(3)]
+
+
+def _identity_with(entry) -> dict:
+    effect = [list(row) for row in EYE]
+    effect[0][0] = entry
+    return {"effects": [effect]}
+
+
+@pytest.mark.parametrize("config, povm_file, argv", [
+    pytest.param({"model": "example2", "c1": "abc"}, None, ["analyze"], id="constant-not-a-number"),
+    pytest.param({"model": "example2", "theta": ["x", 0.5]}, None, ["analyze"],
+                 id="theta-not-a-number"),
+    pytest.param(GOOD, {"effects": [EYE]}, ["simulate", "--N", "0"], id="no-copies"),
+    pytest.param(GOOD, {"effects": [EYE]}, ["simulate", "--study", "abc"], id="study-not-numbers"),
+    pytest.param(GOOD, _identity_with(["a", 0]), ["verify"], id="povm-entry-not-a-number"),
+    pytest.param(GOOD, _identity_with(1.0), ["verify"], id="povm-entry-not-a-pair"),
+    pytest.param(GOOD, None, ["analyze", "--tol", "fd_step=0"], id="zero-fd-step"),
+    pytest.param(GOOD, {"effects": [EYE]}, ["simulate", "--delta", "0.01"], id="delta-not-p-long"),
+    pytest.param(GOOD, {"effects": [EYE]},
+                 ["simulate", "--study", "1e-2", "--direction", "1", "0", "0"],
+                 id="direction-not-p-long"),
+    pytest.param(GOOD, None, ["analyze", "--tol", "rank=-1"], id="negative-tolerance"),
+    pytest.param(GOOD, None, ["analyze", "--tol", "cond=nan"], id="nan-tolerance"),
+    pytest.param(GOOD, None, ["analyze", "--tol", "cond=inf"], id="infinite-tolerance"),
+    pytest.param(GOOD, None, ["analyze", "--tol", "gap=1"], id="gap-not-above-one"),
+    pytest.param(GOOD, None, ["analyze", "--h", "0"], id="zero-h"),
+    pytest.param(GOOD, None, ["analyze", "--seed", "-1"], id="negative-seed"),
+])
+def test_malformed_input_gives_an_error_report(tmp_path, config, povm_file, argv):
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(config), encoding="utf-8")
+    command, *options = argv
+    files = [str(model_path)]
+    if povm_file is not None:
+        povm_path = tmp_path / "povm.json"
+        povm_path.write_text(json.dumps(povm_file), encoding="utf-8")
+        files.append(str(povm_path))
+    code, report = run_to_file(tmp_path, [command, *files, *options])
+    assert code == 1
+    assert report["error"]["type"] == "ParseError"
+
+
+def test_every_echoed_tolerance_is_read():
+    # the report echoes every Tolerances field, so each must gate something
+    src = Path(qcrb.__file__).resolve().parent
+    text = "\n".join(path.read_text(encoding="utf-8") for path in src.glob("*.py"))
+    unread = [f.name for f in dataclasses.fields(Tolerances)
+              if not re.search(rf"\b(tol|DEFAULT)\.{f.name}\b", text)]
+    assert unread == []
 
 
 # Runs analyze and construct on every built-in model in one interpreter and

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qcrb import estimate, model, povm, sld
-from qcrb.errors import SingularFisher
+from qcrb.errors import ParseError, SingularFisher
 from qcrb.estimate import SimConfig
 
 from conftest import THETA_DIAG, THETA_EX2, pipeline
@@ -23,68 +23,33 @@ def ex2_setup(example2):
     return example2, bundle, dec, slds, built
 
 
-class TestSampleCounts:
-    def test_single_outcome(self, ex2_setup):
-        _, bundle, dec, _, _ = ex2_setup
-        pv, _ = povm.make_povm([np.eye(3)], bundle.rho, dec)
-        counts = estimate.sample_counts(pv, bundle.rho, 500, seed=1)
-        assert counts.tolist() == [500]
-
-    def test_example2_proportions_and_empty_null(self, ex2_setup):
-        _, bundle, _, _, built = ex2_setup
-        counts = estimate.sample_counts(built, bundle.rho, 100000, seed=2)
-        probs = povm.outcome_probabilities(built, bundle.rho)
-        null_index = built.null_indices[0]
-        assert counts[null_index] == 0
-        assert counts.sum() == 100000
-        for k, p in enumerate(probs):
-            if p > 0:
-                assert abs(counts[k] - 100000 * p) <= 5 * np.sqrt(100000 * p * (1 - p))
-
-    def test_binomial_concentration(self):
-        effects = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
-        rho = 0.5 * np.eye(2, dtype=complex)
-        pv, _ = povm.make_povm(effects, rho)
-        n = 100000
-        counts = estimate.sample_counts(pv, rho, n, seed=3)
-        sigma = np.sqrt(n * 0.25)
-        assert abs(counts[0] - n / 2) <= 5 * sigma
-
-    def test_reproducible(self, ex2_setup):
-        _, bundle, _, _, built = ex2_setup
-        a = estimate.sample_counts(built, bundle.rho, 1000, seed=11)
-        b = estimate.sample_counts(built, bundle.rho, 1000, seed=11)
-        assert np.array_equal(a, b)
-
-
 class TestOneStep:
-    def test_counts_at_expectation_leave_theta(self, diag_setup):
-        mdl, bundle, dec, slds, _ = diag_setup
-        pv, _ = povm.make_povm(basis_povm(3), bundle.rho, dec)
-        f_c = povm.classical_fi(pv, bundle)
-        # theta = (0.2, 0.3): probabilities (0.2, 0.3, 0.5) are exact at N = 10
-        counts = np.array([2, 3, 5])
-        theta_hat = estimate.one_step_estimate(counts, pv, bundle, f_c)
-        assert np.allclose(theta_hat, bundle.theta, atol=1e-12)
+    """The one-step estimator that run_trials forms in every trial."""
 
-    def test_one_cell_surplus_moves_along_inverse_row(self, diag_setup):
-        mdl, bundle, dec, slds, _ = diag_setup
+    def test_estimates_are_the_outcome_frequencies(self, diag_setup):
+        # with the basis POVM on classical_diag the one-step estimate of
+        # trial r is its outcome frequencies (counts_0, counts_1) / N, so the
+        # counts rebuilt from the documented per-trial streams fix the result
+        mdl, bundle, dec, _, _ = diag_setup
         pv, _ = povm.make_povm(basis_povm(3), bundle.rho, dec)
-        f_c = povm.classical_fi(pv, bundle)
-        n = 11
-        counts = np.array([3, 3, 5])  # one extra in cell 1 over N * p
-        theta_hat = estimate.one_step_estimate(counts, pv, bundle, f_c)
-        # score reduces to the log-gradient of the surplus cell
-        score = np.array([1.0 / THETA_DIAG[0], 0.0])
-        expected = bundle.theta + np.linalg.solve(f_c, score) / n
-        assert np.allclose(theta_hat, expected, atol=1e-12)
+        seed, n, r = 29, 50, 40
+        result = estimate.run_trials(mdl, pv, THETA_DIAG, SimConfig(seed=seed, N=n, R=r))
+        edges = np.cumsum([THETA_DIAG[0], THETA_DIAG[1], 1.0 - THETA_DIAG.sum()])
+        edges[-1] = 1.0
+        counts = np.array([
+            np.bincount(np.searchsorted(edges, np.random.Generator(
+                np.random.PCG64(np.random.SeedSequence((seed, k)))).random(n)), minlength=3)
+            for k in range(r)
+        ])
+        freqs = counts[:, :2] / n
+        assert np.allclose(result.mean_shift, freqs.mean(axis=0) - THETA_DIAG, rtol=0, atol=1e-12)
+        assert np.allclose(result.emp_cov, np.cov(freqs, rowvar=False), rtol=0, atol=1e-12)
 
     def test_identity_povm_singular(self, ex2_setup):
-        _, bundle, dec, _, _ = ex2_setup
+        mdl, bundle, dec, _, _ = ex2_setup
         pv, _ = povm.make_povm([np.eye(3)], bundle.rho, dec)
-        f_c = povm.classical_fi(pv, bundle)
         with pytest.raises(SingularFisher):
-            estimate.one_step_estimate(np.array([5]), pv, bundle, f_c)
+            estimate.run_trials(mdl, pv, THETA_EX2, SimConfig(seed=0, N=10, R=5))
 
 
 class TestRunTrials:
@@ -141,9 +106,9 @@ class TestRunTrials:
         assert np.min(np.linalg.eigvalsh(0.5 * (gap + gap.T))) >= -3.0 * error_bar
 
     def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             SimConfig(seed=0, N=0, R=10)
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             SimConfig(seed=0, N=10, R=1)
 
 

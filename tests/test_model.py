@@ -121,12 +121,11 @@ class TestBuiltinInvariants:
         assert 0.2 <= ratios[1e-4] / ratios[1e-5] <= 5.0
 
     def test_registry_descriptors(self):
-        registry = model.builtin_registry()
-        names = {d["name"] for d in registry}
-        assert names == set(WORKING_POINTS)
-        ex2 = next(d for d in registry if d["name"] == "example2")
-        assert ex2["n_s"] == 3 and ex2["p"] == 2
-        assert set(ex2["constants"]) == {"d", "c1", "c2"}
+        for name in WORKING_POINTS:
+            assert model.build_model(name).name == name
+        ex2 = model.build_model("example2")
+        assert ex2.n_s == 3 and ex2.p == 2
+        assert set(ex2.constants) == {"d", "c1", "c2"}
 
     def test_unknown_model(self):
         with pytest.raises(UnknownModel):

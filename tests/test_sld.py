@@ -26,7 +26,7 @@ class TestComputeSlds:
     def test_example2_range_block_hand_values(self, ex2_pipeline, example2):
         _, dec, slds, _ = ex2_pipeline
         v_f, y_f, _ = _factorization_frames(example2, THETA_EX2)
-        t, _ = blocks.frame_change(dec, v_f, y_f)
+        t = linalg.dag(dec.V) @ v_f  # range frame change: O_pp -> T^dag O_pp T
         lpp_fact = linalg.dag(t) @ slds.Lpp[0] @ t
         assert np.allclose(lpp_fact, np.diag([4.0, -4.0 / 3.0]), atol=1e-9)
         assert linalg.fro(slds.Lpp[1]) <= 1e-9

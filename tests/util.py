@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from qcrb import blocks, linalg
+from qcrb import linalg
 from qcrb.model import StateModel
 
 
@@ -104,8 +104,13 @@ def random_projective_povm(rng: np.random.Generator, n: int) -> list[np.ndarray]
 
 
 def aligned_offdiag(slds, v_other: np.ndarray, y_other: np.ndarray) -> list[np.ndarray]:
-    """Express the +0 SLD blocks in another (range, null) frame."""
-    t, s = blocks.frame_change(slds.dec, v_other, y_other)
+    """Express the +0 SLD blocks in another (range, null) frame.
+
+    With T = V^dag V_other and S = Y^dag Y_other, a +0 block transforms as
+    O_pz -> T^dag O_pz S.
+    """
+    t = linalg.dag(slds.dec.V) @ v_other
+    s = linalg.dag(slds.dec.Y) @ y_other
     return [linalg.dag(t) @ lpz @ s for lpz in slds.Lpz]
 
 
