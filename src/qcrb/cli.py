@@ -53,6 +53,10 @@ def report_schema() -> dict:
 
 
 class _Parser(argparse.ArgumentParser):
+    # no prefix matching: an unknown flag such as --h must be an error, not --help
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # usage problems map to the generic error exit, keeping the code lattice total
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -223,16 +227,17 @@ def _analysis_sections(model, theta, bundle, dec, fim, conditions) -> dict:
     }
 
 
-def _simulation_sections(model, povm, theta, config, study, args, tol) -> dict:
+def _simulation_sections(model, povm, theta, bundle, dec, config, study, args, tol) -> dict:
     if study is not None:
         direction, magnitudes = study
+        f_theta = qfim(compute_slds(bundle, dec, tol)).F
         rows = fc_convergence_study(
-            model, povm, theta, [m * direction for m in magnitudes], h=args.h, tol=tol
+            model, povm, theta, [m * direction for m in magnitudes], f_theta, tol=tol
         )
         csv_path = args.csv or "fc_study.csv"
         Path(csv_path).write_text(study_csv(rows), encoding="utf-8")
         return {"study": {"direction": _real_vector(direction), "rows": rows, "csv_path": csv_path}}
-    result = run_trials(model, povm, theta, config, h=args.h, tol=tol)
+    result = run_trials(model, povm, theta, config, tol=tol)
     return {
         "simulation": {
             "theta_sim": _real_vector(result.theta_sim),
@@ -278,13 +283,13 @@ def _run(args, tol: Tolerances, seed: int, warnings: list[str]) -> tuple[dict, i
     theta = _resolve_theta(model, args.theta)
     if args.command == "simulate":
         config, study = _simulation_inputs(args, model.p, seed)
-    bundle = eval_bundle(model, theta, h=args.h, tol=tol)
+    bundle = eval_bundle(model, theta, tol=tol)
     dec = blocks.decompose(bundle.rho, tol, bundle.spectrum)
     report: dict = {"model": _model_json(model), "theta": _real_vector(theta)}
     if args.command != "simulate":
         slds = compute_slds(bundle, dec, tol)
         fim = qfim(slds)
-        conditions = evaluate_conditions(slds, tol, seed=seed)
+        conditions = evaluate_conditions(slds, tol)
         report.update(_analysis_sections(model, theta, bundle, dec, fim, conditions))
         if args.command == "analyze":
             return report, _VERDICT_EXIT.get(conditions.classification, EXIT_FAILED)
@@ -293,12 +298,12 @@ def _run(args, tol: Tolerances, seed: int, warnings: list[str]) -> tuple[dict, i
         if conditions.classification != SATURABLE_PROJECTIVE:
             raise ConditionFailed(
                 f"classification is {conditions.classification}; nothing to construct")
-        povm = construct_optimal(slds, conditions.c4, tol, seed=seed)
+        povm = construct_optimal(slds, conditions.c4, tol)
     else:
         povm, flags = _load_povm_file(args.povm, bundle.rho, dec, tol)
         warnings.extend(flags)
     if args.command == "simulate":
-        report.update(_simulation_sections(model, povm, theta, config, study, args, tol))
+        report.update(_simulation_sections(model, povm, theta, bundle, dec, config, study, args, tol))
         return report, EXIT_OK
 
     optimality = verify_optimality(povm, slds, dec, tol)
@@ -330,11 +335,10 @@ def build_parser() -> argparse.ArgumentParser:
         if povm_file:
             p.add_argument("povm", help="POVM JSON file")
         p.add_argument("--theta", type=float, nargs="+", help="working point (overrides the file)")
-        p.add_argument("--h", type=float, default=None, help="finite-difference step")
         p.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",
                        help="tolerance override (repeatable)")
         p.add_argument("--seed", type=int, default=None,
-                       help="seed (falls back to QCRB_SEED, then 0)")
+                       help="simulate's sampling seed (falls back to QCRB_SEED, then 0)")
 
     p_analyze = sub.add_parser("analyze", help="decomposition, SLDs, QFIM and condition checks")
     common(p_analyze)
@@ -362,10 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_options(args) -> int:
-    """Range-check --h and return the seed (--seed, else QCRB_SEED, else 0)."""
-    if args.h is not None and not (math.isfinite(args.h) and args.h > 0.0):
-        raise ParseError(f"--h must be finite and positive, got {args.h}")
+def _check_seed(args) -> int:
+    """The seed: --seed, else QCRB_SEED, else 0; checked on every subcommand."""
     text = os.environ.get("QCRB_SEED", "0") if args.seed is None else args.seed
     try:
         seed = int(text)
@@ -394,9 +396,7 @@ def main(argv=None) -> int:
     try:
         tol = DEFAULT.replace(**parse_overrides(args.tol))
         report["tolerances"] = tol.as_dict()
-        seed = _check_options(args)
-        if args.h is not None:
-            report["fd_step"] = float(args.h)
+        seed = _check_seed(args)
         sections, code = _run(args, tol, seed, report["warnings"])
         report.update(sections)
     except QcrbError as exc:

@@ -152,7 +152,7 @@ def _zero_column_indices(slds: SldSet, w: Array, tol: Tolerances) -> tuple[int, 
     return tuple(out)
 
 
-def find_W(slds: SldSet, tol: Tolerances = DEFAULT, seed: int = 11) -> WCandidate:
+def find_W(slds: SldSet, tol: Tolerances = DEFAULT) -> WCandidate:
     """Heuristic search for a certifying null-space unitary.
 
     Strategy: split off the common kernel of all Lpz (those directions
@@ -221,7 +221,7 @@ def find_W(slds: SldSet, tol: Tolerances = DEFAULT, seed: int = 11) -> WCandidat
                     residual=linalg.comm_norm(gs[i], gs[j]) / scale,
                     note=f"ratio operators {i} and {j} do not commute",
                 )
-    z, _ = linalg.simultaneous_diagonalize(gs, tol, seed=seed)
+    z, _ = linalg.simultaneous_diagonalize(gs, tol)
     w = np.hstack([coimage @ z, kernel])
     verdict, lam = verify_W(slds, w, tol)
     return WCandidate(
@@ -328,16 +328,12 @@ def classify(c1: Verdict, c3: Verdict, c4: WCandidate) -> str:
     return UNDETERMINED
 
 
-def evaluate_conditions(
-    slds: SldSet,
-    tol: Tolerances = DEFAULT,
-    seed: int = 11,
-) -> ConditionReport:
+def evaluate_conditions(slds: SldSet, tol: Tolerances = DEFAULT) -> ConditionReport:
     """Run all block-level checks and classify the model at this point."""
     c1 = check_condition1(slds, tol)
     c3 = check_condition3(slds, tol)
     pc = check_partial_commutativity(slds, tol)
-    c4 = find_W(slds, tol, seed=seed)
+    c4 = find_W(slds, tol)
     return ConditionReport(
         c1=c1,
         c3=c3,

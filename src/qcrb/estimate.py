@@ -22,12 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import blocks, linalg
+from . import linalg
 from .config import DEFAULT, Tolerances
 from .errors import NegativeProbability, ParseError, SingularFisher
 from .model import StateModel, eval_bundle
 from .povm import Povm, classical_fi, outcome_probabilities
-from .sld import compute_slds, qfim
 
 Array = np.ndarray
 
@@ -78,12 +77,12 @@ def _fisher_inverse(f_c: Array, tol: Tolerances) -> Array:
 
 
 def run_trials(model: StateModel, povm: Povm, theta, config: SimConfig,
-               h: float | None = None, tol: Tolerances = DEFAULT) -> SimResult:
+               tol: Tolerances = DEFAULT) -> SimResult:
     """Repeated-trial comparison of empirical covariance with F_c^{-1}/N."""
     theta = np.asarray(theta, dtype=float)
     delta = np.asarray(config.delta if config.delta else np.zeros_like(theta), dtype=float)
     theta_sim = theta + delta
-    bundle = eval_bundle(model, theta_sim, h=h, tol=tol)
+    bundle = eval_bundle(model, theta_sim, tol=tol)
     probs = outcome_probabilities(povm, bundle.rho)
     if np.min(probs) < -tol.povm:
         raise NegativeProbability(f"outcome probability {np.min(probs):.3e} below -{tol.povm}")
@@ -127,24 +126,21 @@ def run_trials(model: StateModel, povm: Povm, theta, config: SimConfig,
     )
 
 
-def fc_convergence_study(model: StateModel, povm: Povm, theta, deltas,
-                         h: float | None = None, tol: Tolerances = DEFAULT) -> list[dict]:
+def fc_convergence_study(model: StateModel, povm: Povm, theta, deltas, f_theta,
+                         tol: Tolerances = DEFAULT) -> list[dict]:
     """Deviation of the displaced classical information from the QFIM.
 
     For each displacement vector delta, evaluates the full classical
     Fisher matrix at theta + delta (every outcome with positive
     probability contributes) and tabulates the max-norm deviation from
-    F(theta).  For an optimal POVM the deviation shrinks as delta -> 0,
-    recovering the null contribution in the limit.
+    ``f_theta``, the QFIM F(theta).  For an optimal POVM the deviation
+    shrinks as delta -> 0, recovering the null contribution in the limit.
     """
     theta = np.asarray(theta, dtype=float)
-    base = eval_bundle(model, theta, h=h, tol=tol)
-    dec = blocks.decompose(base.rho, tol, base.spectrum)
-    f_theta = qfim(compute_slds(base, dec, tol)).F
     rows = []
     for delta in deltas:
         delta = np.asarray(delta, dtype=float)
-        bundle = eval_bundle(model, theta + delta, h=h, tol=tol)
+        bundle = eval_bundle(model, theta + delta, tol=tol)
         f_c = classical_fi(povm, bundle, tol)
         rows.append(
             {

@@ -12,9 +12,9 @@ the gauge that make their output deterministic:
   must treat values within that band of it as ambiguous.
 * SVD (``svd``) with the full right basis, and the Moore-Penrose
   pseudoinverse built on it with relative singular-value truncation.
-* Joint diagonalization of a commuting Hermitian family via a seeded
-  random linear combination, with retries and a sequential refinement
-  fallback inside degenerate eigenspaces.
+* Joint diagonalization of a commuting Hermitian family, one operator at
+  a time inside the degenerate eigenspaces the operators before it left;
+  the result depends only on the family.
 
 Matrices serialize to JSON as arrays of rows, each entry a two-element
 ``[re, im]`` array; 64-bit floats round-trip exactly.
@@ -216,25 +216,6 @@ def gap_clusters(values, width: float) -> list[list[int]]:
     return clusters
 
 
-def _sequential_refine(mats: list[Array], tol: Tolerances) -> Array:
-    """Diagonalize the family one operator at a time inside degenerate clusters."""
-    n = mats[0].shape[0]
-    u = np.eye(n, dtype=complex)
-    clusters: list[list[int]] = [list(range(n))]
-    for mat in mats:
-        next_clusters: list[list[int]] = []
-        for cluster in clusters:
-            cols = np.array(cluster, dtype=int)
-            sub = dag(u[:, cols]) @ mat @ u[:, cols]
-            eig = herm_eigen(0.5 * (sub + dag(sub)))
-            u[:, cols] = u[:, cols] @ eig.vectors
-            width = tol.cluster * (1.0 + float(np.max(np.abs(eig.values))))
-            for part in gap_clusters(eig.values, width):
-                next_clusters.append([cluster[i] for i in part])
-        clusters = next_clusters
-    return u
-
-
 def joint_width(joint: Array, tol: Tolerances) -> float:
     """Width at which joint eigenvalues count as equal."""
     return tol.cluster * (1.0 + float(np.max(np.abs(joint))))
@@ -249,12 +230,7 @@ def _finish_joint(u: Array, mats: list[Array], tol: Tolerances) -> tuple[Array, 
     return fix_phases(u[:, order]), joint[order, :]
 
 
-def simultaneous_diagonalize(
-    family,
-    tol: Tolerances = DEFAULT,
-    seed: int = 7,
-    retries: int = 5,
-) -> tuple[Array, Array]:
+def simultaneous_diagonalize(family, tol: Tolerances = DEFAULT) -> tuple[Array, Array]:
     """Jointly diagonalize a commuting family of Hermitian matrices.
 
     Returns ``(U, joint)`` where the columns of the unitary U are common
@@ -263,9 +239,10 @@ def simultaneous_diagonalize(
     at :func:`joint_width`: ascending in operator 0, ties within the width
     broken by operator 1, and so on, so roundoff never decides the order.
 
-    The strategy diagonalizes a seeded random linear combination and
-    verifies; on failure it retries with fresh weights, then falls back to
-    sequential refinement within degenerate eigenspaces.
+    Operator 0 is diagonalized first; each following operator is then
+    diagonalized inside every cluster of equal eigenvalues that the
+    operators before it left.  Raises DegeneracyUnresolved when the result
+    still leaves some member off-diagonal.
     """
     mats = [require_hermitian(m, tol.herm) for m in family]
     if not mats:
@@ -280,17 +257,24 @@ def simultaneous_diagonalize(
             if comm_norm(mats[i], mats[j]) > tol.comm * scale:
                 raise NotCommuting(f"operators {i} and {j} do not commute")
 
-    rng = np.random.default_rng(seed)
-    for _ in range(retries):
-        weights = rng.standard_normal(len(mats))
-        combo = sum(w * m for w, m in zip(weights, mats))
-        u = herm_eigen(0.5 * (combo + dag(combo))).vectors
-        if _family_diagonal(u, mats, tol.diag):
-            return _finish_joint(u, mats, tol)
-    u = _sequential_refine(mats, tol)
-    if _family_diagonal(u, mats, tol.diag):
-        return _finish_joint(u, mats, tol)
-    raise DegeneracyUnresolved("could not split degenerate joint eigenspaces")
+    eig = herm_eigen(mats[0])
+    u = eig.vectors
+    clusters = gap_clusters(eig.values, joint_width(eig.values, tol))
+    for mat in mats[1:]:
+        refined: list[list[int]] = []
+        for cluster in clusters:
+            if len(cluster) == 1:
+                refined.append(cluster)
+                continue
+            cols = u[:, cluster]
+            eig = herm_eigen(dag(cols) @ mat @ cols)
+            u[:, cluster] = cols @ eig.vectors
+            for part in gap_clusters(eig.values, joint_width(eig.values, tol)):
+                refined.append([cluster[i] for i in part])
+        clusters = refined
+    if not _family_diagonal(u, mats, tol.diag):
+        raise DegeneracyUnresolved("could not split degenerate joint eigenspaces")
+    return _finish_joint(u, mats, tol)
 
 
 def matrix_to_json(a) -> list:

@@ -124,15 +124,13 @@ def _is_projective(mats: list[Array], tol: Tolerances) -> bool:
     return True
 
 
-def classify(mats: list[Array], rho: Array, dec: Optional[BlockDecomposition] = None,
+def classify(mats: list[Array], rho: Array, dec: BlockDecomposition,
              tol: Tolerances = DEFAULT) -> tuple[list[str], list[str]]:
     """Label effects regular/null by tr(rho E) and sanity-check null blocks.
 
     Null effects must live entirely in the 00 block; violations are
     reported as flags, not errors.
     """
-    if dec is None:
-        dec = blocks.decompose(rho, tol)
     labels = []
     flags: list[str] = []
     for k, e in enumerate(mats):
@@ -148,7 +146,7 @@ def classify(mats: list[Array], rho: Array, dec: Optional[BlockDecomposition] = 
     return labels, flags
 
 
-def make_povm(effects, rho: Array, dec: Optional[BlockDecomposition] = None,
+def make_povm(effects, rho: Array, dec: BlockDecomposition,
               tol: Tolerances = DEFAULT) -> tuple[Povm, list[str]]:
     """Validate, classify and wrap raw effect matrices."""
     rho = linalg.as_matrix(rho)
@@ -159,7 +157,7 @@ def make_povm(effects, rho: Array, dec: Optional[BlockDecomposition] = None,
 
 
 def construct_optimal(slds: SldSet, w: Optional[WCandidate] = None,
-                      tol: Tolerances = DEFAULT, seed: int = 11) -> Povm:
+                      tol: Tolerances = DEFAULT) -> Povm:
     """Build the optimal projective POVM from commuting ++ blocks and W.
 
     Regular effects are the common spectral projectors of the ++ SLD
@@ -176,7 +174,7 @@ def construct_optimal(slds: SldSet, w: Optional[WCandidate] = None,
         if w is None or not w.certified or w.W is None:
             raise ConditionFailed("no certified null-space unitary supplied")
 
-    u, joint = linalg.simultaneous_diagonalize(list(slds.Lpp), tol, seed=seed)
+    u, joint = linalg.simultaneous_diagonalize(list(slds.Lpp), tol)
     effects: list[Array] = []
     labels: list[str] = []
     for cluster in linalg.gap_clusters(joint, linalg.joint_width(joint, tol)):

@@ -255,7 +255,7 @@ class TestCriterion8MonteCarlo:
         built = povm.construct_optimal(slds, report.c4)
         fim = sld.qfim(slds)
         deltas = [t * np.array([1.0, 1.0]) / np.sqrt(2.0) for t in (1e-1, 1e-2, 1e-3)]
-        rows = estimate.fc_convergence_study(example2, built, THETA_EX2, deltas)
+        rows = estimate.fc_convergence_study(example2, built, THETA_EX2, deltas, fim.F)
         devs = [r["max_abs_dev"] for r in rows]
         check("8 study decreasing", devs[0] > devs[1] > devs[2],
               "devs " + ", ".join(f"{d:.3e}" for d in devs))
@@ -266,7 +266,7 @@ class TestCriterion8MonteCarlo:
         folded = [eff[built.regular_indices[0]] + eff[built.null_indices[0]],
                   eff[built.regular_indices[1]]]
         pv, _ = povm.make_povm(folded, bundle.rho, dec)
-        rows_bad = estimate.fc_convergence_study(example2, pv, THETA_EX2, deltas)
+        rows_bad = estimate.fc_convergence_study(example2, pv, THETA_EX2, deltas, fim.F)
         floor = 0.5 * np.max(np.abs(fim.F_null))
         check("8 null-removed plateau", all(r["max_abs_dev"] >= floor for r in rows_bad),
               f"min dev {min(r['max_abs_dev'] for r in rows_bad):.3f} floor {floor:.3f}")

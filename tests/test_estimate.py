@@ -116,16 +116,16 @@ class TestConvergenceStudy:
     def test_example2_deviation_shrinks(self, ex2_setup):
         mdl, _, _, slds, built = ex2_setup
         deltas = [t * np.array([1.0, 1.0]) / np.sqrt(2.0) for t in (1e-1, 1e-2, 1e-3)]
-        rows = estimate.fc_convergence_study(mdl, built, THETA_EX2, deltas)
+        rows = estimate.fc_convergence_study(mdl, built, THETA_EX2, deltas, sld.qfim(slds).F)
         devs = [r["max_abs_dev"] for r in rows]
         assert devs[0] > devs[1] > devs[2]
         f_max = np.max(np.abs(sld.qfim(slds).F))
         assert devs[2] <= 1e-2 * f_max
 
     def test_classical_diag_linear_shrinkage(self, diag_setup):
-        mdl, _, _, _, built = diag_setup
+        mdl, _, _, slds, built = diag_setup
         deltas = [t * np.array([1.0, 1.0]) / np.sqrt(2.0) for t in (1e-1, 1e-2, 1e-3)]
-        rows = estimate.fc_convergence_study(mdl, built, THETA_DIAG, deltas)
+        rows = estimate.fc_convergence_study(mdl, built, THETA_DIAG, deltas, sld.qfim(slds).F)
         devs = [r["max_abs_dev"] for r in rows]
         assert devs[0] > devs[1] > devs[2]
         # smooth full-rank family: deviation is O(delta)
@@ -138,15 +138,15 @@ class TestConvergenceStudy:
                   eff[built.regular_indices[1]]]
         pv, _ = povm.make_povm(folded, bundle.rho, dec)
         deltas = [t * np.array([1.0, 1.0]) / np.sqrt(2.0) for t in (1e-1, 1e-2, 1e-3)]
-        rows = estimate.fc_convergence_study(mdl, pv, THETA_EX2, deltas)
         fim = sld.qfim(slds)
+        rows = estimate.fc_convergence_study(mdl, pv, THETA_EX2, deltas, fim.F)
         floor = 0.5 * np.max(np.abs(fim.F_null))
         assert all(r["max_abs_dev"] >= floor for r in rows)
 
     def test_csv_format(self, ex2_setup):
-        mdl, _, _, _, built = ex2_setup
+        mdl, _, _, slds, built = ex2_setup
         rows = estimate.fc_convergence_study(
-            mdl, built, THETA_EX2, [np.array([0.01, 0.01])]
+            mdl, built, THETA_EX2, [np.array([0.01, 0.01])], sld.qfim(slds).F
         )
         csv = estimate.study_csv(rows)
         lines = csv.strip().split("\n")

@@ -176,7 +176,7 @@ class TestSimultaneousDiagonalize:
             np.diag([1.0, 1.0, 2.0]).astype(complex),
             np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 5.0]], dtype=complex),
         ]
-        u = linalg._sequential_refine(mats, DEFAULT)
+        u, _ = linalg.simultaneous_diagonalize(mats)
         assert linalg._family_diagonal(u, mats, DEFAULT.diag)
 
 

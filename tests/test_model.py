@@ -226,5 +226,7 @@ class TestStencil:
         payload["rho_center"] = bad.tolist()
         path = tmp_path / "stencil.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(InvalidState):
-            model.load_model(path)
+        # load_model checks only the neighbours; eval_bundle gates the centre
+        stencil = model.load_model(path)
+        with pytest.raises(InvalidState, match="state trace .* deviates from 1"):
+            model.eval_bundle(stencil, [0.25, 0.5])

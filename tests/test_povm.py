@@ -103,9 +103,9 @@ class TestClassify:
         assert flags == []
 
     def test_validation_rejects_incomplete(self, ex2_pipeline):
-        bundle, *_ = ex2_pipeline
+        bundle, dec, _, _ = ex2_pipeline
         with pytest.raises(InvalidPovm):
-            povm.make_povm([np.eye(3) * 0.5], bundle.rho)
+            povm.make_povm([np.eye(3) * 0.5], bundle.rho, dec)
 
     def test_validation_clips_tiny_negatives(self, ex2_pipeline):
         bundle, dec, _, _ = ex2_pipeline
