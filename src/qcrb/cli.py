@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from importlib import resources
 from pathlib import Path
 from typing import Optional
 
@@ -45,11 +44,6 @@ EXIT_UNDETERMINED = 3
 
 _ERROR_EXIT = {ConditionFailed: EXIT_FAILED, SingularFisher: EXIT_FAILED}
 _VERDICT_EXIT = {SATURABLE_PROJECTIVE: EXIT_OK, UNDETERMINED: EXIT_UNDETERMINED}
-
-
-def report_schema() -> dict:
-    text = resources.files("qcrb").joinpath("report_schema.json").read_text(encoding="utf-8")
-    return json.loads(text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -97,7 +91,6 @@ def _conditions_json(report: ConditionReport) -> dict:
     return {
         "c1": _verdict_json(report.c1),
         "c3": _verdict_json(report.c3),
-        "partial_commutativity": _verdict_json(report.partial_comm),
         "c4": {
             "certified": bool(c4.certified),
             "residual": float(c4.residual),
@@ -139,9 +132,6 @@ def _optimality_json(report) -> dict:
 def _saturation_json(report) -> dict:
     return {
         "passed": bool(report.passed),
-        "F": _real_matrix(report.F),
-        "F_reg": _real_matrix(report.F_reg),
-        "F_null": _real_matrix(report.F_null),
         "F_c": _real_matrix(report.F_c),
         "null_sum": _real_matrix(report.null_sum),
         "res_regular": float(report.res_regular),
@@ -314,8 +304,6 @@ def _run(args, tol: Tolerances, seed: int, warnings: list[str]) -> tuple[dict, i
         "projective": povm.projective,
         "probabilities": _real_vector(outcome_probabilities(povm, bundle.rho)),
     }
-    if args.command == "construct":
-        report["povm"]["effects"] = [linalg.matrix_to_json(e) for e in povm.effects]
     report["optimality"] = _optimality_json(optimality)
     report["saturation"] = _saturation_json(saturation)
     if args.command == "construct" and args.out:
@@ -323,6 +311,8 @@ def _run(args, tol: Tolerances, seed: int, warnings: list[str]) -> tuple[dict, i
         # only programs read
         payload = json.dumps(effects_to_json(povm), separators=(",", ":"))
         Path(args.out).write_text(payload + "\n", encoding="utf-8")
+    elif args.command == "construct":
+        report["povm"].update(effects_to_json(povm))
     return report, EXIT_OK if (optimality.passed and saturation.passed) else EXIT_FAILED
 
 

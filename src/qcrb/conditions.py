@@ -70,7 +70,6 @@ class WCandidate:
 class ConditionReport:
     c1: Verdict
     c3: Verdict
-    partial_comm: Verdict
     c4: WCandidate
     classification: str
 
@@ -93,19 +92,6 @@ def check_condition3(slds: SldSet, tol: Tolerances = DEFAULT) -> Verdict:
             cross = slds.Lpz[l] @ linalg.dag(slds.Lpz[m]) - slds.Lpz[m] @ linalg.dag(slds.Lpz[l])
             scale = 1.0 + linalg.fro(slds.Lpz[l]) * linalg.fro(slds.Lpz[m])
             worst = max(worst, linalg.fro(cross) / scale)
-    return Verdict(passed=worst <= tol.cond, residual=worst)
-
-
-def check_partial_commutativity(slds: SldSet, tol: Tolerances = DEFAULT) -> Verdict:
-    """Commutator of the full SLDs projected onto the range."""
-    worst = 0.0
-    for l in range(slds.p):
-        for m in range(l + 1, slds.p):
-            term = slds.Lpp[l] @ slds.Lpp[m] - slds.Lpp[m] @ slds.Lpp[l]
-            term = term + slds.Lpz[l] @ linalg.dag(slds.Lpz[m]) - slds.Lpz[m] @ linalg.dag(slds.Lpz[l])
-            sl = linalg.fro(slds.Lpp[l]) + linalg.fro(slds.Lpz[l])
-            sm = linalg.fro(slds.Lpp[m]) + linalg.fro(slds.Lpz[m])
-            worst = max(worst, linalg.fro(term) / (1.0 + sl * sm))
     return Verdict(passed=worst <= tol.cond, residual=worst)
 
 
@@ -323,7 +309,7 @@ def solve_U_fixed_range(
 def classify(c1: Verdict, c3: Verdict, c4: WCandidate) -> str:
     if not c1.passed or not c3.passed:
         return NECESSARY_FAILED
-    if c1.passed and c4.certified:
+    if c4.certified:
         return SATURABLE_PROJECTIVE
     return UNDETERMINED
 
@@ -332,12 +318,10 @@ def evaluate_conditions(slds: SldSet, tol: Tolerances = DEFAULT) -> ConditionRep
     """Run all block-level checks and classify the model at this point."""
     c1 = check_condition1(slds, tol)
     c3 = check_condition3(slds, tol)
-    pc = check_partial_commutativity(slds, tol)
     c4 = find_W(slds, tol)
     return ConditionReport(
         c1=c1,
         c3=c3,
-        partial_comm=pc,
         c4=c4,
         classification=classify(c1, c3, c4),
     )

@@ -33,7 +33,7 @@ class Tolerances:
     zero: float = 1e-8           # "this block/column is zero" threshold
     prob: float = 1e-10          # regular/null outcome probability threshold
     povm: float = 1e-9           # POVM completeness and PSD slack
-    projective: float = 1e-8     # E^2 = E and orthogonality of projective effects
+    projective: float = 1e-8     # E^2 = E per effect (completeness implies orthogonality)
     cluster: float = 1e-7        # joint-eigenvalue clustering width
     pde: float = 1e-5            # residual gate for the frame-change PDE (FD-limited)
     sat: float = 1e-7            # saturation identity gates

@@ -29,10 +29,6 @@ class OutOfDomain(QcrbError):
     """Parameter point lies outside the model's open box (or its margin)."""
 
 
-class DerivativeInconsistent(QcrbError):
-    """Analytic and finite-difference derivatives disagree beyond the h^2 scale."""
-
-
 class ParseError(QcrbError):
     """An input (config file, data file or command-line value) is malformed or out of range."""
 

@@ -25,7 +25,6 @@ import numpy as np
 from . import linalg
 from .config import DEFAULT, Tolerances
 from .errors import (
-    DerivativeInconsistent,
     InvalidState,
     OutOfDomain,
     ParseError,
@@ -117,44 +116,28 @@ def eval_bundle(
     h: Optional[float] = None,
     *,
     use_analytic: bool = True,
-    cross_check: bool = False,
     tol: Tolerances = DEFAULT,
 ) -> StateBundle:
     """Evaluate rho and all first derivatives at theta.
 
     Analytic derivatives are preferred when the model supplies them;
     otherwise central differences with step ``h`` are used (theta must
-    then sit at least ``h`` inside the box).  With ``cross_check=True``
-    both routes are computed and compared at the 10*h^2 scale.
+    then sit at least ``h`` inside the box).  ``use_analytic=False``
+    forces the finite-difference route, as a reference for the analytic one.
     """
     h = tol.fd_step if h is None else float(h)
     if h <= 0.0:
         raise ValueError("finite-difference step must be positive")
-    analytic_available = model.deriv is not None
-    needs_fd = (not analytic_available) or (not use_analytic) or cross_check
-    theta = _require_in_box(model, theta, h if needs_fd else 0.0)
+    use_fd = model.deriv is None or not use_analytic
+    theta = _require_in_box(model, theta, h if use_fd else 0.0)
 
     rho = linalg.as_matrix(model.eval_rho(theta))
     spectrum = validate_state(rho, model.n_s, tol)
 
-    analytic = None
-    if analytic_available and (use_analytic or cross_check):
-        analytic = [linalg.as_matrix(model.deriv(theta, l)) for l in range(model.p)]
-    fd = None
-    if needs_fd:
-        fd = [_fd_derivative(model, theta, l, h) for l in range(model.p)]
-
-    if cross_check and analytic is not None and fd is not None:
-        for l in range(model.p):
-            gap = float(np.max(np.abs(analytic[l] - fd[l])))
-            scale = 10.0 * h * h * (1.0 + float(np.max(np.abs(analytic[l]))))
-            if gap > scale:
-                raise DerivativeInconsistent(
-                    f"analytic and FD derivatives for parameter {l} differ by {gap:.3e}"
-                )
-
-    drho = analytic if (analytic is not None and use_analytic) else fd
-    assert drho is not None
+    if use_fd:
+        drho = [_fd_derivative(model, theta, l, h) for l in range(model.p)]
+    else:
+        drho = [linalg.as_matrix(model.deriv(theta, l)) for l in range(model.p)]
     for l, d in enumerate(drho):
         if linalg.herm_defect(d) > tol.state:
             raise InvalidState(f"derivative {l} is not Hermitian")

@@ -72,9 +72,6 @@ class OptimalityReport:
 @dataclass(frozen=True)
 class SaturationReport:
     passed: bool
-    F: Array
-    F_reg: Array
-    F_null: Array
     F_c: Array
     null_sum: Array
     res_regular: float
@@ -115,13 +112,9 @@ def validate_effects(effects, n_s: int, tol: Tolerances = DEFAULT) -> tuple[list
 
 
 def _is_projective(mats: list[Array], tol: Tolerances) -> bool:
-    for k, e in enumerate(mats):
-        if linalg.fro(e @ e - e) > tol.projective * (1.0 + linalg.fro(e)):
-            return False
-        for j in range(k + 1, len(mats)):
-            if linalg.fro(e @ mats[j]) > tol.projective:
-                return False
-    return True
+    # idempotency only: projectors summing to I are mutually orthogonal, so the
+    # completeness gate bounds every E_j E_k (canonicalize skips validate_effects)
+    return all(linalg.fro(e @ e - e) <= tol.projective * (1.0 + linalg.fro(e)) for e in mats)
 
 
 def classify(mats: list[Array], rho: Array, dec: BlockDecomposition,
@@ -366,9 +359,6 @@ def saturation_check(povm: Povm, slds: SldSet, bundle: StateBundle,
     res_null = float(np.max(np.abs(n_sum - fim.F_null)))
     return SaturationReport(
         passed=(res_reg <= scale and res_null <= scale),
-        F=fim.F,
-        F_reg=fim.F_reg,
-        F_null=fim.F_null,
         F_c=f_c,
         null_sum=n_sum,
         res_regular=res_reg,

@@ -153,7 +153,6 @@ class TestCriterion6InvarianceSuite:
         return (
             report.c1.passed,
             report.c3.passed,
-            report.partial_comm.passed,
             report.c4.certified,
             report.classification,
             sat.passed,

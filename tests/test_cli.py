@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import os
@@ -11,12 +12,14 @@ import numpy as np
 import pytest
 
 import qcrb
-from qcrb.cli import main, report_schema
+from qcrb.cli import main
 from qcrb.config import Tolerances
 
 from conftest import WORKING_POINTS
 
-SCHEMA = report_schema()
+SCHEMA = json.loads(
+    (Path(qcrb.__file__).parent / "report_schema.json").read_text(encoding="utf-8")
+)
 
 
 @pytest.fixture()
@@ -140,14 +143,18 @@ class TestConstruct:
         assert len(payload["effects"]) == 3
         assert report["povm"]["labels"].count("null") == 1
 
-    def test_povm_file_is_compact_json(self, tmp_path, ex2_file):
+    def test_povm_file_is_compact_json(self, tmp_path, ex2_file, capsys):
         povm_path = tmp_path / "povm.json"
         report_path = tmp_path / "report.json"
         main(["construct", ex2_file, "--out", str(povm_path), "--report", str(report_path)])
         text = povm_path.read_text()
         assert text.count("\n") == 1 and " " not in text
-        report = json.loads(report_path.read_text())
-        assert json.loads(text) == {"effects": report["povm"]["effects"]}
+        # the effects live in the POVM file only; without --out the report carries them
+        assert "effects" not in json.loads(report_path.read_text())["povm"]
+        assert main(["construct", ex2_file]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        jsonschema.validate(printed, SCHEMA)
+        assert json.loads(text) == {"effects": printed["povm"]["effects"]}
 
     def test_classical_diag_no_null_effects(self, tmp_path, diag_file):
         povm_path = tmp_path / "povm.json"
@@ -385,6 +392,35 @@ def test_only_the_simulation_draws_random_numbers():
     offenders = [path.name for path in sorted(src.glob("*.py"))
                  if path.name != "estimate.py" and pattern.search(path.read_text(encoding="utf-8"))]
     assert offenders == []
+
+
+# library entry points that only the acceptance criteria call: canonical
+# structure (7), invariance under Lzz (6) and the condition-2 verifier (2)
+_CRITERION_ONLY = {"canonicalize", "with_lzz", "verify_condition2_U", "solve_U_fixed_range"}
+
+
+def test_every_public_function_has_a_caller():
+    # a public top-level function or class that only tests reach is dead code
+    src = Path(qcrb.__file__).resolve().parent
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in [*src.glob("*.py"), *bench.glob("*.py")]
+             if not path.name.startswith("test_")}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    defined = {node.name for path, tree in trees.items() if path.parent == src
+               for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not node.name.startswith("_")}
+    assert _CRITERION_ONLY <= defined
+    assert sorted(defined - used - _CRITERION_ONLY) == []
 
 
 def test_every_echoed_tolerance_is_read():

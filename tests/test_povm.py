@@ -107,6 +107,24 @@ class TestClassify:
         with pytest.raises(InvalidPovm):
             povm.make_povm([np.eye(3) * 0.5], bundle.rho, dec)
 
+    def test_non_projective_povm_is_reported(self, ex2_pipeline):
+        bundle, dec, _, _ = ex2_pipeline
+        half, _ = povm.make_povm([0.5 * np.eye(3), 0.5 * np.eye(3)], bundle.rho, dec)
+        assert half.projective is False
+        basis, _ = povm.make_povm(basis_povm(3), bundle.rho, dec)
+        assert basis.projective is True
+
+    def test_overlapping_projectors_fail_completeness(self, ex2_pipeline):
+        # rank-one projectors with overlap 1e-4 miss I by sqrt(2) * 1e-4:
+        # the completeness gate, not the projectivity test, rejects them
+        bundle, dec, _, _ = ex2_pipeline
+        eps = 1e-4
+        v = np.array([eps, np.sqrt(1.0 - eps**2), 0.0], dtype=complex)
+        effects = [np.diag([1.0, 0.0, 0.0]), np.outer(v, v.conj()), np.diag([0.0, 0.0, 1.0])]
+        assert np.isclose(linalg.fro(effects[0] @ effects[1]), eps)
+        with pytest.raises(InvalidPovm, match="defect 1.414e-04"):
+            povm.make_povm(effects, bundle.rho, dec)
+
     def test_validation_clips_tiny_negatives(self, ex2_pipeline):
         bundle, dec, _, _ = ex2_pipeline
         eps = 5e-10
@@ -336,7 +354,7 @@ class TestClosureProperties:
         assert povm.verify_optimality(built, slds, dec).passed
         out = povm.saturation_check(built, slds, bundle)
         assert out.passed
-        assert np.isclose(out.F[0, 0], 4.0, atol=1e-9)
+        assert np.isclose(sld.qfim(slds).F[0, 0], 4.0, atol=1e-9)
 
 
 class TestJsonRoundTrip:
