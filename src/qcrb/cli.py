@@ -31,7 +31,7 @@ from .povm import (
     effects_from_json,
     effects_to_json,
     make_povm,
-    outcome_probabilities,
+    outcome_table,
     saturation_check,
     verify_optimality,
 )
@@ -302,7 +302,7 @@ def _run(args, tol: Tolerances, seed: int, warnings: list[str]) -> tuple[dict, i
         "n_effects": len(povm),
         "labels": list(povm.labels),
         "projective": povm.projective,
-        "probabilities": _real_vector(outcome_probabilities(povm, bundle.rho)),
+        "probabilities": _real_vector(outcome_table(povm, bundle)[0]),
     }
     report["optimality"] = _optimality_json(optimality)
     report["saturation"] = _saturation_json(saturation)

@@ -1,10 +1,12 @@
 """Monte Carlo demonstration that an optimal measurement attains the bound.
 
-Outcomes are drawn from the multinomial induced by the POVM at a
-(possibly displaced) parameter point using inverse-CDF sampling on
-numpy's PCG64 generator; trial r derives its own stream from the pair
-(seed, r), so runs are reproducible bit for bit and trials are
-independent.  Each trial forms the one-step estimator
+The one-step estimator depends on a trial only through its outcome
+counts, so all R trials are drawn at once: one numpy PCG64 generator
+seeded by ``SeedSequence(seed)`` gives the R x K count table
+``multinomial(N, p, size=R)`` for the K outcome probabilities p at the
+(possibly displaced) parameter point, clipped at 0 and normalised.
+Runs are reproducible bit for bit from the seed, and sampling costs
+O(R K) whatever N is.  Every trial forms
 
     theta_hat = theta_sim + F_c^{-1} s / N,
     s_l = sum_k counts_k * d_l ln p_k   (outcomes with p_k > threshold)
@@ -26,7 +28,7 @@ from . import linalg
 from .config import DEFAULT, Tolerances
 from .errors import NegativeProbability, ParseError, SingularFisher
 from .model import StateModel, eval_bundle
-from .povm import Povm, classical_fi, outcome_probabilities
+from .povm import Povm, classical_fi, fisher_information, outcome_table
 
 Array = np.ndarray
 
@@ -83,32 +85,23 @@ def run_trials(model: StateModel, povm: Povm, theta, config: SimConfig,
     delta = np.asarray(config.delta if config.delta else np.zeros_like(theta), dtype=float)
     theta_sim = theta + delta
     bundle = eval_bundle(model, theta_sim, tol=tol)
-    probs = outcome_probabilities(povm, bundle.rho)
-    if np.min(probs) < -tol.povm:
-        raise NegativeProbability(f"outcome probability {np.min(probs):.3e} below -{tol.povm}")
-    probs = np.clip(probs, 0.0, None)
+    raw, grads = outcome_table(povm, bundle)
+    if np.min(raw) < -tol.povm:
+        raise NegativeProbability(f"outcome probability {np.min(raw):.3e} below -{tol.povm}")
+    probs = np.clip(raw, 0.0, None)
     total = probs.sum()
     if abs(total - 1.0) > 1e-9:
         raise NegativeProbability(f"outcome probabilities sum to {total}")
     probs = probs / total
-    grads = np.array([[float(np.real(np.trace(d @ e))) for d in bundle.drho] for e in povm.effects])
     kept = probs > tol.prob
-    f_c = classical_fi(povm, bundle, tol)
-    f_c_inv = _fisher_inverse(f_c, tol)
+    f_c_inv = _fisher_inverse(fisher_information(raw, grads, tol), tol)
     pred_cov = f_c_inv / config.N
 
     dlnp = np.zeros_like(grads)
     dlnp[kept] = grads[kept] / probs[kept, None]
-    edges = np.cumsum(probs)
-    edges[-1] = 1.0
-
-    estimates = np.zeros((config.R, theta.size))
-    for r in range(config.R):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((config.seed, r))))
-        outcomes = np.searchsorted(edges, rng.random(config.N), side="left")
-        counts = np.bincount(outcomes, minlength=len(probs))
-        score = counts @ dlnp
-        estimates[r] = theta_sim + (f_c_inv @ score) / config.N
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
+    counts = rng.multinomial(config.N, probs, size=config.R)
+    estimates = theta_sim + counts @ dlnp @ f_c_inv / config.N
 
     centered = estimates - estimates.mean(axis=0)
     emp_cov = (centered.T @ centered) / (config.R - 1)

@@ -301,26 +301,31 @@ def verify_optimality(povm: Povm, slds: SldSet, dec: BlockDecomposition,
     )
 
 
-def outcome_probabilities(povm: Povm, rho: Array) -> Array:
-    return np.array([float(np.real(np.trace(rho @ e))) for e in povm.effects])
+def outcome_table(povm: Povm, bundle: StateBundle) -> tuple[Array, Array]:
+    """Outcome probabilities tr(rho E_k) and gradients Re tr(d_l rho E_k) (K x p)."""
+    # traces of full products, not an O(n^2) einsum, so each entry rounds as
+    # tr(A @ E) does: near a null outcome F_c divides by p_k ~ delta^2, and a
+    # reordered sum moves the study's rows at 1e-9
+    products = np.stack((bundle.rho, *bundle.drho)) @ np.stack(povm.effects)[:, None]
+    table = np.real(np.trace(products, axis1=-2, axis2=-1))
+    return table[:, 0], table[:, 1:]
 
 
-def classical_fi(povm: Povm, bundle: StateBundle, tol: Tolerances = DEFAULT) -> Array:
-    """Classical Fisher information of the outcome distribution.
+def fisher_information(probs: Array, grads: Array, tol: Tolerances = DEFAULT) -> Array:
+    """Classical Fisher information sum_k grad_k grad_k^T / p_k of an outcome table.
 
     Outcomes with probability at or below ``tol.prob`` are excluded from
     the sum; their limiting contribution is what
     :func:`null_component_sum` accounts for algebraically.
     """
-    p = len(bundle.drho)
-    probs = outcome_probabilities(povm, bundle.rho)
-    out = np.zeros((p, p))
-    for k, e in enumerate(povm.effects):
-        if probs[k] <= tol.prob:
-            continue
-        grad = np.array([float(np.real(np.trace(d @ e))) for d in bundle.drho])
-        out += np.outer(grad, grad) / probs[k]
-    return out
+    kept = probs > tol.prob
+    g = grads[kept]
+    return (g[:, :, None] * g[:, None, :] / probs[kept, None, None]).sum(axis=0)
+
+
+def classical_fi(povm: Povm, bundle: StateBundle, tol: Tolerances = DEFAULT) -> Array:
+    """Classical Fisher information of the outcome distribution of ``povm`` at ``bundle``."""
+    return fisher_information(*outcome_table(povm, bundle), tol)
 
 
 def null_component_sum(povm: Povm, slds: SldSet, tol: Tolerances = DEFAULT) -> Array:

@@ -29,18 +29,14 @@ class TestOneStep:
     def test_estimates_are_the_outcome_frequencies(self, diag_setup):
         # with the basis POVM on classical_diag the one-step estimate of
         # trial r is its outcome frequencies (counts_0, counts_1) / N, so the
-        # counts rebuilt from the documented per-trial streams fix the result
+        # counts rebuilt from the documented stream fix the result
         mdl, bundle, dec, _, _ = diag_setup
         pv, _ = povm.make_povm(basis_povm(3), bundle.rho, dec)
         seed, n, r = 29, 50, 40
         result = estimate.run_trials(mdl, pv, THETA_DIAG, SimConfig(seed=seed, N=n, R=r))
-        edges = np.cumsum([THETA_DIAG[0], THETA_DIAG[1], 1.0 - THETA_DIAG.sum()])
-        edges[-1] = 1.0
-        counts = np.array([
-            np.bincount(np.searchsorted(edges, np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence((seed, k)))).random(n)), minlength=3)
-            for k in range(r)
-        ])
+        p = np.array([THETA_DIAG[0], THETA_DIAG[1], 1.0 - THETA_DIAG.sum()])
+        counts = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(seed))).multinomial(n, p, size=r)
         freqs = counts[:, :2] / n
         assert np.allclose(result.mean_shift, freqs.mean(axis=0) - THETA_DIAG, rtol=0, atol=1e-12)
         assert np.allclose(result.emp_cov, np.cov(freqs, rowvar=False), rtol=0, atol=1e-12)
@@ -82,6 +78,30 @@ class TestRunTrials:
         assert np.array_equal(a.emp_cov, b.emp_cov)
         assert np.array_equal(a.mean_shift, b.mean_shift)
         assert a.rel_err == b.rel_err
+
+    def test_seed_changes_the_draws(self, diag_setup):
+        mdl, _, _, _, built = diag_setup
+        a = estimate.run_trials(mdl, built, THETA_DIAG, SimConfig(seed=1, N=200, R=50))
+        b = estimate.run_trials(mdl, built, THETA_DIAG, SimConfig(seed=2, N=200, R=50))
+        assert not np.array_equal(a.emp_cov, b.emp_cov)
+
+    @pytest.mark.parametrize("r", [2, 500])
+    def test_one_generator_per_call(self, diag_setup, monkeypatch, r):
+        # every trial is drawn from one stream: the number of generators
+        # built does not grow with R
+        mdl, _, _, _, built = diag_setup
+        built_kinds = []
+
+        def counting(cls):
+            def make(*args, **kwargs):
+                built_kinds.append(cls.__name__)
+                return cls(*args, **kwargs)
+            return make
+
+        monkeypatch.setattr(np.random, "SeedSequence", counting(np.random.SeedSequence))
+        monkeypatch.setattr(np.random, "Generator", counting(np.random.Generator))
+        estimate.run_trials(mdl, built, THETA_DIAG, SimConfig(seed=3, N=100, R=r))
+        assert sorted(built_kinds) == ["Generator", "SeedSequence"]
 
     def test_first_order_unbiased(self, diag_setup):
         mdl, _, _, _, built = diag_setup
