@@ -9,7 +9,7 @@ inside degenerate eigenspaces) so repeated runs produce identical output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,8 +21,7 @@ from .model import validate_state
 Array = np.ndarray
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
+class BlockDecomposition(NamedTuple):
     r_plus: int
     r_zero: int
     V: Array          # n_s x r_plus orthonormal range basis
@@ -42,8 +41,7 @@ class BlockDecomposition:
         return self.Y @ linalg.dag(self.Y)
 
 
-@dataclass(frozen=True)
-class BlockView:
+class BlockView(NamedTuple):
     opp: Array
     opz: Array
     ozp: Array

@@ -5,11 +5,18 @@ every tolerance in force is echoed so numerical verdicts are auditable.
 Exit codes: 0 success/saturable, 1 error (bad files, invalid inputs),
 2 negative verdict (conditions failed, verification failed, singular
 Fisher matrix), 3 undetermined.
+
+Run as a command (``qcrb`` or ``python -m qcrb.cli``), :func:`entry`
+freezes the objects the imports created before it calls :func:`main`, so
+the cyclic collector never walks them again, at exit included.  ``main``
+does not freeze: tests and the benchmark call it in process, and a freeze
+there would keep their garbage for the life of the process.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -317,7 +324,8 @@ def _run(args, tol: Tolerances, seed: int, warnings: list[str]) -> tuple[dict, i
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="qcrb", description=__doc__)
+    # --help stops before the docstring's last paragraph, which is for readers of the code
+    parser = _Parser(prog="qcrb", description=(__doc__ or "").rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser, povm_file: bool = False):
@@ -379,13 +387,13 @@ def main(argv=None) -> int:
     report: dict = {
         "tool": {"name": "qcrb", "version": __version__},
         "command": args.command,
-        "tolerances": DEFAULT.as_dict(),
+        "tolerances": DEFAULT._asdict(),
         "warnings": [],
     }
     out_path = args.report if args.command == "construct" else args.out
     try:
-        tol = DEFAULT.replace(**parse_overrides(args.tol))
-        report["tolerances"] = tol.as_dict()
+        tol = DEFAULT._replace(**parse_overrides(args.tol))
+        report["tolerances"] = tol._asdict()
         seed = _check_seed(args)
         sections, code = _run(args, tol, seed, report["warnings"])
         report.update(sections)
@@ -397,5 +405,11 @@ def main(argv=None) -> int:
     return code
 
 
-if __name__ == "__main__":
+def entry() -> None:
+    # the heap the imports built lives until exit; frozen, no collection walks it (~35 ms)
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -24,8 +24,7 @@ never claims condition 4 is violated.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -42,14 +41,12 @@ NECESSARY_FAILED = "NecessaryFailed"
 UNDETERMINED = "Undetermined"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     passed: bool
     residual: float
 
 
-@dataclass(frozen=True)
-class WCandidate:
+class WCandidate(NamedTuple):
     """Null-space unitary candidate with extracted column ratios.
 
     ``lam[l, m, s]`` is the real ratio of column s of Lpz_l W to that of
@@ -66,8 +63,7 @@ class WCandidate:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     c1: Verdict
     c3: Verdict
     c4: WCandidate

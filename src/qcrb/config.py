@@ -9,15 +9,13 @@ relative to ``1 + ||.||_F`` of the operands.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParseError
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class Tolerances(NamedTuple):
     herm: float = 1e-10          # hermiticity gate
     diag: float = 1e-8           # off-diagonal mass after joint diagonalization
     comm: float = 1e-8           # commutativity gate for joint diagonalization
@@ -40,12 +38,6 @@ class Tolerances:
     fd_step: float = 1e-5        # default central-difference step
     fisher_cond: float = 1e12    # max condition number of an invertible Fisher matrix
 
-    def replace(self, **overrides: float) -> "Tolerances":
-        return dataclasses.replace(self, **overrides)
-
-    def as_dict(self) -> dict[str, float]:
-        return dataclasses.asdict(self)
-
 
 DEFAULT = Tolerances()
 
@@ -55,7 +47,7 @@ def parse_overrides(pairs: list[str]) -> dict[str, float]:
 
     Every value must be a finite positive number, and ``gap`` above 1.
     """
-    names = {f.name for f in dataclasses.fields(Tolerances)}
+    names = set(Tolerances._fields)
     out: dict[str, float] = {}
     for item in pairs:
         name, _, text = item.partition("=")

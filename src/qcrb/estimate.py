@@ -21,6 +21,7 @@ F_c(theta + delta) -> F(theta) exhibits the limiting null contribution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,8 +46,7 @@ class SimConfig:
             raise ParseError("need N >= 1 copies and R >= 2 trials")
 
 
-@dataclass(frozen=True)
-class SimResult:
+class SimResult(NamedTuple):
     theta_sim: Array
     emp_cov: Array
     pred_cov: Array

@@ -23,7 +23,7 @@ Matrices serialize to JSON as arrays of rows, each entry a two-element
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,8 +94,7 @@ def fix_phases(v: Array) -> Array:
     return w
 
 
-@dataclass(frozen=True)
-class HermEigen:
+class HermEigen(NamedTuple):
     """Eigenvalues (ascending) and orthonormal eigenvector columns."""
 
     values: Array
@@ -280,7 +279,7 @@ def simultaneous_diagonalize(family, tol: Tolerances = DEFAULT) -> tuple[Array, 
 def matrix_to_json(a) -> list:
     """Serialize a complex matrix as rows of [re, im] pairs."""
     m = as_matrix(a)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    return np.stack((m.real, m.imag), axis=-1).tolist()
 
 
 def matrix_from_json(obj) -> Array:

@@ -13,12 +13,11 @@ central-difference neighbours.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -52,8 +51,7 @@ class StateModel:
     default_theta: Optional[tuple[float, ...]] = None
 
 
-@dataclass(frozen=True)
-class StateBundle:
+class StateBundle(NamedTuple):
     """State and its parameter derivatives at one point."""
 
     theta: Array
@@ -487,7 +485,7 @@ def model_from_config(obj: dict, tol: Tolerances = DEFAULT) -> StateModel:
         if any(not lo < hi for lo, hi in box):
             raise InvalidState("box intervals must be non-empty")
     theta = _parse_theta(obj, built.p)
-    built = dataclasses.replace(built, box=box, default_theta=theta)
+    built = replace(built, box=box, default_theta=theta)
     if theta is not None and not in_box(built, np.asarray(theta)):
         raise OutOfDomain(f"config theta {list(theta)} lies outside the box")
     return built

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -32,6 +32,8 @@ REGULAR = "regular"
 NULL = "null"
 
 
+# a dataclass, not a NamedTuple: len() counts effects here, while
+# NamedTuple._make (behind _replace) needs len() to count fields
 @dataclass(frozen=True)
 class Povm:
     effects: tuple[Array, ...]
@@ -50,8 +52,7 @@ class Povm:
         return tuple(k for k, lab in enumerate(self.labels) if lab == NULL)
 
 
-@dataclass(frozen=True)
-class EffectCheck:
+class EffectCheck(NamedTuple):
     index: int
     label: str
     constants: Array          # p vector (regular) or p x p table (null)
@@ -60,8 +61,7 @@ class EffectCheck:
     ok: bool
 
 
-@dataclass(frozen=True)
-class OptimalityReport:
+class OptimalityReport(NamedTuple):
     regular: tuple[EffectCheck, ...]
     null: tuple[EffectCheck, ...]
     block_offdiag: tuple[float, ...]   # per-regular-effect +0 mass
@@ -69,8 +69,7 @@ class OptimalityReport:
     passed: bool
 
 
-@dataclass(frozen=True)
-class SaturationReport:
+class SaturationReport(NamedTuple):
     passed: bool
     F_c: Array
     null_sum: Array

@@ -15,7 +15,7 @@ a model-supplied range frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +28,7 @@ from .model import StateBundle, StateModel
 Array = np.ndarray
 
 
-@dataclass(frozen=True)
-class SldSet:
+class SldSet(NamedTuple):
     """Per-parameter SLD blocks in the gauge of ``dec``."""
 
     Lpp: tuple[Array, ...]   # p Hermitian r+ x r+ blocks
@@ -42,8 +41,7 @@ class SldSet:
         return len(self.Lpp)
 
 
-@dataclass(frozen=True)
-class Qfim:
+class Qfim(NamedTuple):
     F: Array
     F_reg: Array
     F_null: Array
@@ -78,7 +76,7 @@ def with_lzz(slds: SldSet, lzz_list) -> SldSet:
     lzz = tuple(linalg.require_hermitian(m) for m in lzz_list)
     if len(lzz) != slds.p:
         raise ValueError("need one 00 block per parameter")
-    return replace(slds, Lzz=lzz)
+    return slds._replace(Lzz=lzz)
 
 
 def embed_sld(slds: SldSet, l: int) -> Array:

@@ -2,7 +2,6 @@
 pass/fail line so the whole gate can be audited from the test log."""
 
 import cmath
-import dataclasses
 
 import numpy as np
 from qcrb import blocks, conditions, estimate, linalg, model, povm, sld
@@ -172,7 +171,7 @@ class TestCriterion6InvarianceSuite:
 
             phases = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, dec.r_plus)))
             y_mix = random_unitary(rng, dec.r_zero)
-            regauged = dataclasses.replace(dec, V=dec.V @ phases, Y=dec.Y @ y_mix)
+            regauged = dec._replace(V=dec.V @ phases, Y=dec.Y @ y_mix)
             slds2 = sld.compute_slds(bundle, regauged)
             ok_gauge &= self._verdict_tuple(slds2, bundle, regauged, built) == base
 

@@ -1,5 +1,5 @@
 import ast
-import dataclasses
+import gc
 import json
 import os
 import re
@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import qcrb
+from qcrb import cli
 from qcrb.cli import main
 from qcrb.config import Tolerances
 
@@ -427,8 +428,8 @@ def test_every_echoed_tolerance_is_read():
     # the report echoes every Tolerances field, so each must gate something
     src = Path(qcrb.__file__).resolve().parent
     text = "\n".join(path.read_text(encoding="utf-8") for path in src.glob("*.py"))
-    unread = [f.name for f in dataclasses.fields(Tolerances)
-              if not re.search(rf"\b(tol|DEFAULT)\.{f.name}\b", text)]
+    unread = [f for f in Tolerances._fields
+              if not re.search(rf"\b(tol|DEFAULT)\.{f}\b", text)]
     assert unread == []
 
 
@@ -464,3 +465,29 @@ def test_builtin_reports_do_not_depend_on_blas_threads(tmp_path):
         outputs.append(proc.stdout)
     assert outputs[0].count(".analyze ") == len(WORKING_POINTS)
     assert outputs[0] == outputs[1]
+
+
+class TestEntry:
+    def test_freezes_once_before_main_and_exits_with_its_code(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert calls == ["freeze", "main"]
+        assert exc.value.code == 3
+
+    def test_main_leaves_the_heap_collectable(self, tmp_path, ex2_file):
+        before = gc.get_freeze_count()
+        code, _ = run_to_file(tmp_path, ["analyze", ex2_file])
+        assert code == 0
+        assert gc.get_freeze_count() == before
+
+    def test_cold_process_writes_the_in_process_report(self, tmp_path, ex2_file):
+        cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
+        env = dict(os.environ, PYTHONPATH=str(Path(qcrb.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "qcrb.cli", "analyze", ex2_file,
+                               "--out", str(cold)], env=env, timeout=120)
+        code = main(["analyze", ex2_file, "--out", str(warm)])
+        assert proc.returncode == code == 0
+        assert cold.read_bytes() == warm.read_bytes()

@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 
 import numpy as np
 import pytest
@@ -371,7 +370,7 @@ class TestClassification:
 
         phases = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, dec.r_plus)))
         y_mix = random_unitary(rng, dec.r_zero)
-        regauged = dataclasses.replace(dec, V=dec.V @ phases, Y=dec.Y @ y_mix)
+        regauged = dec._replace(V=dec.V @ phases, Y=dec.Y @ y_mix)
         slds2 = sld.compute_slds(bundle, regauged)
         rep3 = conditions.evaluate_conditions(slds2)
         assert rep3.classification == base.classification

@@ -220,6 +220,21 @@ class TestSerialization:
         payload = json.loads(json.dumps(linalg.matrix_to_json(a)))
         assert np.array_equal(linalg.matrix_from_json(payload), a)
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 33])
+    def test_json_round_trip_is_bitwise(self, n):
+        import json
+
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        a.flat[::3] = complex(-0.0, 1e300)
+        a.flat[1::5] = complex(-1e-300, -0.0)
+        a[-1, -1] = complex(0.0, -0.0)
+        text = json.dumps(linalg.matrix_to_json(a))
+        # the per-entry loop the array form replaced writes the same text
+        assert text == json.dumps([[[float(z.real), float(z.imag)] for z in row] for row in a])
+        back = linalg.matrix_from_json(json.loads(text))
+        assert back.view(np.uint64).tobytes() == a.view(np.uint64).tobytes()
+
     def test_rejects_ragged(self):
         with pytest.raises(ValueError):
             linalg.matrix_from_json([[[1.0, 0.0]], [[1.0, 0.0], [2.0, 0.0]]])

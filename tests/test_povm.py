@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -39,9 +37,7 @@ class TestConstructOptimal:
 
     def test_degenerate_blocks_give_single_range_cluster(self, ex2_pipeline):
         _, dec, slds, report = ex2_pipeline
-        zeroed = dataclasses.replace(
-            slds, Lpp=tuple(np.zeros_like(m) for m in slds.Lpp)
-        )
+        zeroed = slds._replace(Lpp=tuple(np.zeros_like(m) for m in slds.Lpp))
         built = povm.construct_optimal(zeroed, report.c4)
         regular = [built.effects[k] for k in built.regular_indices]
         assert len(regular) == 1
@@ -307,7 +303,7 @@ class TestSaturation:
         rng = np.random.default_rng(10)
         phases = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, dec.r_plus)))
         y_mix = random_unitary(rng, dec.r_zero)
-        regauged = dataclasses.replace(dec, V=dec.V @ phases, Y=dec.Y @ y_mix)
+        regauged = dec._replace(V=dec.V @ phases, Y=dec.Y @ y_mix)
         slds2 = sld.compute_slds(bundle, regauged)
         assert povm.saturation_check(built, slds2, bundle).passed
         assert povm.verify_optimality(built, slds2, regauged).passed

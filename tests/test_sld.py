@@ -55,7 +55,7 @@ class TestComputeSlds:
     def test_rank_drift_detected(self, ex2_pipeline):
         bundle, dec, _, _ = ex2_pipeline
         bad = blocks.embed_parts(dec, ozz=np.array([[1.0]]))
-        poisoned = dataclasses.replace(bundle, drho=(bundle.drho[0] + bad, bundle.drho[1]))
+        poisoned = bundle._replace(drho=(bundle.drho[0] + bad, bundle.drho[1]))
         with pytest.raises(RankDrift):
             sld.compute_slds(poisoned, dec)
 
