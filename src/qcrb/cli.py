@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__, blocks, linalg
-from .conditions import SATURABLE_PROJECTIVE, UNDETERMINED, ConditionReport, evaluate_conditions
+from .conditions import SATURABLE_PROJECTIVE, UNDETERMINED, evaluate_conditions
 from .config import DEFAULT, Tolerances, parse_overrides
 from .errors import ConditionFailed, ParseError, QcrbError, SingularFisher
 from .estimate import SimConfig, fc_convergence_study, run_trials, study_csv
@@ -68,101 +68,39 @@ class _UsageError(Exception):
     pass
 
 
-def _real_matrix(a) -> list:
-    return [[float(x) for x in row] for row in np.asarray(a, dtype=float)]
+def _json(value):
+    """A value as JSON data: a record becomes an object of its fields, NaN becomes null.
 
-
-def _real_vector(a) -> list:
-    return [float(x) for x in np.asarray(a, dtype=float)]
-
-
-def _nan_to_none(value: float):
-    return None if math.isnan(value) else float(value)
-
-
-def _verdict_json(v) -> dict:
-    return {"passed": bool(v.passed), "residual": float(v.residual)}
-
-
-def _conditions_json(report: ConditionReport) -> dict:
-    c4 = report.c4
-    lam = None
-    if c4.lam is not None:
-        lam = [[[_nan_to_none(x) for x in col] for col in row] for row in c4.lam]
-    if c4.W is None:
-        w_payload = None
-    elif c4.W.size == 0:
-        w_payload = []
-    else:
-        w_payload = linalg.matrix_to_json(c4.W)
-    return {
-        "c1": _verdict_json(report.c1),
-        "c3": _verdict_json(report.c3),
-        "c4": {
-            "certified": bool(c4.certified),
-            "residual": float(c4.residual),
-            "W": w_payload,
-            "lambda": lam,
-            "zero_columns": list(c4.zero_columns),
-            "note": c4.note,
-        },
-        "classification": report.classification,
-    }
-
-
-def _effect_check_json(check) -> dict:
-    constants = np.asarray(check.constants)
-    if constants.ndim == 1:
-        consts = [_nan_to_none(x) for x in constants]
-    else:
-        consts = [[_nan_to_none(x) for x in row] for row in constants]
-    return {
-        "index": int(check.index),
-        "label": check.label,
-        "constants": consts,
-        "residual": float(check.residual),
-        "imag_defect": float(check.imag_defect),
-        "ok": bool(check.ok),
-    }
-
-
-def _optimality_json(report) -> dict:
-    return {
-        "passed": bool(report.passed),
-        "regular": [_effect_check_json(c) for c in report.regular],
-        "null": [_effect_check_json(c) for c in report.null],
-        "block_offdiag": [float(x) for x in report.block_offdiag],
-        "null_sum_residual": float(report.null_sum_residual),
-    }
-
-
-def _saturation_json(report) -> dict:
-    return {
-        "passed": bool(report.passed),
-        "F_c": _real_matrix(report.F_c),
-        "null_sum": _real_matrix(report.null_sum),
-        "res_regular": float(report.res_regular),
-        "res_null": float(report.res_null),
-    }
+    A trailing ``_`` is dropped from a field name, so a Python keyword can
+    be a key.  Complex arrays are written by :func:`linalg.matrix_to_json`
+    and a complex number as its ``[re, im]`` pair.
+    """
+    if hasattr(value, "_asdict"):
+        return {key.removesuffix("_"): _json(v) for key, v in value._asdict().items()}
+    if isinstance(value, np.ndarray):
+        if np.iscomplexobj(value):
+            return linalg.matrix_to_json(value)
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_json(v) for v in value]
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    return None if isinstance(value, float) and math.isnan(value) else value
 
 
 def _model_json(model: StateModel) -> dict:
-    constants = {}
-    for key, value in model.constants.items():
-        if isinstance(value, complex):
-            constants[key] = [value.real, value.imag]
-        else:
-            constants[key] = value
     return {
         "name": model.name,
         "n_s": model.n_s,
         "p": model.p,
-        "constants": constants,
-        "box": [list(b) for b in model.box],
+        "constants": {key: _json(value) for key, value in model.constants.items()},
+        "box": _json(model.box),
     }
 
 
-def _factorization_order(model: StateModel, theta, dec) -> Optional[list]:
+def _factorization_order(model: StateModel, theta, dec) -> Optional[np.ndarray]:
     """Map the descending eigenvalues back to the model's own weight order."""
     if model.factorization is None:
         return None
@@ -170,9 +108,7 @@ def _factorization_order(model: StateModel, theta, dec) -> Optional[list]:
         _, _, q_model = model.factorization(np.asarray(theta, dtype=float))
     except QcrbError:
         return None
-    if len(q_model) != dec.r_plus:
-        return None
-    return [float(x) for x in q_model]
+    return q_model if len(q_model) == dec.r_plus else None
 
 
 def _resolve_theta(model: StateModel, override) -> np.ndarray:
@@ -208,54 +144,34 @@ def _analysis_sections(model, theta, bundle, dec, fim, conditions) -> dict:
         "decomposition": {
             "r_plus": dec.r_plus,
             "r_zero": dec.r_zero,
-            "q": _real_vector(dec.q),
-            "q_factorization_order": _factorization_order(model, theta, dec),
+            "q": _json(dec.q),
+            "q_factorization_order": _json(_factorization_order(model, theta, dec)),
             "inverse_weight_condition": float(1.0 / dec.q[-1]),
-            "null_block_residuals": [
-                float(blocks.null_block_residual(d, dec)) for d in bundle.drho
-            ],
+            "null_block_residuals": [blocks.null_block_residual(d, dec) for d in bundle.drho],
         },
-        "qfim": {
-            "F": _real_matrix(fim.F),
-            "F_reg": _real_matrix(fim.F_reg),
-            "F_null": _real_matrix(fim.F_null),
-        },
-        "conditions": _conditions_json(conditions),
+        "qfim": _json(fim),
+        "conditions": _json(conditions),
     }
 
 
 def _simulation_sections(model, povm, theta, bundle, dec, config, study, args, tol) -> dict:
-    if study is not None:
-        direction, magnitudes = study
-        f_theta = qfim(compute_slds(bundle, dec, tol)).F
-        rows = fc_convergence_study(
-            model, povm, theta, [m * direction for m in magnitudes], f_theta, tol=tol
-        )
-        csv_path = args.csv or "fc_study.csv"
-        Path(csv_path).write_text(study_csv(rows), encoding="utf-8")
-        return {"study": {"direction": _real_vector(direction), "rows": rows, "csv_path": csv_path}}
-    result = run_trials(model, povm, theta, config, tol=tol)
-    return {
-        "simulation": {
-            "theta_sim": _real_vector(result.theta_sim),
-            "N": result.N,
-            "R": result.R,
-            "seed": result.seed,
-            "rel_err": result.rel_err,
-            "emp_cov": _real_matrix(result.emp_cov),
-            "pred_cov": _real_matrix(result.pred_cov),
-            "mean_shift": _real_vector(result.mean_shift),
-            "excluded_outcome_mass": result.excluded_outcome_mass,
-        }
-    }
+    if study is None:
+        return {"simulation": _json(run_trials(model, povm, theta, config, tol=tol))}
+    direction, magnitudes = study
+    f_theta = qfim(compute_slds(bundle, dec, tol)).F
+    rows = fc_convergence_study(
+        model, povm, theta, [m * direction for m in magnitudes], f_theta, tol=tol
+    )
+    csv_path = args.csv or "fc_study.csv"
+    _write(csv_path, study_csv(rows))
+    return {"study": {"direction": _json(direction), "rows": rows, "csv_path": csv_path}}
 
 
-def _emit(report: dict, out_path: Optional[str]) -> None:
-    payload = json.dumps(report, indent=2)
-    if out_path:
-        Path(out_path).write_text(payload + "\n", encoding="utf-8")
-    else:
-        print(payload)
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
 def _load_povm_file(path: str, rho, dec, tol: Tolerances) -> tuple[Povm, list[str]]:
@@ -282,7 +198,7 @@ def _run(args, tol: Tolerances, seed: int, warnings: list[str]) -> tuple[dict, i
         config, study = _simulation_inputs(args, model.p, seed)
     bundle = eval_bundle(model, theta, tol=tol)
     dec = blocks.decompose(bundle.rho, tol, bundle.spectrum)
-    report: dict = {"model": _model_json(model), "theta": _real_vector(theta)}
+    report: dict = {"model": _model_json(model), "theta": _json(theta)}
     if args.command != "simulate":
         slds = compute_slds(bundle, dec, tol)
         fim = qfim(slds)
@@ -309,15 +225,15 @@ def _run(args, tol: Tolerances, seed: int, warnings: list[str]) -> tuple[dict, i
         "n_effects": len(povm),
         "labels": list(povm.labels),
         "projective": povm.projective,
-        "probabilities": _real_vector(outcome_table(povm, bundle)[0]),
+        "probabilities": _json(outcome_table(povm, bundle)[0]),
     }
-    report["optimality"] = _optimality_json(optimality)
-    report["saturation"] = _saturation_json(saturation)
+    report["optimality"] = _json(optimality)
+    report["saturation"] = _json(saturation)
     if args.command == "construct" and args.out:
         # compact: indent would force json's pure-Python encoder on a file
         # only programs read
         payload = json.dumps(effects_to_json(povm), separators=(",", ":"))
-        Path(args.out).write_text(payload + "\n", encoding="utf-8")
+        _write(args.out, payload + "\n")
     elif args.command == "construct":
         report["povm"].update(effects_to_json(povm))
     return report, EXIT_OK if (optimality.passed and saturation.passed) else EXIT_FAILED
@@ -401,7 +317,15 @@ def main(argv=None) -> int:
         code = _ERROR_EXIT.get(type(exc), EXIT_ERROR)
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
     report["exit_code"] = code
-    _emit(report, out_path)
+    payload = json.dumps(report, indent=2)
+    if not out_path:
+        print(payload)
+        return code
+    try:
+        _write(out_path, payload + "\n")
+    except ParseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     return code
 
 

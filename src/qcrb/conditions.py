@@ -49,17 +49,18 @@ class Verdict(NamedTuple):
 class WCandidate(NamedTuple):
     """Null-space unitary candidate with extracted column ratios.
 
-    ``lam[l, m, s]`` is the real ratio of column s of Lpz_l W to that of
-    Lpz_m W (NaN when both columns vanish).  ``certified`` is True only
+    ``lambda_[l, m, s]`` is the real ratio of column s of Lpz_l W to that
+    of Lpz_m W (NaN when both columns vanish).  ``certified`` is True only
     when :func:`verify_W` passed; an uncertified candidate carries the
-    reason in ``note``.
+    reason in ``note``.  Fields are in the order of the report's
+    ``conditions.c4`` section.
     """
 
-    W: Optional[Array]
-    lam: Optional[Array]
-    zero_columns: tuple[int, ...]
     certified: bool
     residual: float
+    W: Optional[Array]
+    lambda_: Optional[Array]
+    zero_columns: tuple[int, ...]
     note: str = ""
 
 
@@ -105,7 +106,7 @@ def verify_W(slds: SldSet, w: Array, tol: Tolerances = DEFAULT) -> tuple[Verdict
     r0 = slds.dec.r_zero
     if w.shape != (r0, r0):
         raise NotUnitary(f"W has shape {w.shape}, expected {(r0, r0)}")
-    if linalg.fro(linalg.dag(w) @ w - np.eye(r0)) > 1e-8 * (1.0 + r0):
+    if not linalg.is_unitary(w):
         raise NotUnitary("W is not unitary within 1e-8")
 
     p = slds.p
@@ -148,7 +149,7 @@ def find_W(slds: SldSet, tol: Tolerances = DEFAULT) -> WCandidate:
         empty = np.zeros((0, 0), dtype=complex)
         return WCandidate(
             W=empty,
-            lam=np.full((slds.p, slds.p, 0), np.nan),
+            lambda_=np.full((slds.p, slds.p, 0), np.nan),
             zero_columns=(),
             certified=True,
             residual=0.0,
@@ -161,7 +162,7 @@ def find_W(slds: SldSet, tol: Tolerances = DEFAULT) -> WCandidate:
         verdict, lam = verify_W(slds, w, tol)
         return WCandidate(
             W=w,
-            lam=lam,
+            lambda_=lam,
             zero_columns=tuple(range(r0)),
             certified=verdict.passed,
             residual=verdict.residual,
@@ -184,7 +185,7 @@ def find_W(slds: SldSet, tol: Tolerances = DEFAULT) -> WCandidate:
         if linalg.herm_defect(g) > tol.c4:
             return WCandidate(
                 W=None,
-                lam=None,
+                lambda_=None,
                 zero_columns=(),
                 certified=False,
                 residual=linalg.herm_defect(g),
@@ -197,7 +198,7 @@ def find_W(slds: SldSet, tol: Tolerances = DEFAULT) -> WCandidate:
             if linalg.comm_norm(gs[i], gs[j]) > tol.c4 * scale:
                 return WCandidate(
                     W=None,
-                    lam=None,
+                    lambda_=None,
                     zero_columns=(),
                     certified=False,
                     residual=linalg.comm_norm(gs[i], gs[j]) / scale,
@@ -208,7 +209,7 @@ def find_W(slds: SldSet, tol: Tolerances = DEFAULT) -> WCandidate:
     verdict, lam = verify_W(slds, w, tol)
     return WCandidate(
         W=w,
-        lam=lam,
+        lambda_=lam,
         zero_columns=_zero_column_indices(slds, w, tol),
         certified=verdict.passed,
         residual=verdict.residual,
@@ -245,8 +246,7 @@ def verify_condition2_U(
 
     def unitary_at(point: Array) -> Array:
         u = linalg.as_matrix(u_eval(point))
-        r = u.shape[0]
-        if u.shape != (r, r) or linalg.fro(linalg.dag(u) @ u - np.eye(r)) > 1e-8 * (1.0 + r):
+        if not linalg.is_unitary(u):
             raise NotUnitary(f"U at {point.tolist()} is not unitary within 1e-8")
         return u
 
@@ -296,10 +296,7 @@ def solve_U_fixed_range(
     b_plus, _, _ = model.factorization(anchor)
     v, _, _ = model.factorization(theta)
     u = linalg.dag(b_plus) @ v
-    r = u.shape[0]
-    if linalg.fro(linalg.dag(u) @ u - np.eye(r)) > 1e-8 * (1.0 + r):
-        return None
-    return u
+    return u if linalg.is_unitary(u) else None
 
 
 def classify(c1: Verdict, c3: Verdict, c4: WCandidate) -> str:
@@ -315,9 +312,4 @@ def evaluate_conditions(slds: SldSet, tol: Tolerances = DEFAULT) -> ConditionRep
     c1 = check_condition1(slds, tol)
     c3 = check_condition3(slds, tol)
     c4 = find_W(slds, tol)
-    return ConditionReport(
-        c1=c1,
-        c3=c3,
-        c4=c4,
-        classification=classify(c1, c3, c4),
-    )
+    return ConditionReport(c1=c1, c3=c3, c4=c4, classification=classify(c1, c3, c4))

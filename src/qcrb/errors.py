@@ -14,7 +14,7 @@ class NotHermitian(QcrbError):
 
 
 class NoConvergence(QcrbError):
-    """Iterative solver exhausted its budget."""
+    """LAPACK reported that a factorization did not converge."""
 
 
 class NotCommuting(QcrbError):

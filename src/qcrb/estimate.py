@@ -46,16 +46,17 @@ class SimConfig:
             raise ParseError("need N >= 1 copies and R >= 2 trials")
 
 
+# reported field by field: the order is the report's
 class SimResult(NamedTuple):
     theta_sim: Array
-    emp_cov: Array
-    pred_cov: Array
-    rel_err: float
-    excluded_outcome_mass: float
-    mean_shift: Array
     N: int
     R: int
     seed: int
+    rel_err: float
+    emp_cov: Array
+    pred_cov: Array
+    mean_shift: Array
+    excluded_outcome_mass: float
 
 
 def _fisher_inverse(f_c: Array, tol: Tolerances) -> Array:

@@ -77,6 +77,12 @@ def require_hermitian(a: Array, tol: float = DEFAULT.herm) -> Array:
     return 0.5 * (a + dag(a))
 
 
+def is_unitary(u: Array) -> bool:
+    """Whether ``u`` is square, r x r, with ||u^dag u - I||_F <= 1e-8 (1 + r)."""
+    r = u.shape[0]
+    return u.shape == (r, r) and fro(dag(u) @ u - np.eye(r)) <= 1e-8 * (1.0 + r)
+
+
 def offdiag_norm(a: Array) -> float:
     off = a - np.diag(np.diag(a))
     return fro(off)
@@ -277,8 +283,10 @@ def simultaneous_diagonalize(family, tol: Tolerances = DEFAULT) -> tuple[Array, 
 
 
 def matrix_to_json(a) -> list:
-    """Serialize a complex matrix as rows of [re, im] pairs."""
-    m = as_matrix(a)
+    """Serialize a complex matrix as rows of [re, im] pairs; a 0 x 0 matrix is ``[]``."""
+    m = np.asarray(a, dtype=complex)
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has non-finite entries")
     return np.stack((m.real, m.imag), axis=-1).tolist()
 
 

@@ -398,8 +398,8 @@ def _parse_theta(obj, p: int) -> Optional[tuple[float, ...]]:
 
 def _make_stencil_model(obj: dict, tol: Tolerances) -> StateModel:
     try:
-        h = float(obj["h"])
-        center = np.asarray([float(t) for t in obj["center"]], dtype=float)
+        h = _number(obj["h"], "stencil 'h'")
+        center = np.asarray([_number(t, "'center' entry") for t in obj["center"]], dtype=float)
         rho_center = linalg.matrix_from_json(obj["rho_center"])
         plus = obj["rho_plus"]
         minus = obj["rho_minus"]

@@ -61,12 +61,13 @@ class EffectCheck(NamedTuple):
     ok: bool
 
 
+# reported field by field: the order is the report's
 class OptimalityReport(NamedTuple):
+    passed: bool
     regular: tuple[EffectCheck, ...]
     null: tuple[EffectCheck, ...]
     block_offdiag: tuple[float, ...]   # per-regular-effect +0 mass
     null_sum_residual: float
-    passed: bool
 
 
 class SaturationReport(NamedTuple):

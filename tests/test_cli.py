@@ -1,6 +1,7 @@
 import ast
 import gc
 import json
+import math
 import os
 import re
 import subprocess
@@ -344,6 +345,9 @@ class TestUsage:
 
 GOOD = {"model": "example2", "theta": [0.25, 0.5]}
 EYE = [[[1.0, 0.0] if i == j else [0.0, 0.0] for j in range(3)] for i in range(3)]
+HALF = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+STENCIL = {"model": "stencil", "h": 1e-3, "center": [0.2], "rho_center": HALF,
+           "rho_plus": [HALF], "rho_minus": [HALF]}
 
 
 def _identity_with(entry) -> dict:
@@ -370,6 +374,9 @@ def _identity_with(entry) -> dict:
     pytest.param(GOOD, None, ["analyze", "--tol", "cond=inf"], id="infinite-tolerance"),
     pytest.param(GOOD, None, ["analyze", "--tol", "gap=1"], id="gap-not-above-one"),
     pytest.param(GOOD, None, ["analyze", "--seed", "-1"], id="negative-seed"),
+    pytest.param({**STENCIL, "h": math.nan}, None, ["analyze"], id="stencil-h-not-finite"),
+    pytest.param({**STENCIL, "center": [math.inf]}, None, ["analyze"],
+                 id="stencil-center-not-finite"),
 ])
 def test_malformed_input_gives_an_error_report(tmp_path, config, povm_file, argv):
     model_path = tmp_path / "model.json"
@@ -383,6 +390,48 @@ def test_malformed_input_gives_an_error_report(tmp_path, config, povm_file, argv
     code, report = run_to_file(tmp_path, [command, *files, *options])
     assert code == 1
     assert report["error"]["type"] == "ParseError"
+
+
+@pytest.mark.parametrize("argv, reported", [
+    pytest.param(["construct", "{model}", "--out", "{missing}/p.json", "--report", "{report}"],
+                 True, id="povm-file"),
+    pytest.param(["simulate", "{model}", "{povm}", "--study", "1e-1", "--csv", "{missing}/s.csv",
+                  "--out", "{report}"], True, id="study-csv"),
+    pytest.param(["analyze", "{model}", "--out", "{missing}/r.json"], False, id="report"),
+])
+def test_an_unwritable_output_path_exits_1_without_a_traceback(tmp_path, ex2_file, capsys,
+                                                                argv, reported):
+    # a POVM file or CSV that cannot be written is an error report; a report
+    # that cannot be written leaves one error line on stderr
+    povm, report = tmp_path / "povm.json", tmp_path / "report.json"
+    assert main(["construct", ex2_file, "--out", str(povm), "--report", str(report)]) == 0
+    report.unlink()
+    capsys.readouterr()
+    paths = {"model": ex2_file, "povm": povm, "missing": tmp_path / "missing", "report": report}
+    code = main([arg.format(**paths) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    if reported:
+        written = json.loads(report.read_text(encoding="utf-8"))
+        jsonschema.validate(written, SCHEMA)
+        assert written["exit_code"] == 1
+        assert written["error"]["type"] == "ParseError"
+        assert captured.err == ""
+    else:
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write ") and captured.err.count("\n") == 1
+
+
+def test_json_writes_records_arrays_and_numpy_scalars():
+    from qcrb.conditions import Verdict
+
+    assert cli._json(Verdict(passed=np.bool_(False), residual=np.float64("nan"))) == {
+        "passed": False, "residual": None}
+    assert cli._json(np.zeros((0, 0), dtype=complex)) == []
+    assert cli._json(np.array([[1.0 + 2.0j, -0.5j]])) == [[[1.0, 2.0], [0.0, -0.5]]]
+    assert cli._json(np.array([[0.5, np.nan]])) == [[0.5, None]]
+    assert json.dumps(cli._json((np.bool_(True), np.int64(3), (np.float64(0.25),)))) == (
+        "[true, 3, [0.25]]")
 
 
 def test_only_the_simulation_draws_random_numbers():

@@ -126,8 +126,8 @@ class TestFindW:
         assert w.certified
         assert w.W.shape == (1, 1)
         assert np.isclose(abs(w.W[0, 0]), 1.0)
-        assert np.isclose(w.lam[0, 1, 0], 0.5, atol=1e-9)
-        assert np.isclose(w.lam[1, 0, 0], 2.0, atol=1e-9)
+        assert np.isclose(w.lambda_[0, 1, 0], 0.5, atol=1e-9)
+        assert np.isclose(w.lambda_[1, 0, 0], 2.0, atol=1e-9)
         assert w.zero_columns == ()
 
     def test_all_zero_blocks(self, fixed_pipeline):
@@ -149,7 +149,7 @@ class TestFindW:
         slds = make_slds([np.zeros((3, 3)), np.zeros((3, 3))], lpz, [0.5, 0.3, 0.2])
         w = conditions.find_W(slds)
         assert w.certified
-        lam = np.sort(w.lam[0, 1, :])
+        lam = np.sort(w.lambda_[0, 1, :])
         assert np.allclose(lam, [0.5, 1.0], atol=1e-8)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -166,7 +166,7 @@ class TestFindW:
         assert w.certified
         verdict, _ = conditions.verify_W(slds, w.W)
         assert verdict.passed
-        got = np.sort(w.lam[0, 1, :])
+        got = np.sort(w.lambda_[0, 1, :])
         want = np.sort(lams[0] / lams[1])
         assert np.allclose(got, want, atol=1e-8)
 
@@ -366,7 +366,7 @@ class TestClassification:
         rep2 = conditions.evaluate_conditions(injected)
         assert rep2.classification == base.classification
         assert np.isclose(rep2.c1.residual, base.c1.residual)
-        assert np.isclose(rep2.c4.lam[0, 1, 0], base.c4.lam[0, 1, 0])
+        assert np.isclose(rep2.c4.lambda_[0, 1, 0], base.c4.lambda_[0, 1, 0])
 
         phases = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, dec.r_plus)))
         y_mix = random_unitary(rng, dec.r_zero)
@@ -376,4 +376,4 @@ class TestClassification:
         assert rep3.classification == base.classification
         assert np.isclose(rep3.c1.residual, base.c1.residual, atol=1e-12)
         assert np.isclose(rep3.c3.residual, base.c3.residual, atol=1e-12)
-        assert np.isclose(rep3.c4.lam[0, 1, 0], base.c4.lam[0, 1, 0], atol=1e-9)
+        assert np.isclose(rep3.c4.lambda_[0, 1, 0], base.c4.lambda_[0, 1, 0], atol=1e-9)
