@@ -35,10 +35,10 @@ from .model import StateModel, eval_bundle, load_model
 from .povm import (
     Povm,
     construct_optimal,
-    effects_from_json,
-    effects_to_json,
     make_povm,
     outcome_table,
+    povm_from_json,
+    povm_to_json,
     saturation_check,
     verify_optimality,
 )
@@ -181,8 +181,7 @@ def _load_povm_file(path: str, rho, dec, tol: Tolerances) -> tuple[Povm, list[st
         raise ParseError(f"cannot read POVM file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"POVM file {path} is not valid JSON: {exc}") from exc
-    effects = effects_from_json(obj)
-    return make_povm(effects, rho, dec, tol)
+    return make_povm(povm_from_json(obj), rho, dec, tol)
 
 
 def _run(args, tol: Tolerances, seed: int, warnings: list[str]) -> tuple[dict, int]:
@@ -232,10 +231,10 @@ def _run(args, tol: Tolerances, seed: int, warnings: list[str]) -> tuple[dict, i
     if args.command == "construct" and args.out:
         # compact: indent would force json's pure-Python encoder on a file
         # only programs read
-        payload = json.dumps(effects_to_json(povm), separators=(",", ":"))
+        payload = json.dumps(povm_to_json(povm), separators=(",", ":"))
         _write(args.out, payload + "\n")
     elif args.command == "construct":
-        report["povm"].update(effects_to_json(povm))
+        report["povm"].update(povm_to_json(povm))
     return report, EXIT_OK if (optimality.passed and saturation.passed) else EXIT_FAILED
 
 
@@ -319,7 +318,12 @@ def main(argv=None) -> int:
     report["exit_code"] = code
     payload = json.dumps(report, indent=2)
     if not out_path:
-        print(payload)
+        try:
+            print(payload, flush=True)
+        except BrokenPipeError:
+            # nothing reads the report; a stdout on devnull keeps the flush at exit quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return EXIT_ERROR
         return code
     try:
         _write(out_path, payload + "\n")

@@ -293,14 +293,19 @@ def matrix_to_json(a) -> list:
 def matrix_from_json(obj) -> Array:
     """Inverse of :func:`matrix_to_json`, validating shape and finiteness.
 
-    Any malformed payload raises ValueError.
+    Any malformed payload raises ValueError, an entry that is a JSON
+    boolean or string included.
     """
-    try:
-        parts = np.array(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"matrix JSON must be rows of [re, im] number pairs: {exc}") from exc
-    if parts.ndim != 3 or parts.shape[2] != 2:
+    raw = np.array(obj, dtype=object)
+    if raw.ndim != 3 or raw.shape[2] != 2:
         raise ValueError("matrix JSON must be a non-empty list of rows of [re, im] pairs")
+    # bool is an int subclass and float() parses strings: only JSON numbers pass
+    if not {type(x) for x in raw.flat} <= {int, float}:
+        raise ValueError("matrix JSON entries must be numbers")
+    try:
+        parts = raw.astype(float)
+    except OverflowError as exc:
+        raise ValueError(f"matrix JSON entry out of range: {exc}") from exc
     out = np.empty(parts.shape[:2], dtype=complex)
     out.real, out.imag = parts[..., 0], parts[..., 1]
     return as_matrix(out)

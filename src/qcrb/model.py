@@ -370,9 +370,10 @@ def build_model(name: str, **constants) -> StateModel:
 
 
 def _number(value, what: str) -> float:
+    # a JSON number only: bool is an int subclass, and float() parses strings
     try:
-        out = float(value)
-    except (TypeError, ValueError):
+        out = float(value) if type(value) in (int, float) else math.nan
+    except OverflowError:
         out = math.nan
     if not math.isfinite(out):
         raise ParseError(f"{what} must be a finite number, got {value!r}")
@@ -380,11 +381,9 @@ def _number(value, what: str) -> float:
 
 
 def _as_complex(value) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(_number(value, "'d'"))
     if isinstance(value, list) and len(value) == 2:
         return complex(_number(value[0], "'d'"), _number(value[1], "'d'"))
-    raise ParseError(f"expected a number or [re, im] pair, got {value!r}")
+    return complex(_number(value, "'d' (a number or [re, im] pair)"))
 
 
 def _parse_theta(obj, p: int) -> Optional[tuple[float, ...]]:
@@ -408,6 +407,8 @@ def _make_stencil_model(obj: dict, tol: Tolerances) -> StateModel:
     if h <= 0.0:
         raise ParseError("stencil step h must be positive")
     p = center.size
+    if p == 0:
+        raise ParseError("stencil 'center' must list at least one parameter")
     if not isinstance(plus, list) or not isinstance(minus, list) or len(plus) != p or len(minus) != p:
         raise StencilIncomplete(f"stencil needs {p} forward and {p} backward points")
     # the centre is gated where eval_bundle reads it; only the neighbours,

@@ -8,6 +8,10 @@ constant and every null effect relates the +0 blocks of each SLD pair by
 a real constant — those constants are extracted here by least squares
 with explicit realness gates, and the resulting classical information is
 compared against the regular/null split of the QFIM.
+
+The optimal measurement is one orthonormal basis, a :class:`Frame` whose
+column groups span the effects.  POVM files hold that frame, or explicit
+effects for a POVM that need not be projective.
 """
 
 from __future__ import annotations
@@ -32,6 +36,20 @@ REGULAR = "regular"
 NULL = "null"
 
 
+class Frame(NamedTuple):
+    """A projective POVM as one unitary: effect k is F_k F_k^dag.
+
+    F_k is the k-th group of ``ranks[k]`` columns of ``matrix``.
+    """
+
+    matrix: Array
+    ranks: tuple[int, ...]
+
+    def effects(self) -> tuple[Array, ...]:
+        groups = np.split(self.matrix, np.cumsum(self.ranks)[:-1], axis=1)
+        return tuple(f @ linalg.dag(f) for f in groups)
+
+
 # a dataclass, not a NamedTuple: len() counts effects here, while
 # NamedTuple._make (behind _replace) needs len() to count fields
 @dataclass(frozen=True)
@@ -39,6 +57,7 @@ class Povm:
     effects: tuple[Array, ...]
     labels: tuple[str, ...]
     projective: bool
+    frame: Optional[Frame] = None   # set when the effects were built from a frame
 
     def __len__(self) -> int:
         return len(self.effects)
@@ -79,11 +98,10 @@ class SaturationReport(NamedTuple):
 
 
 def validate_effects(effects, n_s: int, tol: Tolerances = DEFAULT) -> tuple[list[Array], list[str]]:
-    """Gate completeness and positivity; clip tiny negative eigenvalues.
+    """Gate shape, hermiticity and positivity; clip tiny negative eigenvalues.
 
-    Completeness violations are hard errors; eigenvalues in
-    [-tol.povm, 0) beyond the roundoff floor (1e-13 relative) are clipped
-    to zero with a warning entry.
+    Eigenvalues in [-tol.povm, 0) beyond the roundoff floor (1e-13
+    relative) are clipped to zero with a warning entry.
     """
     mats = []
     warnings: list[str] = []
@@ -104,10 +122,6 @@ def validate_effects(effects, n_s: int, tol: Tolerances = DEFAULT) -> tuple[list
             m = (eig.vectors * clipped) @ linalg.dag(eig.vectors)
             warnings.append(f"effect {k}: clipped eigenvalue {eig.values[0]:.3e} to zero")
         mats.append(m)
-    total = sum(mats)
-    defect = linalg.fro(total - np.eye(n_s))
-    if defect > tol.povm * n_s:
-        raise InvalidPovm(f"effects sum to identity with defect {defect:.3e}")
     return mats, warnings
 
 
@@ -139,23 +153,35 @@ def classify(mats: list[Array], rho: Array, dec: BlockDecomposition,
     return labels, flags
 
 
-def make_povm(effects, rho: Array, dec: BlockDecomposition,
+def make_povm(source, rho: Array, dec: BlockDecomposition,
               tol: Tolerances = DEFAULT) -> tuple[Povm, list[str]]:
-    """Validate, classify and wrap raw effect matrices."""
+    """Validate, classify and wrap raw effect matrices or a :class:`Frame`.
+
+    A frame's effects are projectors by construction: it is checked for
+    shape and ranks, not eigensolved.  All effects must sum to I.
+    """
     rho = linalg.as_matrix(rho)
-    mats, warnings = validate_effects(effects, rho.shape[0], tol)
+    n_s = rho.shape[0]
+    frame = source if isinstance(source, Frame) else None
+    if frame and (frame.matrix.shape != (n_s, n_s) or sum(frame.ranks) != n_s or min(frame.ranks) < 1):
+        raise InvalidPovm(f"a frame must be {n_s} x {n_s} with positive ranks summing to {n_s}")
+    mats, warnings = (list(frame.effects()), []) if frame else validate_effects(source, n_s, tol)
+    defect = linalg.fro(sum(mats) - np.eye(n_s))
+    if defect > tol.povm * n_s:
+        raise InvalidPovm(f"effects sum to identity with defect {defect:.3e}")
     labels, flags = classify(mats, rho, dec, tol)
-    povm = Povm(effects=tuple(mats), labels=tuple(labels), projective=_is_projective(mats, tol))
-    return povm, warnings + flags
+    projective = frame is not None or _is_projective(mats, tol)
+    return Povm(tuple(mats), tuple(labels), projective, frame), warnings + flags
 
 
 def construct_optimal(slds: SldSet, w: Optional[WCandidate] = None,
                       tol: Tolerances = DEFAULT) -> Povm:
     """Build the optimal projective POVM from commuting ++ blocks and W.
 
-    Regular effects are the common spectral projectors of the ++ SLD
-    blocks (grouped by joint eigenvalue tuple), embedded in the range;
-    null effects are rank-one projectors onto the columns of Y W.
+    Its :class:`Frame` holds the common eigenvectors of the ++ SLD blocks,
+    embedded in the range and grouped by joint eigenvalue tuple (one
+    regular effect per group), then the columns of Y W (one rank-one null
+    effect each), every column's phase fixed by :func:`linalg.fix_phases`.
     Raises ConditionFailed when the ++ blocks do not commute or, with a
     non-trivial null space, when no certified W is supplied.
     """
@@ -168,21 +194,13 @@ def construct_optimal(slds: SldSet, w: Optional[WCandidate] = None,
             raise ConditionFailed("no certified null-space unitary supplied")
 
     u, joint = linalg.simultaneous_diagonalize(list(slds.Lpp), tol)
-    effects: list[Array] = []
-    labels: list[str] = []
-    for cluster in linalg.gap_clusters(joint, linalg.joint_width(joint, tol)):
-        cols = u[:, cluster]
-        proj = cols @ linalg.dag(cols)
-        effects.append(blocks.embed_parts(dec, opp=proj))
-        labels.append(REGULAR)
-    if dec.r_zero > 0:
-        assert w is not None and w.W is not None
-        yw = dec.Y @ w.W
-        for j in range(dec.r_zero):
-            col = yw[:, j]
-            effects.append(np.outer(col, col.conj()))
-            labels.append(NULL)
-    return Povm(effects=tuple(effects), labels=tuple(labels), projective=True)
+    clusters = linalg.gap_clusters(joint, linalg.joint_width(joint, tol))
+    order = [i for cluster in clusters for i in cluster]
+    null = dec.Y @ w.W if dec.r_zero > 0 else dec.Y
+    frame = Frame(linalg.fix_phases(np.hstack([dec.V @ u[:, order], null])),
+                  tuple(len(cluster) for cluster in clusters) + (1,) * dec.r_zero)
+    labels = (REGULAR,) * len(clusters) + (NULL,) * dec.r_zero
+    return Povm(effects=frame.effects(), labels=labels, projective=True, frame=frame)
 
 
 def canonicalize(povm: Povm, dec: BlockDecomposition, slds: SldSet,
@@ -371,16 +389,27 @@ def saturation_check(povm: Povm, slds: SldSet, bundle: StateBundle,
     )
 
 
-def effects_to_json(povm: Povm) -> dict:
-    return {"effects": [linalg.matrix_to_json(e) for e in povm.effects]}
+def povm_to_json(povm: Povm) -> dict:
+    """A constructed POVM as ``{"frame": matrix, "ranks": [r_1, ...]}``."""
+    return {"frame": linalg.matrix_to_json(povm.frame.matrix), "ranks": list(povm.frame.ranks)}
 
 
-def effects_from_json(obj) -> list[Array]:
-    if not isinstance(obj, dict) or "effects" not in obj or not isinstance(obj["effects"], list):
-        raise InvalidPovm("POVM JSON must be an object with an 'effects' list")
-    if not obj["effects"]:
-        raise InvalidPovm("POVM must contain at least one effect")
+def povm_from_json(obj) -> "Frame | list[Array]":
+    """The :class:`Frame` or the effect matrices a POVM file's object holds.
+
+    The object has either ``frame`` and ``ranks`` (as :func:`povm_to_json`
+    writes them) or ``effects``, for a POVM that need not be projective.
+    """
+    if not isinstance(obj, dict) or ("frame" in obj) == ("effects" in obj):
+        raise InvalidPovm("POVM JSON must be an object with either a 'frame' or an 'effects' key")
+    ranks, effects = obj.get("ranks"), obj.get("effects")
+    if "frame" in obj and not (isinstance(ranks, list) and all(type(r) is int for r in ranks)):
+        raise ParseError(f"POVM 'ranks' must be a list of integers, got {ranks!r}")
+    if "effects" in obj and not (isinstance(effects, list) and effects):
+        raise InvalidPovm("POVM 'effects' must be a non-empty list")
     try:
-        return [linalg.matrix_from_json(e) for e in obj["effects"]]
+        if "frame" in obj:
+            return Frame(linalg.matrix_from_json(obj["frame"]), tuple(ranks))
+        return [linalg.matrix_from_json(e) for e in effects]
     except ValueError as exc:
-        raise ParseError(f"bad POVM effect: {exc}") from exc
+        raise ParseError(f"bad POVM matrix: {exc}") from exc

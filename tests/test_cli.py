@@ -14,6 +14,7 @@ import pytest
 
 import qcrb
 from qcrb import cli
+from qcrb import linalg as qlinalg
 from qcrb.cli import main
 from qcrb.config import Tolerances
 
@@ -142,7 +143,9 @@ class TestConstruct:
         assert report["saturation"]["passed"] is True
         assert report["optimality"]["passed"] is True
         payload = json.loads(povm_path.read_text())
-        assert len(payload["effects"]) == 3
+        assert set(payload) == {"frame", "ranks"}
+        assert np.array(payload["frame"]).shape == (3, 3, 2)
+        assert payload["ranks"] == [1, 1, 1]
         assert report["povm"]["labels"].count("null") == 1
 
     def test_povm_file_is_compact_json(self, tmp_path, ex2_file, capsys):
@@ -151,12 +154,13 @@ class TestConstruct:
         main(["construct", ex2_file, "--out", str(povm_path), "--report", str(report_path)])
         text = povm_path.read_text()
         assert text.count("\n") == 1 and " " not in text
-        # the effects live in the POVM file only; without --out the report carries them
-        assert "effects" not in json.loads(report_path.read_text())["povm"]
+        # the frame lives in the POVM file only; without --out the report carries it
+        assert "frame" not in json.loads(report_path.read_text())["povm"]
         assert main(["construct", ex2_file]) == 0
         printed = json.loads(capsys.readouterr().out)
         jsonschema.validate(printed, SCHEMA)
-        assert json.loads(text) == {"effects": printed["povm"]["effects"]}
+        povm = printed["povm"]
+        assert json.loads(text) == {"frame": povm["frame"], "ranks": povm["ranks"]}
 
     def test_classical_diag_no_null_effects(self, tmp_path, diag_file):
         povm_path = tmp_path / "povm.json"
@@ -201,6 +205,20 @@ class TestVerify:
         assert code == 2
         assert report["optimality"]["passed"] is False
 
+    def test_split_projectors_verify_as_a_non_projective_povm(self, tmp_path, ex2_file):
+        # halving every optimal effect into two copies keeps the Fisher
+        # information: an effects file that is not projective still verifies
+        povm_path = Path(self._construct(tmp_path, ex2_file))
+        frame = json.loads(povm_path.read_text())["frame"]
+        cols = np.array(frame)[..., 0] + 1j * np.array(frame)[..., 1]
+        halves = [0.5 * np.outer(c, c.conj()) for c in cols.T] * 2
+        povm_path.write_text(json.dumps({"effects": [qlinalg.matrix_to_json(e) for e in halves]}))
+        code, report = run_to_file(tmp_path, ["verify", ex2_file, str(povm_path)])
+        assert code == 0
+        assert report["povm"]["projective"] is False
+        assert report["povm"]["n_effects"] == 6
+        assert report["optimality"]["passed"] and report["saturation"]["passed"]
+
     def test_incomplete_povm_is_an_error(self, tmp_path, ex2_file):
         povm_path = tmp_path / "half.json"
         half = [[[0.5, 0.0] if i == j else [0.0, 0.0] for j in range(3)] for i in range(3)]
@@ -208,6 +226,40 @@ class TestVerify:
         code, report = run_to_file(tmp_path, ["verify", ex2_file, str(povm_path)])
         assert code == 1
         assert report["error"]["type"] == "InvalidPovm"
+
+
+def _dense_saturable(tmp_path, monkeypatch) -> str:
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import families
+
+    path = tmp_path / "dense_saturable.json"
+    path.write_text(json.dumps(families.dense_configs(1)["dense_saturable"]), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("name", [*WORKING_POINTS, "dense_saturable"])
+def test_verify_reads_back_the_povm_construct_checked(tmp_path, monkeypatch, name):
+    # the frame file holds the constructed POVM bit for bit, so verify
+    # reproduces construct's sections exactly; models with no optimal
+    # projective POVM write no file
+    if name == "dense_saturable":
+        model_path = _dense_saturable(tmp_path, monkeypatch)
+    else:
+        model_path = tmp_path / f"{name}.json"
+        model_path.write_text(json.dumps({"model": name, "theta": WORKING_POINTS[name].tolist()}))
+    povm_path = tmp_path / "povm.json"
+    code = main(["construct", str(model_path), "--out", str(povm_path),
+                 "--report", str(tmp_path / "construct.json")])
+    constructed = json.loads((tmp_path / "construct.json").read_text())
+    jsonschema.validate(constructed, SCHEMA)
+    if name in ("qubit_xy", "pure_state"):
+        assert code in (2, 3) and not povm_path.exists()
+        return
+    assert code == 0
+    verify_code, verified = run_to_file(tmp_path, ["verify", str(model_path), str(povm_path)])
+    assert verify_code == 0
+    for section in ("povm", "optimality", "saturation"):
+        assert verified[section] == constructed[section]
 
 
 class TestSimulate:
@@ -364,6 +416,12 @@ def _identity_with(entry) -> dict:
     pytest.param(GOOD, {"effects": [EYE]}, ["simulate", "--study", "abc"], id="study-not-numbers"),
     pytest.param(GOOD, _identity_with(["a", 0]), ["verify"], id="povm-entry-not-a-number"),
     pytest.param(GOOD, _identity_with(1.0), ["verify"], id="povm-entry-not-a-pair"),
+    pytest.param(GOOD, _identity_with([True, 0.0]), ["verify"], id="povm-entry-a-bool"),
+    pytest.param(GOOD, _identity_with(["1", 0.0]), ["verify"], id="povm-entry-a-string"),
+    pytest.param({**GOOD, "c1": True}, None, ["analyze"], id="constant-a-bool"),
+    pytest.param({**GOOD, "d": [0.6, False]}, None, ["analyze"], id="complex-part-a-bool"),
+    pytest.param({**GOOD, "c1": "1.5"}, None, ["analyze"], id="constant-a-string"),
+    pytest.param({**GOOD, "c1": 10**400}, None, ["analyze"], id="constant-out-of-range"),
     pytest.param(GOOD, None, ["analyze", "--tol", "fd_step=0"], id="zero-fd-step"),
     pytest.param(GOOD, {"effects": [EYE]}, ["simulate", "--delta", "0.01"], id="delta-not-p-long"),
     pytest.param(GOOD, {"effects": [EYE]},
@@ -377,6 +435,8 @@ def _identity_with(entry) -> dict:
     pytest.param({**STENCIL, "h": math.nan}, None, ["analyze"], id="stencil-h-not-finite"),
     pytest.param({**STENCIL, "center": [math.inf]}, None, ["analyze"],
                  id="stencil-center-not-finite"),
+    pytest.param({**STENCIL, "center": [], "rho_plus": [], "rho_minus": []}, None, ["analyze"],
+                 id="stencil-no-parameters"),
 ])
 def test_malformed_input_gives_an_error_report(tmp_path, config, povm_file, argv):
     model_path = tmp_path / "model.json"
@@ -390,6 +450,37 @@ def test_malformed_input_gives_an_error_report(tmp_path, config, povm_file, argv
     code, report = run_to_file(tmp_path, [command, *files, *options])
     assert code == 1
     assert report["error"]["type"] == "ParseError"
+
+
+def _ex2_frame_file(**change) -> dict:
+    u = np.linalg.qr(np.arange(9.0).reshape(3, 3) + np.eye(3))[0]
+    return {"frame": qlinalg.matrix_to_json(u), "ranks": [1, 2], **change}
+
+
+@pytest.mark.parametrize("povm_file, error", [
+    pytest.param(_ex2_frame_file(frame=qlinalg.matrix_to_json(1.001 * np.eye(3))), "InvalidPovm",
+                 id="not-unitary"),
+    pytest.param(_ex2_frame_file(ranks=[1, 1]), "InvalidPovm", id="ranks-not-n_s"),
+    pytest.param(_ex2_frame_file(ranks=[0, 1, 2]), "InvalidPovm", id="rank-zero"),
+    pytest.param(_ex2_frame_file(ranks=[True, 2]), "ParseError", id="rank-a-bool"),
+    pytest.param(_ex2_frame_file(ranks=[1.0, 2]), "ParseError", id="rank-a-float"),
+    pytest.param(_ex2_frame_file(effects=[EYE]), "InvalidPovm", id="frame-and-effects"),
+    pytest.param({"ranks": [3]}, "InvalidPovm", id="neither-key"),
+    pytest.param(_ex2_frame_file(frame=qlinalg.matrix_to_json(np.eye(2))), "InvalidPovm",
+                 id="frame-not-n_s"),
+])
+def test_a_bad_frame_file_gives_an_error_report(tmp_path, ex2_file, povm_file, error):
+    # the frame is unitary for ranks [1, 2] on C^3: each case breaks one gate
+    assert main(["verify", ex2_file, _write_povm(tmp_path, _ex2_frame_file())]) == 2
+    code, report = run_to_file(tmp_path, ["verify", ex2_file, _write_povm(tmp_path, povm_file)])
+    assert code == 1
+    assert report["error"]["type"] == error
+
+
+def _write_povm(tmp_path, payload: dict) -> str:
+    path = tmp_path / "povm.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return str(path)
 
 
 @pytest.mark.parametrize("argv, reported", [
@@ -531,6 +622,18 @@ class TestEntry:
         code, _ = run_to_file(tmp_path, ["analyze", ex2_file])
         assert code == 0
         assert gc.get_freeze_count() == before
+
+    def test_closed_stdout_exits_1_without_a_traceback(self, ex2_file):
+        read, write = os.pipe()
+        os.close(read)
+        env = dict(os.environ, PYTHONPATH=str(Path(qcrb.__file__).resolve().parents[1]))
+        try:
+            proc = subprocess.run([sys.executable, "-m", "qcrb.cli", "analyze", ex2_file],
+                                  env=env, stdout=write, stderr=subprocess.PIPE, timeout=120)
+        finally:
+            os.close(write)
+        assert proc.returncode == 1
+        assert proc.stderr == b""
 
     def test_cold_process_writes_the_in_process_report(self, tmp_path, ex2_file):
         cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qcrb import blocks, conditions, linalg, model, povm, sld
-from qcrb.errors import ConditionFailed, InvalidPovm, NotBlockDiagonal
+from qcrb.errors import ConditionFailed, InvalidPovm, NotBlockDiagonal, ParseError
 
 from conftest import THETA_EX2, THETA_QUBIT, WORKING_POINTS, pipeline
 from util import basis_povm, pauli, random_projective_povm, random_unitary
@@ -357,15 +357,24 @@ class TestJsonRoundTrip:
     def test_effects_round_trip(self, ex2_pipeline):
         import json
 
+        # the file holds the frame bit for bit, so the POVM read back is the
+        # one that was built, effect for effect
         bundle, dec, slds, report = ex2_pipeline
         built = povm.construct_optimal(slds, report.c4)
-        payload = json.loads(json.dumps(povm.effects_to_json(built)))
-        effects = povm.effects_from_json(payload)
-        for a, b in zip(effects, built.effects):
+        payload = json.loads(json.dumps(povm.povm_to_json(built)))
+        assert payload["ranks"] == [1, 1, 1]
+        read, _ = povm.make_povm(povm.povm_from_json(payload), bundle.rho, dec)
+        assert read.projective and read.labels == built.labels
+        assert np.array_equal(read.frame.matrix, built.frame.matrix)
+        for a, b in zip(read.effects, built.effects):
             assert np.array_equal(a, b)
 
     def test_rejects_bad_payload(self):
-        with pytest.raises(InvalidPovm):
-            povm.effects_from_json({"effects": []})
-        with pytest.raises(InvalidPovm):
-            povm.effects_from_json([1, 2])
+        frame = linalg.matrix_to_json(np.eye(3))
+        for bad in ({"effects": []}, [1, 2], {}, {"frame": frame, "ranks": [3], "effects": []}):
+            with pytest.raises(InvalidPovm):
+                povm.povm_from_json(bad)
+        for bad in ({"frame": frame}, {"frame": frame, "ranks": [True, 2]},
+                    {"frame": frame, "ranks": [1.0, 2]}, {"frame": [[[False, 0.0]]], "ranks": [1]}):
+            with pytest.raises(ParseError):
+                povm.povm_from_json(bad)

@@ -1,4 +1,4 @@
-"""Check that two source trees of qcrb write byte-identical outputs.
+"""Check that two source trees of qcrb write the same outputs.
 
 Usage: python tools/same_outputs.py PARENT_TREE CHANGE_TREE
 
@@ -9,16 +9,25 @@ working directory, as cold ``python -m qcrb.cli`` processes with one
 BLAS thread: ``analyze``; ``construct`` with ``--out``/``--report`` and to
 stdout; and, for every config whose POVM file was written, ``verify``,
 ``simulate``, ``simulate --delta`` and ``simulate --study``.  Every exit
-code, stdout, stderr, POVM file, report and CSV is compared; each
-difference is printed and the exit code is 1 if there is any.
+code, stdout, stderr, report and CSV is compared byte for byte.  A POVM
+file is compared by the effects it describes, so that a ``frame`` file and
+an ``effects`` file of the same POVM agree: the largest entry deviation
+is printed, and the files differ when the effect shapes do or it exceeds
+POVM_ATOL.  Each difference is printed and the exit code is 1 if there
+is any.
 """
 
+import json
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
+
+POVM_ATOL = 1e-12   # roundoff of an n_s <= 33 product F_k F_k^dag is ~1e-15
 
 
 def write_configs(tree: Path, work: Path) -> dict[str, int]:
@@ -65,13 +74,45 @@ def outputs(tree: Path, work: Path, counts: dict[str, int]) -> dict[str, bytes]:
     return got
 
 
+def povm_effects(text: bytes) -> list[np.ndarray]:
+    """The effect matrices of a POVM file, in either entry shape."""
+    obj = json.loads(text)
+
+    def matrix(rows) -> np.ndarray:
+        parts = np.asarray(rows, dtype=float)
+        return parts[..., 0] + 1j * parts[..., 1]
+
+    if "effects" in obj:
+        return [matrix(e) for e in obj["effects"]]
+    frame, edges = matrix(obj["frame"]), np.cumsum([0, *obj["ranks"]])
+    return [frame[:, a:b] @ frame[:, a:b].conj().T for a, b in zip(edges, edges[1:])]
+
+
+def povm_deviation(before: bytes, after: bytes) -> float:
+    """Largest entry deviation between the effects of two POVM files (inf if shapes differ)."""
+    old, new = povm_effects(before), povm_effects(after)
+    if [e.shape for e in old] != [e.shape for e in new]:
+        return float("inf")
+    return max(float(np.max(np.abs(a - b))) for a, b in zip(old, new))
+
+
+def same(key: str, before: dict[str, bytes], after: dict[str, bytes]) -> bool:
+    if before.get(key) == after.get(key):
+        return True
+    if not (key.endswith(".povm.json") and key in before and key in after):
+        return False
+    deviation = povm_deviation(before[key], after[key])
+    print(f"{key}: largest effect deviation {deviation:.1e}")
+    return deviation <= POVM_ATOL
+
+
 def main() -> int:
     parent, change = (Path(arg).resolve() for arg in sys.argv[1:3])
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         counts = write_configs(parent, work)
         before, after = outputs(parent, work, counts), outputs(change, work, counts)
-    differ = sorted(k for k in before.keys() | after.keys() if before.get(k) != after.get(k))
+    differ = sorted(k for k in before.keys() | after.keys() if not same(k, before, after))
     for key in differ:
         print(f"differs: {key}")
     print(f"{len(before)} outputs of {len(counts)} configs compared, {len(differ)} differ")
