@@ -133,36 +133,6 @@ def block_of(op, dec: BlockDecomposition) -> BlockView:
     )
 
 
-def embed(bv: BlockView, dec: BlockDecomposition) -> Array:
-    """Reassemble a full operator from its four blocks."""
-    rp, rz = dec.r_plus, dec.r_zero
-    if bv.opp.shape != (rp, rp) or bv.opz.shape != (rp, rz):
-        raise DimensionMismatch("block shapes do not match the decomposition")
-    if bv.ozp.shape != (rz, rp) or bv.ozz.shape != (rz, rz):
-        raise DimensionMismatch("block shapes do not match the decomposition")
-    v, y = dec.V, dec.Y
-    return (
-        v @ bv.opp @ linalg.dag(v)
-        + v @ bv.opz @ linalg.dag(y)
-        + y @ bv.ozp @ linalg.dag(v)
-        + y @ bv.ozz @ linalg.dag(y)
-    )
-
-
-def embed_parts(
-    dec: BlockDecomposition,
-    opp: Array | None = None,
-    opz: Array | None = None,
-    ozz: Array | None = None,
-) -> Array:
-    """Embed selected blocks of a Hermitian operator; the 0+ block is opz^dag."""
-    rp, rz = dec.r_plus, dec.r_zero
-    opp_m = np.zeros((rp, rp), dtype=complex) if opp is None else np.asarray(opp, dtype=complex)
-    opz_m = np.zeros((rp, rz), dtype=complex) if opz is None else np.asarray(opz, dtype=complex)
-    ozz_m = np.zeros((rz, rz), dtype=complex) if ozz is None else np.asarray(ozz, dtype=complex)
-    return embed(BlockView(opp=opp_m, opz=opz_m, ozp=linalg.dag(opz_m), ozz=ozz_m), dec)
-
-
 def null_block_residual(drho, dec: BlockDecomposition) -> float:
     """Frobenius mass of the null-null block of a state derivative."""
     return linalg.fro(block_of(drho, dec).ozz)

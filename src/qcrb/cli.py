@@ -132,6 +132,8 @@ def _simulation_inputs(args, p: int, seed: int) -> tuple[SimConfig, Optional[tup
         magnitudes = [float(x) for x in args.study.split(",") if x]
     except ValueError as exc:
         raise ParseError(f"--study needs comma-separated numbers: {exc}") from exc
+    if not magnitudes:
+        raise ParseError("--study needs at least one magnitude")
     direction = np.ones(p) if args.direction is None else np.asarray(args.direction, dtype=float)
     norm = float(np.linalg.norm(direction))
     if norm == 0.0:

@@ -91,13 +91,9 @@ def offdiag_norm(a: Array) -> float:
 def fix_phases(v: Array) -> Array:
     """Rotate each column so its largest-magnitude entry is real positive."""
     w = np.array(v, dtype=complex)
-    for j in range(w.shape[1]):
-        col = w[:, j]
-        k = int(np.argmax(np.abs(col)))
-        z = col[k]
-        if abs(z) > 1e-300:
-            w[:, j] = col * (z.conjugate() / abs(z))
-    return w
+    pivots = w[np.argmax(np.abs(w), axis=0), np.arange(w.shape[1])]
+    size = np.abs(pivots)
+    return w * np.divide(pivots.conj(), size, out=np.ones_like(pivots), where=size > 1e-300)
 
 
 class HermEigen(NamedTuple):

@@ -9,26 +9,31 @@ a real constant — those constants are extracted here by least squares
 with explicit realness gates, and the resulting classical information is
 compared against the regular/null split of the QFIM.
 
-The optimal measurement is one orthonormal basis, a :class:`Frame` whose
-column groups span the effects.  POVM files hold that frame, or explicit
-effects for a POVM that need not be projective.
+A :class:`Povm` is held as column factors: effect k is G_k G_k^dag, G_k
+the k-th group of ``ranks[k]`` columns of one n_s x R matrix G.  The
+optimal measurement is one orthonormal basis, a unitary G (a POVM file's
+:class:`Frame`); an effect given explicitly is factored as its
+eigenvectors times the square roots of its positive eigenvalues.  Checks
+work from V^dag G, Y^dag G and G^dag X G, one product per operator X, and
+take a norm ||E_k X|| as ||G_k (G_k^dag X)||.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import blocks, linalg
+from . import linalg
 from .blocks import BlockDecomposition
 from .conditions import WCandidate, check_condition1
 from .config import DEFAULT, Tolerances
 from .errors import ConditionFailed, InvalidPovm, NotBlockDiagonal, ParseError
 from .model import StateBundle
-from .sld import SldSet, embed_sld, qfim
+from .sld import SldSet, qfim
 
 Array = np.ndarray
 
@@ -37,30 +42,32 @@ NULL = "null"
 
 
 class Frame(NamedTuple):
-    """A projective POVM as one unitary: effect k is F_k F_k^dag.
-
-    F_k is the k-th group of ``ranks[k]`` columns of ``matrix``.
-    """
+    """A projective POVM file's content: one unitary whose column groups span the effects."""
 
     matrix: Array
     ranks: tuple[int, ...]
 
-    def effects(self) -> tuple[Array, ...]:
-        groups = np.split(self.matrix, np.cumsum(self.ranks)[:-1], axis=1)
-        return tuple(f @ linalg.dag(f) for f in groups)
+
+def _groups(ranks) -> list[slice]:
+    edges = np.cumsum((0, *ranks))
+    return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
 
 
 # a dataclass, not a NamedTuple: len() counts effects here, while
 # NamedTuple._make (behind _replace) needs len() to count fields
 @dataclass(frozen=True)
 class Povm:
-    effects: tuple[Array, ...]
+    G: Array                  # n_s x R column factors: effect k is G_k G_k^dag
+    ranks: tuple[int, ...]    # G_k is the k-th group of ranks[k] columns
     labels: tuple[str, ...]
     projective: bool
-    frame: Optional[Frame] = None   # set when the effects were built from a frame
 
     def __len__(self) -> int:
-        return len(self.effects)
+        return len(self.ranks)
+
+    @property
+    def groups(self) -> list[slice]:
+        return _groups(self.ranks)
 
     @property
     def regular_indices(self) -> tuple[int, ...]:
@@ -69,6 +76,11 @@ class Povm:
     @property
     def null_indices(self) -> tuple[int, ...]:
         return tuple(k for k, lab in enumerate(self.labels) if lab == NULL)
+
+    @property
+    def null_mask(self) -> Array:
+        """Which columns of G factor null effects."""
+        return np.repeat(np.array(self.labels) == NULL, self.ranks)
 
 
 class EffectCheck(NamedTuple):
@@ -98,12 +110,14 @@ class SaturationReport(NamedTuple):
 
 
 def validate_effects(effects, n_s: int, tol: Tolerances = DEFAULT) -> tuple[list[Array], list[str]]:
-    """Gate shape, hermiticity and positivity; clip tiny negative eigenvalues.
+    """Gate shape, hermiticity and positivity; return each effect's factor.
 
-    Eigenvalues in [-tol.povm, 0) beyond the roundoff floor (1e-13
-    relative) are clipped to zero with a warning entry.
+    An effect's factor is its eigenvectors times the square roots of its
+    positive eigenvalues (n_s x 0 for a zero effect).  Negative
+    eigenvalues down to -tol.povm (relative) are dropped, with a warning
+    entry when they lie beyond the roundoff floor (1e-13 relative).
     """
-    mats = []
+    factors = []
     warnings: list[str] = []
     for k, e in enumerate(effects):
         m = linalg.as_matrix(e)
@@ -111,74 +125,86 @@ def validate_effects(effects, n_s: int, tol: Tolerances = DEFAULT) -> tuple[list
             raise InvalidPovm(f"effect {k} has shape {m.shape}, expected {(n_s, n_s)}")
         if linalg.herm_defect(m) > tol.povm:
             raise InvalidPovm(f"effect {k} is not Hermitian")
-        m = 0.5 * (m + linalg.dag(m))
-        eig = linalg.herm_eigen(m)
+        eig = linalg.herm_eigen(0.5 * (m + linalg.dag(m)))
         if eig.values[0] < -tol.povm * (1.0 + eig.values[-1]):
             raise InvalidPovm(f"effect {k} has negative eigenvalue {eig.values[0]:.3e}")
-        # an effect that is PSD up to roundoff is kept as given: rebuilding it
-        # from its eigenvectors would only swap in the eigensolver's roundoff
         if eig.values[0] < -1e-13 * (1.0 + eig.values[-1]):
-            clipped = np.clip(eig.values, 0.0, None)
-            m = (eig.vectors * clipped) @ linalg.dag(eig.vectors)
             warnings.append(f"effect {k}: clipped eigenvalue {eig.values[0]:.3e} to zero")
-        mats.append(m)
-    return mats, warnings
+        kept = eig.values > 0.0
+        factors.append(eig.vectors[:, kept] * np.sqrt(eig.values[kept]))
+    return factors, warnings
 
 
-def _is_projective(mats: list[Array], tol: Tolerances) -> bool:
-    # idempotency only: projectors summing to I are mutually orthogonal, so the
-    # completeness gate bounds every E_j E_k (canonicalize skips validate_effects)
-    return all(linalg.fro(e @ e - e) <= tol.projective * (1.0 + linalg.fro(e)) for e in mats)
+def _is_projective(g: Array, ranks, tol: Tolerances) -> bool:
+    # ||E^2 - E|| = ||Gamma^2 - Gamma|| and ||E|| = ||Gamma|| for E = G_k G_k^dag
+    # and Gamma = G_k^dag G_k.  Idempotency only: projectors summing to I are
+    # mutually orthogonal, so the completeness gate bounds every E_j E_k
+    # (canonicalize skips that gate)
+    gram = linalg.dag(g) @ g
+    return all(linalg.fro(gk @ gk - gk) <= tol.projective * (1.0 + linalg.fro(gk))
+               for gk in (gram[s, s] for s in _groups(ranks)))
 
 
-def classify(mats: list[Array], rho: Array, dec: BlockDecomposition,
+def _traces(g: Array, ranks, ops: Array) -> Array:
+    """Re tr(X E_k) for each operator X of the stack ``ops`` (rows) and effect k (columns)."""
+    cols = np.real(np.sum(g.conj() * (ops @ g), axis=-2))   # Re (G^dag X G)_jj
+    return np.stack([cols[:, s].sum(axis=1) for s in _groups(ranks)], axis=1)
+
+
+def classify(g: Array, ranks, rho: Array, dec: BlockDecomposition,
              tol: Tolerances = DEFAULT) -> tuple[list[str], list[str]]:
-    """Label effects regular/null by tr(rho E) and sanity-check null blocks.
+    """Label the effects G_k G_k^dag regular/null by tr(rho E) and sanity-check null blocks.
 
     Null effects must live entirely in the 00 block; violations are
     reported as flags, not errors.
     """
+    probs = _traces(g, ranks, rho[None])[0]
+    a, b = linalg.dag(dec.V) @ g, linalg.dag(dec.Y) @ g
     labels = []
     flags: list[str] = []
-    for k, e in enumerate(mats):
-        prob = float(np.real(np.trace(rho @ e)))
+    for k, (s, prob) in enumerate(zip(_groups(ranks), probs)):
         if prob > tol.prob:
             labels.append(REGULAR)
             continue
         labels.append(NULL)
-        bv = blocks.block_of(e, dec)
-        mass = max(linalg.fro(bv.opp), linalg.fro(bv.opz))
-        if mass > 1e-8 * (1.0 + linalg.fro(e)):
+        # with A = V^dag G and B = Y^dag G, the ++ and +0 blocks of E_k
+        # are A_k A_k^dag and A_k B_k^dag
+        mass = max(linalg.fro(a[:, s] @ linalg.dag(a[:, s])),
+                   linalg.fro(a[:, s] @ linalg.dag(b[:, s])))
+        if mass > 1e-8 * (1.0 + linalg.fro(linalg.dag(g[:, s]) @ g[:, s])):
             flags.append(f"InconsistentNull: effect {k} has range-block mass {mass:.3e}")
     return labels, flags
 
 
 def make_povm(source, rho: Array, dec: BlockDecomposition,
               tol: Tolerances = DEFAULT) -> tuple[Povm, list[str]]:
-    """Validate, classify and wrap raw effect matrices or a :class:`Frame`.
+    """Validate, factor and classify raw effect matrices or a :class:`Frame`.
 
-    A frame's effects are projectors by construction: it is checked for
-    shape and ranks, not eigensolved.  All effects must sum to I.
+    A frame is its own factor: it is checked for shape and ranks, not
+    eigensolved.  Either way the effects must sum to I, ||G G^dag - I||
+    within tol.povm * n_s.
     """
     rho = linalg.as_matrix(rho)
     n_s = rho.shape[0]
-    frame = source if isinstance(source, Frame) else None
-    if frame and (frame.matrix.shape != (n_s, n_s) or sum(frame.ranks) != n_s or min(frame.ranks) < 1):
-        raise InvalidPovm(f"a frame must be {n_s} x {n_s} with positive ranks summing to {n_s}")
-    mats, warnings = (list(frame.effects()), []) if frame else validate_effects(source, n_s, tol)
-    defect = linalg.fro(sum(mats) - np.eye(n_s))
+    if isinstance(source, Frame):
+        g, ranks, warnings = source.matrix, source.ranks, []
+        if g.shape != (n_s, n_s) or sum(ranks) != n_s or min(ranks) < 1:
+            raise InvalidPovm(f"a frame must be {n_s} x {n_s} with positive ranks summing to {n_s}")
+    else:
+        factors, warnings = validate_effects(source, n_s, tol)
+        g, ranks = np.hstack(factors), tuple(f.shape[1] for f in factors)
+    defect = linalg.fro(g @ linalg.dag(g) - np.eye(n_s))
     if defect > tol.povm * n_s:
         raise InvalidPovm(f"effects sum to identity with defect {defect:.3e}")
-    labels, flags = classify(mats, rho, dec, tol)
-    projective = frame is not None or _is_projective(mats, tol)
-    return Povm(tuple(mats), tuple(labels), projective, frame), warnings + flags
+    labels, flags = classify(g, ranks, rho, dec, tol)
+    return Povm(g, ranks, tuple(labels), _is_projective(g, ranks, tol)), warnings + flags
 
 
 def construct_optimal(slds: SldSet, w: Optional[WCandidate] = None,
                       tol: Tolerances = DEFAULT) -> Povm:
     """Build the optimal projective POVM from commuting ++ blocks and W.
 
-    Its :class:`Frame` holds the common eigenvectors of the ++ SLD blocks,
+    Its unitary G holds the common eigenvectors of the ++ SLD blocks,
     embedded in the range and grouped by joint eigenvalue tuple (one
     regular effect per group), then the columns of Y W (one rank-one null
     effect each), every column's phase fixed by :func:`linalg.fix_phases`.
@@ -197,43 +223,37 @@ def construct_optimal(slds: SldSet, w: Optional[WCandidate] = None,
     clusters = linalg.gap_clusters(joint, linalg.joint_width(joint, tol))
     order = [i for cluster in clusters for i in cluster]
     null = dec.Y @ w.W if dec.r_zero > 0 else dec.Y
-    frame = Frame(linalg.fix_phases(np.hstack([dec.V @ u[:, order], null])),
-                  tuple(len(cluster) for cluster in clusters) + (1,) * dec.r_zero)
-    labels = (REGULAR,) * len(clusters) + (NULL,) * dec.r_zero
-    return Povm(effects=frame.effects(), labels=labels, projective=True, frame=frame)
+    return Povm(G=linalg.fix_phases(np.hstack([dec.V @ u[:, order], null])),
+                ranks=tuple(len(cluster) for cluster in clusters) + (1,) * dec.r_zero,
+                labels=(REGULAR,) * len(clusters) + (NULL,) * dec.r_zero, projective=True)
 
 
 def canonicalize(povm: Povm, dec: BlockDecomposition, slds: SldSet,
                  tol: Tolerances = DEFAULT) -> Povm:
     """Strip 00-block mass off regular effects into separate null effects.
 
-    Assumes the POVM already passes the regular optimality checks; a
-    regular effect with a non-vanishing +0 block contradicts that and
-    raises NotBlockDiagonal.
+    A regular effect with a 00 block is split into the effects factored
+    by P_+ G_k and P_0 G_k.  Assumes the POVM already passes the regular
+    optimality checks; a regular effect with a non-vanishing +0 block
+    contradicts that and raises NotBlockDiagonal.
     """
-    effects: list[Array] = []
-    labels: list[str] = []
+    a, b = linalg.dag(dec.V) @ povm.G, linalg.dag(dec.Y) @ povm.G
+    factors: list[Array] = []
     extra_null: list[Array] = []
-    for e, lab in zip(povm.effects, povm.labels):
-        if lab != REGULAR:
-            effects.append(e)
-            labels.append(lab)
-            continue
-        bv = blocks.block_of(e, dec)
-        if linalg.fro(bv.opz) > tol.zero * (1.0 + linalg.fro(e)):
-            raise NotBlockDiagonal(
-                f"regular effect has +0 mass {linalg.fro(bv.opz):.3e}; not an optimal form"
-            )
-        if linalg.fro(bv.ozz) > tol.zero:
-            effects.append(blocks.embed_parts(dec, opp=bv.opp))
-            extra_null.append(blocks.embed_parts(dec, ozz=bv.ozz))
-        else:
-            effects.append(e)
-        labels.append(REGULAR)
-    effects.extend(extra_null)
-    labels.extend([NULL] * len(extra_null))
-    mats = [0.5 * (m + linalg.dag(m)) for m in effects]
-    return Povm(effects=tuple(mats), labels=tuple(labels), projective=_is_projective(mats, tol))
+    for s, lab in zip(povm.groups, povm.labels):
+        gk = povm.G[:, s]
+        if lab == REGULAR:
+            opz = linalg.fro(a[:, s] @ linalg.dag(b[:, s]))
+            if opz > tol.zero * (1.0 + linalg.fro(linalg.dag(gk) @ gk)):
+                raise NotBlockDiagonal(f"regular effect has +0 mass {opz:.3e}; not an optimal form")
+            if linalg.fro(b[:, s] @ linalg.dag(b[:, s])) > tol.zero:
+                gk = dec.V @ a[:, s]
+                extra_null.append(dec.Y @ b[:, s])
+        factors.append(gk)
+    g = np.hstack(factors + extra_null)
+    ranks = tuple(f.shape[1] for f in factors + extra_null)
+    labels = povm.labels + (NULL,) * len(extra_null)
+    return Povm(g, ranks, labels, _is_projective(g, ranks, tol))
 
 
 def verify_optimality(povm: Povm, slds: SldSet, dec: BlockDecomposition,
@@ -243,46 +263,47 @@ def verify_optimality(povm: Povm, slds: SldSet, dec: BlockDecomposition,
     Regular effects: E L_l P_+ = c_l E P_+ with c_l real, for every l.
     Null effects: E_00 (Lpz_l^dag - c_lm Lpz_m^dag) = 0 with c_lm real,
     for every pair; paired constants must satisfy c_lm * c_ml ~ 1.
+    With A = V^dag G and B = Y^dag G, E_k P_+ V = G_k A_k^dag, E_k L_l P_+ V
+    = G_k (A_k^dag Lpp_l + B_k^dag Lpz_l^dag) and E_00 = B_k B_k^dag.
     """
     p = slds.p
-    p_plus = dec.P_plus
-    l_full = [embed_sld(slds, l) for l in range(p)]
+    g = povm.G
+    a, b = linalg.dag(dec.V) @ g, linalg.dag(dec.Y) @ g
+    # G^dag L_l V, and ||L_l P_+|| = ||L_l V||
+    l_range = [linalg.dag(a) @ slds.Lpp[l] + linalg.dag(b) @ linalg.dag(slds.Lpz[l])
+               for l in range(p)]
+    l_norm = [math.hypot(linalg.fro(slds.Lpp[l]), linalg.fro(slds.Lpz[l])) for l in range(p)]
+    groups = povm.groups
     regular_checks: list[EffectCheck] = []
     null_checks: list[EffectCheck] = []
     offdiag: list[float] = []
 
     for k in povm.regular_indices:
-        e = povm.effects[k]
-        base = e @ p_plus
+        s = groups[k]
+        base = g[:, s] @ linalg.dag(a[:, s])
         base_sq = linalg.fro(base) ** 2
         consts = np.zeros(p)
-        worst = 0.0
-        imag_worst = 0.0
+        worst = imag_worst = 0.0
         ok = base_sq > 0.0
         for l in range(p):
-            target = e @ l_full[l] @ p_plus
+            target = g[:, s] @ l_range[l][s]
             raw = linalg.hs_inner(base, target) / base_sq
             consts[l] = raw.real
-            resid = linalg.fro(target - raw.real * base) / (
-                linalg.fro(base) * (1.0 + linalg.fro(l_full[l] @ p_plus))
-            )
+            resid = linalg.fro(target - raw.real * base) / (linalg.fro(base) * (1.0 + l_norm[l]))
             worst = max(worst, resid)
             imag_worst = max(imag_worst, abs(raw.imag))
             if resid > tol.cond or abs(raw.imag) > tol.cond:
                 ok = False
-        regular_checks.append(
-            EffectCheck(index=k, label=REGULAR, constants=consts, residual=worst,
-                        imag_defect=imag_worst, ok=ok)
-        )
-        offdiag.append(linalg.fro(blocks.block_of(e, dec).opz))
+        regular_checks.append(EffectCheck(index=k, label=REGULAR, constants=consts,
+                                          residual=worst, imag_defect=imag_worst, ok=ok))
+        offdiag.append(linalg.fro(a[:, s] @ linalg.dag(b[:, s])))
 
     for k in povm.null_indices:
-        e00 = blocks.block_of(povm.effects[k], dec).ozz
+        e00 = b[:, groups[k]] @ linalg.dag(b[:, groups[k]])
         prods = [e00 @ linalg.dag(slds.Lpz[l]) for l in range(p)]
         consts = np.full((p, p), np.nan)
         np.fill_diagonal(consts, 1.0)
-        worst = 0.0
-        imag_worst = 0.0
+        worst = imag_worst = 0.0
         ok = True
         for l, m in itertools.permutations(range(p), 2):
             fit = linalg.real_ratio(prods[l], prods[m], tol.zero, tol.c4)
@@ -291,42 +312,30 @@ def verify_optimality(povm: Povm, slds: SldSet, dec: BlockDecomposition,
                 worst = max(worst, resid)
                 imag_worst = max(imag_worst, imag)
                 ok = ok and pair_ok
-        for l in range(p):
-            for m in range(l + 1, p):
-                if np.isnan(consts[l, m]) or np.isnan(consts[m, l]):
-                    continue
-                if abs(consts[l, m] * consts[m, l] - 1.0) > tol.consistency * (
-                    1.0 + consts[l, m] ** 2
-                ):
-                    ok = False
-        null_checks.append(
-            EffectCheck(index=k, label=NULL, constants=consts, residual=worst,
-                        imag_defect=imag_worst, ok=ok)
-        )
+        for l, m in itertools.combinations(range(p), 2):
+            # a NaN constant (an unconstrained pair) fails no comparison
+            if abs(consts[l, m] * consts[m, l] - 1.0) > tol.consistency * (1.0 + consts[l, m] ** 2):
+                ok = False
+        null_checks.append(EffectCheck(index=k, label=NULL, constants=consts,
+                                       residual=worst, imag_defect=imag_worst, ok=ok))
 
-    null_sum = sum(
-        (blocks.block_of(povm.effects[k], dec).ozz for k in povm.null_indices),
-        np.zeros((dec.r_zero, dec.r_zero), dtype=complex),
-    )
-    null_sum_residual = linalg.fro(null_sum - np.eye(dec.r_zero))
-    passed = all(c.ok for c in regular_checks) and all(c.ok for c in null_checks)
+    b_null = b[:, povm.null_mask]
     return OptimalityReport(
+        passed=all(c.ok for c in regular_checks) and all(c.ok for c in null_checks),
         regular=tuple(regular_checks),
         null=tuple(null_checks),
         block_offdiag=tuple(offdiag),
-        null_sum_residual=float(null_sum_residual),
-        passed=passed,
+        null_sum_residual=linalg.fro(b_null @ linalg.dag(b_null) - np.eye(dec.r_zero)),
     )
 
 
 def outcome_table(povm: Povm, bundle: StateBundle) -> tuple[Array, Array]:
     """Outcome probabilities tr(rho E_k) and gradients Re tr(d_l rho E_k) (K x p)."""
-    # traces of full products, not an O(n^2) einsum, so each entry rounds as
-    # tr(A @ E) does: near a null outcome F_c divides by p_k ~ delta^2, and a
-    # reordered sum moves the study's rows at 1e-9
-    products = np.stack((bundle.rho, *bundle.drho)) @ np.stack(povm.effects)[:, None]
-    table = np.real(np.trace(products, axis1=-2, axis2=-1))
-    return table[:, 0], table[:, 1:]
+    # near a null outcome F_c divides by p_k ~ delta^2, a sum of O(1) terms
+    # g^dag (rho g) that cancel: a study row at small delta keeps only about
+    # 9 digits, and the rest moves with the order of the sums
+    table = _traces(povm.G, povm.ranks, np.stack((bundle.rho, *bundle.drho)))
+    return table[0], table[1:].T
 
 
 def fisher_information(probs: Array, grads: Array, tol: Tolerances = DEFAULT) -> Array:
@@ -351,18 +360,13 @@ def null_component_sum(povm: Povm, slds: SldSet, tol: Tolerances = DEFAULT) -> A
 
     N[l, m] = sum over null effects of Re tr(diag(q) Lpz_l E_00 Lpz_m^dag);
     equal to the null QFIM component when the null 00 blocks sum to the
-    identity on the null space.
+    identity on the null space.  With E_00 = B_k B_k^dag, B = Y^dag G, the
+    sum is Re tr(diag(q) C_l C_m^dag) over C_l = Lpz_l B on the null columns.
     """
-    p = slds.p
     dec = slds.dec
-    q = dec.q
-    out = np.zeros((p, p))
-    for k in povm.null_indices:
-        e00 = blocks.block_of(povm.effects[k], dec).ozz
-        for l in range(p):
-            for m in range(p):
-                term = slds.Lpz[l] @ e00 @ linalg.dag(slds.Lpz[m])
-                out[l, m] += float(np.real(np.sum(q * np.diagonal(term))))
+    b_null = linalg.dag(dec.Y) @ povm.G[:, povm.null_mask]
+    c = np.stack([lpz @ b_null for lpz in slds.Lpz])
+    out = np.real(np.einsum("i,lij,mij->lm", dec.q, c, c.conj()))
     return 0.5 * (out + out.T)
 
 
@@ -380,18 +384,13 @@ def saturation_check(povm: Povm, slds: SldSet, bundle: StateBundle,
     scale = tol.sat * (1.0 + float(np.max(np.abs(fim.F))))
     res_reg = float(np.max(np.abs(f_c - fim.F_reg)))
     res_null = float(np.max(np.abs(n_sum - fim.F_null)))
-    return SaturationReport(
-        passed=(res_reg <= scale and res_null <= scale),
-        F_c=f_c,
-        null_sum=n_sum,
-        res_regular=res_reg,
-        res_null=res_null,
-    )
+    return SaturationReport(passed=(res_reg <= scale and res_null <= scale), F_c=f_c,
+                            null_sum=n_sum, res_regular=res_reg, res_null=res_null)
 
 
 def povm_to_json(povm: Povm) -> dict:
-    """A constructed POVM as ``{"frame": matrix, "ranks": [r_1, ...]}``."""
-    return {"frame": linalg.matrix_to_json(povm.frame.matrix), "ranks": list(povm.frame.ranks)}
+    """A constructed POVM as ``{"frame": G, "ranks": [r_1, ...]}``."""
+    return {"frame": linalg.matrix_to_json(povm.G), "ranks": list(povm.ranks)}
 
 
 def povm_from_json(obj) -> "Frame | list[Array]":

@@ -79,12 +79,6 @@ def with_lzz(slds: SldSet, lzz_list) -> SldSet:
     return slds._replace(Lzz=lzz)
 
 
-def embed_sld(slds: SldSet, l: int) -> Array:
-    """Full-space Hermitian SLD for parameter l."""
-    dec = slds.dec
-    return blocks.embed_parts(dec, opp=slds.Lpp[l], opz=slds.Lpz[l], ozz=slds.Lzz[l])
-
-
 def sld_offdiag_from_factorization(
     model: StateModel,
     theta,

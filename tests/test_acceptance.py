@@ -8,7 +8,8 @@ from qcrb import blocks, conditions, estimate, linalg, model, povm, sld
 from qcrb.estimate import SimConfig
 
 from conftest import THETA_DIAG, THETA_EX2, THETA_FIXED, THETA_QUBIT, pipeline
-from util import aligned_offdiag, pauli, random_hermitian, random_unitary, rank2_path_model, sylvester_sld
+from util import (aligned_offdiag, effects, embed_sld, pauli, random_hermitian, random_unitary,
+                  rank2_path_model, sylvester_sld)
 
 F_REG_HAND = np.array([[16.0 / 3.0, 0.0], [0.0, 0.0]])
 F_NULL_HAND = 0.6912 * np.array([[1.0, 2.0], [2.0, 4.0]])
@@ -35,7 +36,7 @@ class TestCriterion1ExamplePipeline:
         fd_bundle = model.eval_bundle(example2, THETA_EX2, h=1e-5, use_analytic=False)
         fd_dec = blocks.decompose(fd_bundle.rho)
         fd_slds = sld.compute_slds(fd_bundle, fd_dec)
-        full = [sld.embed_sld(fd_slds, l) for l in range(2)]
+        full = [embed_sld(fd_slds, l) for l in range(2)]
         oracle = np.array(
             [
                 [float(np.real(np.trace(fd_bundle.rho @ full[l] @ full[m]))) for m in range(2)]
@@ -132,7 +133,7 @@ class TestCriterion5OracleEquivalence:
             dec = blocks.decompose(bundle.rho)
             slds = sld.compute_slds(bundle, dec)
             for l in range(2):
-                ours = sld.embed_sld(slds, l)
+                ours = embed_sld(slds, l)
                 oracle = sylvester_sld(bundle.rho, bundle.drho[l])
                 worst_solve = max(worst_solve, float(np.max(np.abs(ours - oracle))))
             v_f, y_f, _ = mdl.factorization(theta)
@@ -176,7 +177,7 @@ class TestCriterion6InvarianceSuite:
             ok_gauge &= self._verdict_tuple(slds2, bundle, regauged, built) == base
 
             perm = rng.permutation(len(built))
-            shuffled, _ = povm.make_povm([built.effects[i] for i in perm], bundle.rho, dec)
+            shuffled, _ = povm.make_povm([effects(built)[i] for i in perm], bundle.rho, dec)
             ok_perm &= self._verdict_tuple(slds, bundle, dec, shuffled) == base
 
         check("6a free-block injection", ok_lzz)
@@ -201,7 +202,7 @@ class TestCriterion7CanonicalStructure:
         mdl = model.build_model("fixed_range")
         bundle, dec, slds, report = pipeline(mdl, THETA_FIXED)
         built = povm.construct_optimal(slds, report.c4)
-        padded = [built.effects[k] + 0.5 * dec.P_zero for k in built.regular_indices]
+        padded = [effects(built)[k] + 0.5 * dec.P_zero for k in built.regular_indices]
         pv, _ = povm.make_povm(padded, bundle.rho, dec)
         cases.append(("fixed_range padded", bundle, dec, slds, pv))
 
@@ -219,7 +220,7 @@ class TestCriterion7CanonicalStructure:
             sat_after = povm.saturation_check(canon, slds, bundle).passed
             all_stable &= out_c.passed == out.passed and sat_after == sat_before
             null_sum = sum(
-                (blocks.block_of(canon.effects[k], dec).ozz for k in canon.null_indices),
+                (blocks.block_of(effects(canon)[k], dec).ozz for k in canon.null_indices),
                 np.zeros((dec.r_zero, dec.r_zero), dtype=complex),
             )
             all_null_sums &= linalg.fro(null_sum - np.eye(dec.r_zero)) <= 1e-8
@@ -260,7 +261,7 @@ class TestCriterion8MonteCarlo:
         check("8 study floor", devs[2] <= 1e-2 * np.max(np.abs(fim.F)),
               f"final {devs[2]:.3e} bound {1e-2 * np.max(np.abs(fim.F)):.3e}")
 
-        eff = list(built.effects)
+        eff = effects(built)
         folded = [eff[built.regular_indices[0]] + eff[built.null_indices[0]],
                   eff[built.regular_indices[1]]]
         pv, _ = povm.make_povm(folded, bundle.rho, dec)

@@ -6,7 +6,7 @@ from qcrb.config import DEFAULT
 from qcrb.errors import DimensionMismatch, IllDeterminedRank, InvalidState
 
 from conftest import WORKING_POINTS
-from util import random_hermitian, random_unitary
+from util import embed, embed_parts, random_hermitian, random_unitary
 
 
 def _state_with_spectrum(spectrum, seed=0):
@@ -140,27 +140,27 @@ class TestEmbed:
         rng = np.random.default_rng(len(name))
         for _ in range(50):
             o = random_hermitian(rng, mdl.n_s)
-            back = blocks.embed(blocks.block_of(o, dec), dec)
+            back = embed(blocks.block_of(o, dec), dec)
             assert np.max(np.abs(back - o)) <= 1e-12 * (1 + np.max(np.abs(o)))
 
     def test_identity_blocks(self, example2):
         bundle = model.eval_bundle(example2, [0.25, 0.5])
         dec = blocks.decompose(bundle.rho)
-        out = blocks.embed_parts(dec, opp=np.eye(2), ozz=np.eye(1))
+        out = embed_parts(dec, opp=np.eye(2), ozz=np.eye(1))
         assert np.allclose(out, np.eye(3), atol=1e-12)
 
     def test_projector_trace(self, example2):
         bundle = model.eval_bundle(example2, [0.25, 0.5])
         dec = blocks.decompose(bundle.rho)
         proj = np.diag([1.0, 0.0]).astype(complex)
-        out = blocks.embed_parts(dec, opp=proj)
+        out = embed_parts(dec, opp=proj)
         assert np.isclose(np.trace(out).real, 1.0, atol=1e-12)
 
     def test_block_shape_mismatch(self, example2):
         bundle = model.eval_bundle(example2, [0.25, 0.5])
         dec = blocks.decompose(bundle.rho)
         with pytest.raises(DimensionMismatch):
-            blocks.embed(blocks.BlockView(np.eye(3), np.zeros((3, 1)), np.zeros((1, 3)), np.eye(1)), dec)
+            embed(blocks.BlockView(np.eye(3), np.zeros((3, 1)), np.zeros((1, 3)), np.eye(1)), dec)
 
 
 @pytest.mark.parametrize("name", sorted(WORKING_POINTS))

@@ -262,6 +262,46 @@ def test_verify_reads_back_the_povm_construct_checked(tmp_path, monkeypatch, nam
         assert verified[section] == constructed[section]
 
 
+def _agree(a, b) -> bool:
+    """Whether two JSON values are equal, floats within 1e-12 (1 + |a|)."""
+    if isinstance(a, float) and isinstance(b, float):
+        return abs(a - b) <= 1e-12 * (1.0 + abs(a))
+    if isinstance(a, dict):
+        return isinstance(b, dict) and a.keys() == b.keys() and all(_agree(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return isinstance(b, list) and len(a) == len(b) and all(map(_agree, a, b))
+    return type(a) is type(b) and a == b
+
+
+@pytest.mark.parametrize("name", ["example2", "dense_saturable"])
+def test_an_effects_file_verifies_as_its_frame_file(tmp_path, monkeypatch, name):
+    # both file shapes are checked on one path: the constructed frame's own
+    # effects give the same labels and projectivity, and the same
+    # optimality and saturation sections up to roundoff
+    if name == "dense_saturable":
+        model_path = _dense_saturable(tmp_path, monkeypatch)
+    else:
+        model_path = str(tmp_path / "example2.json")
+        config = {"model": name, "theta": WORKING_POINTS[name].tolist()}
+        Path(model_path).write_text(json.dumps(config))
+    frame_path, effects_path = tmp_path / "frame.json", tmp_path / "effects.json"
+    assert main(["construct", model_path, "--out", str(frame_path),
+                 "--report", str(tmp_path / "construct.json")]) == 0
+    payload = json.loads(frame_path.read_text())
+    frame = np.array(payload["frame"])[..., 0] + 1j * np.array(payload["frame"])[..., 1]
+    edges = np.cumsum([0, *payload["ranks"]])
+    effects = [frame[:, a:b] @ frame[:, a:b].conj().T for a, b in zip(edges, edges[1:])]
+    effects_path.write_text(json.dumps({"effects": [qlinalg.matrix_to_json(e) for e in effects]}))
+    (frame_code, by_frame), (effects_code, by_effects) = (
+        run_to_file(tmp_path, ["verify", model_path, str(path)])
+        for path in (frame_path, effects_path))
+    assert frame_code == effects_code == 0
+    for key in ("labels", "projective"):
+        assert by_effects["povm"][key] == by_frame["povm"][key]
+    for section in ("optimality", "saturation"):
+        assert _agree(by_frame[section], by_effects[section])
+
+
 class TestSimulate:
     def _povm(self, tmp_path, model_file):
         povm_path = tmp_path / "povm.json"
@@ -414,6 +454,7 @@ def _identity_with(entry) -> dict:
                  id="theta-not-a-number"),
     pytest.param(GOOD, {"effects": [EYE]}, ["simulate", "--N", "0"], id="no-copies"),
     pytest.param(GOOD, {"effects": [EYE]}, ["simulate", "--study", "abc"], id="study-not-numbers"),
+    pytest.param(GOOD, {"effects": [EYE]}, ["simulate", "--study", ","], id="study-empty"),
     pytest.param(GOOD, _identity_with(["a", 0]), ["verify"], id="povm-entry-not-a-number"),
     pytest.param(GOOD, _identity_with(1.0), ["verify"], id="povm-entry-not-a-pair"),
     pytest.param(GOOD, _identity_with([True, 0.0]), ["verify"], id="povm-entry-a-bool"),

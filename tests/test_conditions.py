@@ -8,7 +8,7 @@ from qcrb.errors import NoFactorization, NotUnitary
 from qcrb.model import StateBundle
 
 from conftest import THETA_EX2, THETA_FIXED, pipeline
-from util import pauli, random_hermitian, random_unitary
+from util import embed_parts, embed_sld, pauli, random_hermitian, random_unitary
 
 
 def make_slds(lpp_list, lpz_list, q):
@@ -70,7 +70,7 @@ class TestCondition3:
 
 def range_commutator(slds, l, m):
     """P_+ [L_l, L_m] P_+ of the full SLDs, in the range frame."""
-    a, b = sld.embed_sld(slds, l), sld.embed_sld(slds, m)
+    a, b = embed_sld(slds, l), embed_sld(slds, m)
     v = slds.dec.V
     return linalg.dag(v) @ (a @ b - b @ a) @ v
 
@@ -88,9 +88,9 @@ class TestPartialCommutativity:
         q = np.array([0.5, 0.5])
         eye = np.eye(3, dtype=complex)
         dec = blocks.BlockDecomposition(r_plus=2, r_zero=1, V=eye[:, :2], Y=eye[:, 2:], q=q)
-        rho = blocks.embed_parts(dec, opp=np.diag(q).astype(complex))
+        rho = embed_parts(dec, opp=np.diag(q).astype(complex))
         drho = tuple(
-            blocks.embed_parts(
+            embed_parts(
                 dec,
                 opp=0.5 * (lpp[l] @ np.diag(q) + np.diag(q) @ lpp[l]),
                 opz=0.5 * np.diag(q) @ lpz[l],

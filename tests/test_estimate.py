@@ -6,7 +6,7 @@ from qcrb.errors import ParseError, SingularFisher
 from qcrb.estimate import SimConfig
 
 from conftest import THETA_DIAG, THETA_EX2, pipeline
-from util import basis_povm
+from util import basis_povm, effects
 
 
 @pytest.fixture(scope="module")
@@ -153,7 +153,7 @@ class TestConvergenceStudy:
 
     def test_dropped_null_effect_plateaus(self, ex2_setup):
         mdl, bundle, dec, slds, built = ex2_setup
-        eff = list(built.effects)
+        eff = effects(built)
         folded = [eff[built.regular_indices[0]] + eff[built.null_indices[0]],
                   eff[built.regular_indices[1]]]
         pv, _ = povm.make_povm(folded, bundle.rho, dec)

@@ -5,7 +5,7 @@ from qcrb import blocks, conditions, linalg, model, povm, sld
 from qcrb.errors import ConditionFailed, InvalidPovm, NotBlockDiagonal, ParseError
 
 from conftest import THETA_EX2, THETA_QUBIT, WORKING_POINTS, pipeline
-from util import basis_povm, pauli, random_projective_povm, random_unitary
+from util import basis_povm, effects, pauli, random_projective_povm, random_unitary
 
 SATURABLE = ["example2", "fixed_range", "classical_diag"]
 
@@ -27,7 +27,7 @@ class TestConstructOptimal:
         psi1, psi2 = v[:, 0], v[:, 1]
         targets = [np.outer(c, c.conj()) for c in (psi1, psi2, y[:, 0])]
         for target in targets:
-            assert any(np.max(np.abs(e - target)) <= 1e-9 for e in built.effects)
+            assert any(np.max(np.abs(e - target)) <= 1e-9 for e in effects(built))
 
     def test_classical_diag_pure_regular(self, diag_pipeline):
         _, _, slds, report = diag_pipeline
@@ -39,16 +39,16 @@ class TestConstructOptimal:
         _, dec, slds, report = ex2_pipeline
         zeroed = slds._replace(Lpp=tuple(np.zeros_like(m) for m in slds.Lpp))
         built = povm.construct_optimal(zeroed, report.c4)
-        regular = [built.effects[k] for k in built.regular_indices]
+        regular = [effects(built)[k] for k in built.regular_indices]
         assert len(regular) == 1
         assert np.allclose(regular[0], dec.P_plus, atol=1e-10)
 
     def test_completeness_and_projectivity(self):
         for name in SATURABLE:
             *_, built = construct_for(name)
-            total = sum(built.effects)
+            total = sum(effects(built))
             assert np.allclose(total, np.eye(total.shape[0]), atol=1e-10)
-            for e in built.effects:
+            for e in effects(built):
                 assert linalg.fro(e @ e - e) <= 1e-8
 
     def test_condition1_gate(self, qubit_xy):
@@ -62,22 +62,27 @@ class TestConstructOptimal:
             povm.construct_optimal(slds, None)
 
 
+def _classify(mats, rho, dec):
+    factors, _ = povm.validate_effects(mats, rho.shape[0])
+    return povm.classify(np.hstack(factors), [f.shape[1] for f in factors], rho, dec)
+
+
 class TestClassify:
     def test_constructed_labels(self, ex2_pipeline):
         bundle, dec, slds, report = ex2_pipeline
         built = povm.construct_optimal(slds, report.c4)
-        labels, flags = povm.classify(list(built.effects), bundle.rho, dec)
+        labels, flags = povm.classify(built.G, built.ranks, bundle.rho, dec)
         assert labels == ["regular", "regular", "null"]
         assert flags == []
 
     def test_identity_partition(self, ex2_pipeline):
         bundle, dec, _, _ = ex2_pipeline
-        labels, flags = povm.classify([np.eye(3)], bundle.rho, dec)
+        labels, flags = _classify([np.eye(3)], bundle.rho, dec)
         assert labels == ["regular"] and flags == []
 
     def test_null_projector_consistent(self, ex2_pipeline):
         bundle, dec, _, _ = ex2_pipeline
-        labels, flags = povm.classify(
+        labels, flags = _classify(
             [dec.P_plus, dec.P_zero], bundle.rho, dec
         )
         assert labels == ["regular", "null"]
@@ -93,7 +98,7 @@ class TestClassify:
         mix = (dec.V[:, 0] + dec.Y[:, 0]) / np.sqrt(2.0)
         effect = np.outer(mix, mix.conj())
         prob = float(np.real(np.trace(bundle.rho @ effect)))
-        labels, flags = povm.classify([effect, np.eye(3) - effect], bundle.rho, dec)
+        labels, flags = _classify([effect, np.eye(3) - effect], bundle.rho, dec)
         assert prob > 0  # touches the range, so it's regular; no flag
         assert labels[0] == "regular"
         assert flags == []
@@ -179,7 +184,7 @@ class TestCanonicalize:
     def test_padded_regular_effects_split(self, fixed_pipeline):
         bundle, dec, slds, report = fixed_pipeline
         built = povm.construct_optimal(slds, report.c4)
-        reg = [built.effects[k] for k in built.regular_indices]
+        reg = [effects(built)[k] for k in built.regular_indices]
         padded = [r + 0.5 * dec.P_zero for r in reg]
         pv, _ = povm.make_povm(padded, bundle.rho, dec)
         assert povm.verify_optimality(pv, slds, dec).passed
@@ -187,13 +192,13 @@ class TestCanonicalize:
         assert len(canon) == 4
         assert canon.labels.count("null") == 2
         null_sum = sum(
-            blocks.block_of(canon.effects[k], dec).ozz for k in canon.null_indices
+            blocks.block_of(effects(canon)[k], dec).ozz for k in canon.null_indices
         )
         assert np.allclose(null_sum, np.eye(1), atol=1e-8)
         # outcome probabilities of the regular effects are preserved
         probs_before = [np.real(np.trace(bundle.rho @ e)) for e in padded]
         probs_after = [
-            np.real(np.trace(bundle.rho @ canon.effects[k])) for k in canon.regular_indices
+            np.real(np.trace(bundle.rho @ effects(canon)[k])) for k in canon.regular_indices
         ]
         assert np.allclose(sorted(probs_before), sorted(probs_after), atol=1e-12)
         assert povm.verify_optimality(canon, slds, dec).passed
@@ -203,7 +208,7 @@ class TestCanonicalize:
         built = povm.construct_optimal(slds, report.c4)
         canon = povm.canonicalize(built, dec, slds)
         assert len(canon) == len(built)
-        for a, b in zip(canon.effects, built.effects):
+        for a, b in zip(effects(canon), effects(built)):
             assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_cross_block_rejected(self, fixed_pipeline):
@@ -254,7 +259,7 @@ class TestNullComponentSum:
     def test_missing_null_effects_leave_gap(self, ex2_pipeline):
         bundle, dec, slds, report = ex2_pipeline
         built = povm.construct_optimal(slds, report.c4)
-        eff = list(built.effects)
+        eff = effects(built)
         folded = [eff[0] + eff[2], eff[1]]
         pv, _ = povm.make_povm(folded, bundle.rho, dec)
         n_sum = povm.null_component_sum(pv, slds)
@@ -293,7 +298,7 @@ class TestSaturation:
         built = povm.construct_optimal(slds, report.c4)
         rng = np.random.default_rng(9)
         perm = rng.permutation(len(built))
-        shuffled, _ = povm.make_povm([built.effects[i] for i in perm], bundle.rho, dec)
+        shuffled, _ = povm.make_povm([effects(built)[i] for i in perm], bundle.rho, dec)
         assert povm.saturation_check(shuffled, slds, bundle).passed
         assert povm.verify_optimality(shuffled, slds, dec).passed
 
@@ -365,8 +370,8 @@ class TestJsonRoundTrip:
         assert payload["ranks"] == [1, 1, 1]
         read, _ = povm.make_povm(povm.povm_from_json(payload), bundle.rho, dec)
         assert read.projective and read.labels == built.labels
-        assert np.array_equal(read.frame.matrix, built.frame.matrix)
-        for a, b in zip(read.effects, built.effects):
+        assert np.array_equal(read.G, built.G)
+        for a, b in zip(effects(read), effects(built)):
             assert np.array_equal(a, b)
 
     def test_rejects_bad_payload(self):

@@ -7,7 +7,8 @@ from qcrb import blocks, linalg, model, sld
 from qcrb.errors import NoFactorization, RankDrift
 
 from conftest import THETA_DIAG, THETA_EX2, THETA_PURE, WORKING_POINTS, pipeline
-from util import aligned_offdiag, random_hermitian, rank2_path_model, sylvester_sld
+from util import (aligned_offdiag, embed_parts, embed_sld, random_hermitian, rank2_path_model,
+                  sylvester_sld)
 
 
 def _factorization_frames(mdl, theta):
@@ -20,7 +21,7 @@ class TestComputeSlds:
         bundle, dec, slds, _ = diag_pipeline
         t1, t2 = THETA_DIAG
         expected = np.diag([1.0 / t1, 0.0, -1.0 / (1.0 - t1 - t2)])
-        embedded = sld.embed_sld(slds, 0)
+        embedded = embed_sld(slds, 0)
         assert np.allclose(embedded, expected, atol=1e-9)
 
     def test_example2_range_block_hand_values(self, ex2_pipeline, example2):
@@ -54,7 +55,7 @@ class TestComputeSlds:
 
     def test_rank_drift_detected(self, ex2_pipeline):
         bundle, dec, _, _ = ex2_pipeline
-        bad = blocks.embed_parts(dec, ozz=np.array([[1.0]]))
+        bad = embed_parts(dec, ozz=np.array([[1.0]]))
         poisoned = bundle._replace(drho=(bundle.drho[0] + bad, bundle.drho[1]))
         with pytest.raises(RankDrift):
             sld.compute_slds(poisoned, dec)
@@ -90,7 +91,7 @@ class TestRandomFamilies:
         dec = blocks.decompose(bundle.rho)
         slds = sld.compute_slds(bundle, dec)
         for l in range(2):
-            ours = sld.embed_sld(slds, l)
+            ours = embed_sld(slds, l)
             oracle = sylvester_sld(bundle.rho, bundle.drho[l])
             assert np.max(np.abs(ours - oracle)) <= 1e-8
 
@@ -151,7 +152,7 @@ class TestQfim:
         bundle, dec, slds, _ = pipeline(mdl, WORKING_POINTS[name])
         fim = sld.qfim(slds)
         p = slds.p
-        full = [sld.embed_sld(slds, l) for l in range(p)]
+        full = [embed_sld(slds, l) for l in range(p)]
         check = np.zeros((p, p))
         for l in range(p):
             for m in range(p):

@@ -2,7 +2,9 @@
 
 Oracles are independent constructions (dense Sylvester solves, explicit
 series, characteristic-polynomial roots) that call numpy.linalg directly
-and share no code with the package's own gauge-fixed routines.
+and share no code with the package's own gauge-fixed routines.  The
+full-space views (embedded blocks and SLDs, dense POVM effects) are what
+the package itself never forms.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from qcrb import linalg
+from qcrb.blocks import BlockDecomposition, BlockView
+from qcrb.errors import DimensionMismatch
 from qcrb.model import StateModel
 
 
@@ -124,3 +128,38 @@ def pauli(which: str) -> np.ndarray:
         "y": np.array([[0.0, -1j], [1j, 0.0]], dtype=complex),
         "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
     }[which]
+
+
+def embed(bv: BlockView, dec: BlockDecomposition) -> np.ndarray:
+    """Reassemble a full operator from its four blocks."""
+    rp, rz = dec.r_plus, dec.r_zero
+    if bv.opp.shape != (rp, rp) or bv.opz.shape != (rp, rz):
+        raise DimensionMismatch("block shapes do not match the decomposition")
+    if bv.ozp.shape != (rz, rp) or bv.ozz.shape != (rz, rz):
+        raise DimensionMismatch("block shapes do not match the decomposition")
+    v, y = dec.V, dec.Y
+    return (
+        v @ bv.opp @ linalg.dag(v)
+        + v @ bv.opz @ linalg.dag(y)
+        + y @ bv.ozp @ linalg.dag(v)
+        + y @ bv.ozz @ linalg.dag(y)
+    )
+
+
+def embed_parts(dec: BlockDecomposition, opp=None, opz=None, ozz=None) -> np.ndarray:
+    """Embed selected blocks of a Hermitian operator; the 0+ block is opz^dag."""
+    rp, rz = dec.r_plus, dec.r_zero
+    opp_m = np.zeros((rp, rp), dtype=complex) if opp is None else np.asarray(opp, dtype=complex)
+    opz_m = np.zeros((rp, rz), dtype=complex) if opz is None else np.asarray(opz, dtype=complex)
+    ozz_m = np.zeros((rz, rz), dtype=complex) if ozz is None else np.asarray(ozz, dtype=complex)
+    return embed(BlockView(opp=opp_m, opz=opz_m, ozp=linalg.dag(opz_m), ozz=ozz_m), dec)
+
+
+def embed_sld(slds, l: int) -> np.ndarray:
+    """Full-space Hermitian SLD for parameter l."""
+    return embed_parts(slds.dec, opp=slds.Lpp[l], opz=slds.Lpz[l], ozz=slds.Lzz[l])
+
+
+def effects(povm) -> list[np.ndarray]:
+    """The dense effects G_k G_k^dag of a POVM held as column factors."""
+    return [povm.G[:, s] @ povm.G[:, s].conj().T for s in povm.groups]

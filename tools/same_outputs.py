@@ -8,16 +8,23 @@ are written once.  Each tree then runs the same commands in the same
 working directory, as cold ``python -m qcrb.cli`` processes with one
 BLAS thread: ``analyze``; ``construct`` with ``--out``/``--report`` and to
 stdout; and, for every config whose POVM file was written, ``verify``,
-``simulate``, ``simulate --delta`` and ``simulate --study``.  Every exit
-code, stdout, stderr, report and CSV is compared byte for byte.  A POVM
-file is compared by the effects it describes, so that a ``frame`` file and
-an ``effects`` file of the same POVM agree: the largest entry deviation
-is printed, and the files differ when the effect shapes do or it exceeds
-POVM_ATOL.  Each difference is printed and the exit code is 1 if there
-is any.
+``simulate``, ``simulate --delta`` and ``simulate --study``.
+
+Exit codes and stderr are compared byte for byte.  Reports (on stdout or
+in files) and study CSVs are compared by value: every field that is not
+a float must be equal, and floats a, b must agree within
+``TOL (1 + |a|)``.  A POVM file, and the ``povm.frame`` of a
+``construct`` report, is compared by the effects it describes, with every
+entry within TOL: a ``frame`` and an ``effects`` file of the same POVM
+agree, and so do two frames whose columns differ by a change of basis
+inside an effect's range.  For each output that is not byte-identical
+the largest deviation is printed (relative ``|a - b| / (1 + |a|)`` for
+reports and CSVs, absolute for effect entries), then each output that
+differs; the exit code is 1 if any does.
 """
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -27,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-POVM_ATOL = 1e-12   # roundoff of an n_s <= 33 product F_k F_k^dag is ~1e-15
+TOL = 1e-12   # roundoff of the reports and of an n_s <= 33 product F_k F_k^dag is ~1e-15
 
 
 def write_configs(tree: Path, work: Path) -> dict[str, int]:
@@ -74,10 +81,8 @@ def outputs(tree: Path, work: Path, counts: dict[str, int]) -> dict[str, bytes]:
     return got
 
 
-def povm_effects(text: bytes) -> list[np.ndarray]:
-    """The effect matrices of a POVM file, in either entry shape."""
-    obj = json.loads(text)
-
+def povm_effects(obj: dict) -> list[np.ndarray]:
+    """The effect matrices of a POVM file's object, in either entry shape."""
     def matrix(rows) -> np.ndarray:
         parts = np.asarray(rows, dtype=float)
         return parts[..., 0] + 1j * parts[..., 1]
@@ -88,22 +93,69 @@ def povm_effects(text: bytes) -> list[np.ndarray]:
     return [frame[:, a:b] @ frame[:, a:b].conj().T for a, b in zip(edges, edges[1:])]
 
 
-def povm_deviation(before: bytes, after: bytes) -> float:
-    """Largest entry deviation between the effects of two POVM files (inf if shapes differ)."""
+def povm_deviation(before: dict, after: dict) -> float:
+    """Largest entry deviation between the effects of two POVM objects (inf if shapes differ)."""
     old, new = povm_effects(before), povm_effects(after)
     if [e.shape for e in old] != [e.shape for e in new]:
         return float("inf")
     return max(float(np.max(np.abs(a - b))) for a, b in zip(old, new))
 
 
-def same(key: str, before: dict[str, bytes], after: dict[str, bytes]) -> bool:
-    if before.get(key) == after.get(key):
-        return True
-    if not (key.endswith(".povm.json") and key in before and key in after):
-        return False
-    deviation = povm_deviation(before[key], after[key])
-    print(f"{key}: largest effect deviation {deviation:.1e}")
-    return deviation <= POVM_ATOL
+def deviation(old, new) -> float:
+    """Largest |a - b| / (1 + |a|) over two JSON values' floats; inf if anything else differs."""
+    if type(old) is not type(new):
+        return math.inf
+    if isinstance(old, float):
+        return abs(old - new) / (1.0 + abs(old))
+    if isinstance(old, dict):
+        if old.keys() != new.keys():
+            return math.inf
+        old, new = list(old.values()), [new[key] for key in old]
+    if isinstance(old, list):
+        if len(old) != len(new):
+            return math.inf
+        return max(map(deviation, old, new), default=0.0)
+    return 0.0 if old == new else math.inf
+
+
+def csv_values(text: bytes) -> list:
+    """A CSV's rows, each numeric field as a float."""
+    def value(field: str):
+        try:
+            return float(field)
+        except ValueError:
+            return field
+
+    return [[value(field) for field in line.split(",")] for line in text.decode().splitlines()]
+
+
+def report_deviation(old: dict, new: dict) -> float:
+    """:func:`deviation` of two reports, a ``povm.frame`` compared by its effects.
+
+    The columns inside a group of a frame are any basis of the effect's
+    range, so only the effects they describe are compared.
+    """
+    if not ("frame" in old.get("povm", {}) and "frame" in new.get("povm", {})):
+        return deviation(old, new)
+    rest = [{**r, "povm": {k: v for k, v in r["povm"].items() if k != "frame"}} for r in (old, new)]
+    return max(povm_deviation(old["povm"], new["povm"]), deviation(*rest))
+
+
+def output_deviation(key: str, before: dict[str, bytes], after: dict[str, bytes]) -> float:
+    """Largest deviation between the two trees' output ``key``: 0 if byte-identical."""
+    old, new = before.get(key), after.get(key)
+    if old == new:
+        return 0.0
+    if old is None or new is None or key.endswith((".exit", ".stderr")):
+        return math.inf
+    try:
+        if key.endswith(".povm.json"):
+            return povm_deviation(json.loads(old), json.loads(new))
+        if key.endswith(".csv"):
+            return deviation(csv_values(old), csv_values(new))
+        return report_deviation(json.loads(old), json.loads(new))
+    except ValueError:
+        return math.inf
 
 
 def main() -> int:
@@ -112,10 +164,17 @@ def main() -> int:
         work = Path(tmp)
         counts = write_configs(parent, work)
         before, after = outputs(parent, work, counts), outputs(change, work, counts)
-    differ = sorted(k for k in before.keys() | after.keys() if not same(k, before, after))
+    deviations = {key: output_deviation(key, before, after)
+                  for key in sorted(before.keys() | after.keys())}
+    for key, dev in deviations.items():
+        if dev > 0.0:
+            print(f"{key}: largest deviation {dev:.1e}")
+    differ = [key for key, dev in deviations.items() if dev > TOL]
     for key in differ:
         print(f"differs: {key}")
-    print(f"{len(before)} outputs of {len(counts)} configs compared, {len(differ)} differ")
+    moved = sum(dev > 0.0 for dev in deviations.values())
+    print(f"{len(deviations)} outputs of {len(counts)} configs compared, "
+          f"{moved} not byte-identical, {len(differ)} differ")
     return 1 if differ else 0
 
 
