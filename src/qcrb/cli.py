@@ -31,9 +31,8 @@ from .conditions import SATURABLE_PROJECTIVE, UNDETERMINED, evaluate_conditions
 from .config import DEFAULT, Tolerances, parse_overrides
 from .errors import ConditionFailed, ParseError, QcrbError, SingularFisher
 from .estimate import SimConfig, fc_convergence_study, run_trials, study_csv
-from .model import StateModel, eval_bundle, load_model
+from .model import StateModel, eval_bundle, load_model, read_json
 from .povm import (
-    Povm,
     construct_optimal,
     make_povm,
     outcome_table,
@@ -113,7 +112,7 @@ def _factorization_order(model: StateModel, theta, dec) -> Optional[np.ndarray]:
 
 def _resolve_theta(model: StateModel, override) -> np.ndarray:
     if override is not None:
-        return np.asarray(override, dtype=float)
+        return linalg.from_json(override, (model.p,), "--theta")
     if model.default_theta is not None:
         return np.asarray(model.default_theta, dtype=float)
     raise ParseError("no theta: pass --theta or put a 'theta' entry in the model file")
@@ -121,23 +120,20 @@ def _resolve_theta(model: StateModel, override) -> np.ndarray:
 
 def _simulation_inputs(args, p: int, seed: int) -> tuple[SimConfig, Optional[tuple]]:
     """The simulate options as a trial config and, with --study, (direction, magnitudes)."""
-    for flag in ("delta", "direction"):
-        value = getattr(args, flag)
-        if value is not None and len(value) != p:
-            raise ParseError(f"--{flag} needs {p} values, got {len(value)}")
-    config = SimConfig(seed=seed, N=args.N, R=args.R, delta=tuple(args.delta or ()))
+    delta = () if args.delta is None else linalg.from_json(args.delta, (p,), "--delta").tolist()
+    config = SimConfig(seed=seed, N=args.N, R=args.R, delta=tuple(delta))
     if not args.study:
         return config, None
     try:
         magnitudes = [float(x) for x in args.study.split(",") if x]
     except ValueError as exc:
         raise ParseError(f"--study needs comma-separated numbers: {exc}") from exc
-    if not magnitudes:
-        raise ParseError("--study needs at least one magnitude")
-    direction = np.ones(p) if args.direction is None else np.asarray(args.direction, dtype=float)
+    magnitudes = linalg.from_json(magnitudes, (None,), "--study").tolist()
+    direction = (np.ones(p) if args.direction is None
+                 else linalg.from_json(args.direction, (p,), "--direction"))
     norm = float(np.linalg.norm(direction))
-    if norm == 0.0:
-        raise ParseError("--direction must be non-zero")
+    if not 0.0 < norm < math.inf:
+        raise ParseError(f"--direction must be non-zero with a finite norm, got norm {norm}")
     return config, (direction / norm, magnitudes)
 
 
@@ -176,16 +172,6 @@ def _write(path: str, text: str) -> None:
         raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
-def _load_povm_file(path: str, rho, dec, tol: Tolerances) -> tuple[Povm, list[str]]:
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ParseError(f"cannot read POVM file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"POVM file {path} is not valid JSON: {exc}") from exc
-    return make_povm(povm_from_json(obj), rho, dec, tol)
-
-
 def _run(args, tol: Tolerances, seed: int, warnings: list[str]) -> tuple[dict, int]:
     """The one pipeline behind every subcommand; returns the report sections and exit code.
 
@@ -214,7 +200,8 @@ def _run(args, tol: Tolerances, seed: int, warnings: list[str]) -> tuple[dict, i
                 f"classification is {conditions.classification}; nothing to construct")
         povm = construct_optimal(slds, conditions.c4, tol)
     else:
-        povm, flags = _load_povm_file(args.povm, bundle.rho, dec, tol)
+        source = povm_from_json(read_json(args.povm, "POVM file"))
+        povm, flags = make_povm(source, bundle.rho, dec, tol)
         warnings.extend(flags)
     if args.command == "simulate":
         report.update(_simulation_sections(model, povm, theta, bundle, dec, config, study, args, tol))

@@ -42,8 +42,9 @@ class SimConfig:
     delta: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.N < 1 or self.R < 2:
-            raise ParseError("need N >= 1 copies and R >= 2 trials")
+        # 2**63 bounds what the sampler's int64 counts can hold
+        if not (1 <= self.N < 2**63 and 2 <= self.R < 2**63):
+            raise ParseError("need 1 <= N < 2**63 copies and 2 <= R < 2**63 trials")
 
 
 # reported field by field: the order is the report's

@@ -34,6 +34,7 @@ from .errors import (
     NoConvergence,
     NotCommuting,
     NotHermitian,
+    ParseError,
 )
 
 Array = np.ndarray
@@ -286,22 +287,39 @@ def matrix_to_json(a) -> list:
     return np.stack((m.real, m.imag), axis=-1).tolist()
 
 
-def matrix_from_json(obj) -> Array:
-    """Inverse of :func:`matrix_to_json`, validating shape and finiteness.
+def from_json(value, shape: tuple, what: str, kind: type = float) -> Array:
+    """A JSON value as an array of ``shape``; ``None`` in ``shape`` matches any length >= 1.
 
-    Any malformed payload raises ValueError, an entry that is a JSON
-    boolean or string included.
+    Only JSON numbers pass, and only integers when ``kind`` is ``int``.  A
+    boolean (an int subclass), a string, a null, a ragged or misshapen
+    list, a non-finite value or an integer too large for ``kind`` raises a
+    ParseError that names ``what``.  The whole array is checked at once.
     """
-    raw = np.array(obj, dtype=object)
-    if raw.ndim != 3 or raw.shape[2] != 2:
-        raise ValueError("matrix JSON must be a non-empty list of rows of [re, im] pairs")
-    # bool is an int subclass and float() parses strings: only JSON numbers pass
-    if not {type(x) for x in raw.flat} <= {int, float}:
-        raise ValueError("matrix JSON entries must be numbers")
+    dims = str(tuple("n" if m is None else m for m in shape)).replace("'", "")
+    numbers = "integers" if kind is int else "finite numbers"
+    expected = f"{what}: expected {numbers} in shape {dims}"
+    raw = np.array(value, dtype=object)
+    fits = raw.ndim == len(shape) and all(n >= 1 and m in (None, n) for n, m in zip(raw.shape, shape))
+    if not fits:
+        raise ParseError(f"{expected}, got shape {raw.shape}")
+    wrong = {type(x) for x in raw.flat} - ({int} if kind is int else {int, float})
+    if wrong:
+        raise ParseError(f"{expected}, got {', '.join(sorted(t.__name__ for t in wrong))}")
     try:
-        parts = raw.astype(float)
+        out = raw.astype(kind)
     except OverflowError as exc:
-        raise ValueError(f"matrix JSON entry out of range: {exc}") from exc
+        raise ParseError(f"{expected}, got an integer out of range") from exc
+    if not np.isfinite(out).all():
+        raise ParseError(f"{expected}, got a non-finite value")
+    return out
+
+
+def matrix_from_json(obj, what: str = "matrix") -> Array:
+    """Inverse of :func:`matrix_to_json`, read by :func:`from_json`.
+
+    The parts are assigned, not summed as re + 1j im, so -0.0 round-trips.
+    """
+    parts = from_json(obj, (None, None, 2), what)
     out = np.empty(parts.shape[:2], dtype=complex)
     out.real, out.imag = parts[..., 0], parts[..., 1]
-    return as_matrix(out)
+    return out

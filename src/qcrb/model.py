@@ -369,46 +369,32 @@ def build_model(name: str, **constants) -> StateModel:
 # ---------------------------------------------------------------------------
 
 
-def _number(value, what: str) -> float:
-    # a JSON number only: bool is an int subclass, and float() parses strings
+_STENCIL_KEYS = {"model", "h", "center", "rho_center", "rho_plus", "rho_minus"}
+
+
+def read_json(path, what: str):
+    """The JSON value in the file at ``path``; any failure to read it is a ParseError."""
     try:
-        out = float(value) if type(value) in (int, float) else math.nan
-    except OverflowError:
-        out = math.nan
-    if not math.isfinite(out):
-        raise ParseError(f"{what} must be a finite number, got {value!r}")
-    return out
-
-
-def _as_complex(value) -> complex:
-    if isinstance(value, list) and len(value) == 2:
-        return complex(_number(value[0], "'d'"), _number(value[1], "'d'"))
-    return complex(_number(value, "'d' (a number or [re, im] pair)"))
-
-
-def _parse_theta(obj, p: int) -> Optional[tuple[float, ...]]:
-    theta = obj.get("theta")
-    if theta is None:
-        return None
-    if not isinstance(theta, list) or len(theta) != p:
-        raise ParseError(f"'theta' must be a list of {p} numbers")
-    return tuple(_number(t, "'theta' entry") for t in theta)
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ParseError(f"cannot read {what} {path}: {exc}") from exc
+    # ValueError covers JSONDecodeError and bytes that are not UTF-8;
+    # RecursionError, nesting too deep for the decoder
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
 def _make_stencil_model(obj: dict, tol: Tolerances) -> StateModel:
-    try:
-        h = _number(obj["h"], "stencil 'h'")
-        center = np.asarray([_number(t, "'center' entry") for t in obj["center"]], dtype=float)
-        rho_center = linalg.matrix_from_json(obj["rho_center"])
-        plus = obj["rho_plus"]
-        minus = obj["rho_minus"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad stencil config: {exc}") from exc
+    if obj.keys() != _STENCIL_KEYS:
+        raise ParseError(f"a stencil config has exactly the keys {sorted(_STENCIL_KEYS)}, "
+                         f"got {sorted(obj)}")
+    h = float(linalg.from_json(obj["h"], (), "stencil 'h'"))
     if h <= 0.0:
         raise ParseError("stencil step h must be positive")
+    center = linalg.from_json(obj["center"], (None,), "stencil 'center'")
+    rho_center = linalg.matrix_from_json(obj["rho_center"], "stencil 'rho_center'")
+    plus, minus = obj["rho_plus"], obj["rho_minus"]
     p = center.size
-    if p == 0:
-        raise ParseError("stencil 'center' must list at least one parameter")
     if not isinstance(plus, list) or not isinstance(minus, list) or len(plus) != p or len(minus) != p:
         raise StencilIncomplete(f"stencil needs {p} forward and {p} backward points")
     # the centre is gated where eval_bundle reads it; only the neighbours,
@@ -418,11 +404,8 @@ def _make_stencil_model(obj: dict, tol: Tolerances) -> StateModel:
     for l in range(p):
         step = np.zeros(p)
         step[l] = h
-        try:
-            hi = linalg.matrix_from_json(plus[l])
-            lo = linalg.matrix_from_json(minus[l])
-        except ValueError as exc:
-            raise ParseError(f"bad stencil matrix for parameter {l}: {exc}") from exc
+        hi = linalg.matrix_from_json(plus[l], f"stencil 'rho_plus' entry {l}")
+        lo = linalg.matrix_from_json(minus[l], f"stencil 'rho_minus' entry {l}")
         validate_state(hi, n_s, tol)
         validate_state(lo, n_s, tol)
         table[tuple(center + step)] = hi
@@ -458,8 +441,8 @@ def _make_stencil_model(obj: dict, tol: Tolerances) -> StateModel:
 
 def model_from_config(obj: dict, tol: Tolerances = DEFAULT) -> StateModel:
     """Build a model from a parsed config dict (see :func:`load_model`)."""
-    if not isinstance(obj, dict) or "model" not in obj:
-        raise ParseError("model config must be an object with a 'model' key")
+    if not isinstance(obj, dict) or not isinstance(obj.get("model"), str):
+        raise ParseError("model config must be an object with a string 'model' key")
     name = obj["model"]
     if name == "stencil":
         return _make_stencil_model(obj, tol)
@@ -471,21 +454,19 @@ def model_from_config(obj: dict, tol: Tolerances = DEFAULT) -> StateModel:
             continue
         if key not in _REGISTRY[name][1]:
             raise ParseError(f"model {name!r} does not take a constant {key!r}")
-        constants[key] = _as_complex(value) if key == "d" else _number(value, repr(key))
+        if key == "d" and isinstance(value, list):
+            constants[key] = complex(*linalg.from_json(value, (2,), "'d' as [re, im]"))
+        else:
+            constants[key] = float(linalg.from_json(value, (), repr(key)))
     built = build_model(name, **constants)
     box = built.box
     if "box" in obj:
-        raw = obj["box"]
-        if (
-            not isinstance(raw, list)
-            or len(raw) != built.p
-            or not all(isinstance(b, list) and len(b) == 2 for b in raw)
-        ):
-            raise ParseError(f"'box' must be a list of {built.p} [lo, hi] pairs")
-        box = tuple((_number(lo, "'box' entry"), _number(hi, "'box' entry")) for lo, hi in raw)
+        box = tuple(map(tuple, linalg.from_json(obj["box"], (built.p, 2), "'box'").tolist()))
         if any(not lo < hi for lo, hi in box):
             raise InvalidState("box intervals must be non-empty")
-    theta = _parse_theta(obj, built.p)
+    theta = obj.get("theta")
+    if theta is not None:
+        theta = tuple(linalg.from_json(theta, (built.p,), "'theta'").tolist())
     built = replace(built, box=box, default_theta=theta)
     if theta is not None and not in_box(built, np.asarray(theta)):
         raise OutOfDomain(f"config theta {list(theta)} lies outside the box")
@@ -494,14 +475,7 @@ def model_from_config(obj: dict, tol: Tolerances = DEFAULT) -> StateModel:
 
 def load_model(path, tol: Tolerances = DEFAULT) -> StateModel:
     """Load a model from a JSON config file."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-        obj = json.loads(text)
-    except OSError as exc:
-        raise ParseError(f"cannot read model file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"model file {path} is not valid JSON: {exc}") from exc
-    return model_from_config(obj, tol)
+    return model_from_config(read_json(path, "model file"), tol)
 
 
 def stencil_payload(model: StateModel, theta, h: float) -> dict:

@@ -397,18 +397,18 @@ def povm_from_json(obj) -> "Frame | list[Array]":
     """The :class:`Frame` or the effect matrices a POVM file's object holds.
 
     The object has either ``frame`` and ``ranks`` (as :func:`povm_to_json`
-    writes them) or ``effects``, for a POVM that need not be projective.
+    writes them) or ``effects``, for a POVM that need not be projective,
+    and no other key.
     """
     if not isinstance(obj, dict) or ("frame" in obj) == ("effects" in obj):
         raise InvalidPovm("POVM JSON must be an object with either a 'frame' or an 'effects' key")
-    ranks, effects = obj.get("ranks"), obj.get("effects")
-    if "frame" in obj and not (isinstance(ranks, list) and all(type(r) is int for r in ranks)):
-        raise ParseError(f"POVM 'ranks' must be a list of integers, got {ranks!r}")
-    if "effects" in obj and not (isinstance(effects, list) and effects):
+    keys = {"frame", "ranks"} if "frame" in obj else {"effects"}
+    if not obj.keys() <= keys:
+        raise ParseError(f"a POVM file takes only the keys {sorted(keys)}, got {sorted(obj)}")
+    if "frame" in obj:
+        ranks = linalg.from_json(obj.get("ranks"), (None,), "POVM 'ranks'", kind=int)
+        return Frame(linalg.matrix_from_json(obj["frame"], "POVM 'frame'"), tuple(ranks.tolist()))
+    effects = obj["effects"]
+    if not (isinstance(effects, list) and effects):
         raise InvalidPovm("POVM 'effects' must be a non-empty list")
-    try:
-        if "frame" in obj:
-            return Frame(linalg.matrix_from_json(obj["frame"]), tuple(ranks))
-        return [linalg.matrix_from_json(e) for e in effects]
-    except ValueError as exc:
-        raise ParseError(f"bad POVM matrix: {exc}") from exc
+    return [linalg.matrix_from_json(e, f"POVM effect {k}") for k, e in enumerate(effects)]

@@ -11,18 +11,22 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import qcrb
 from qcrb import cli
 from qcrb import linalg as qlinalg
 from qcrb.cli import main
 from qcrb.config import Tolerances
+from qcrb.model import build_model, stencil_payload
 
 from conftest import WORKING_POINTS
 
 SCHEMA = json.loads(
     (Path(qcrb.__file__).parent / "report_schema.json").read_text(encoding="utf-8")
 )
+VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)   # checks the schema once
 
 
 @pytest.fixture()
@@ -78,6 +82,15 @@ class TestAnalyze:
     def test_malformed_file(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{oops", encoding="utf-8")
+        code, report = run_to_file(tmp_path, ["analyze", str(bad)])
+        assert code == 1
+        assert report["error"]["type"] == "ParseError"
+
+    @pytest.mark.parametrize("content", [b"\xff{}", b"[" * 100_000 + b"]" * 100_000],
+                             ids=["not-utf-8", "nested-too-deep"])
+    def test_undecodable_file(self, tmp_path, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
         code, report = run_to_file(tmp_path, ["analyze", str(bad)])
         assert code == 1
         assert report["error"]["type"] == "ParseError"
@@ -478,6 +491,31 @@ def _identity_with(entry) -> dict:
                  id="stencil-center-not-finite"),
     pytest.param({**STENCIL, "center": [], "rho_plus": [], "rho_minus": []}, None, ["analyze"],
                  id="stencil-no-parameters"),
+    pytest.param({"model": ["x"]}, None, ["analyze"], id="model-name-a-list"),
+    pytest.param({"model": {"a": 1}}, None, ["analyze"], id="model-name-an-object"),
+    pytest.param({**STENCIL, "junk": 1}, None, ["analyze"], id="stencil-unknown-key"),
+    pytest.param({**STENCIL, "theta": [0.2]}, None, ["analyze"], id="stencil-theta-key"),
+    pytest.param(GOOD, {"effects": [EYE], "ranks": [1]}, ["verify"], id="effects-file-with-ranks"),
+    pytest.param(GOOD, None, ["analyze", "--theta", "nan", "0.5"], id="theta-flag-not-finite"),
+    pytest.param(GOOD, None, ["analyze", "--theta", "0.5"], id="theta-flag-not-p-long"),
+    pytest.param(GOOD, {"effects": [EYE]}, ["simulate", "--delta", "inf", "0"],
+                 id="delta-not-finite"),
+    pytest.param(GOOD, {"effects": [EYE]}, ["simulate", "--study", "1e-2,nan"],
+                 id="study-not-finite"),
+    pytest.param(GOOD, {"effects": [EYE]},
+                 ["simulate", "--study", "1e-2", "--direction", "nan", "1"],
+                 id="direction-not-finite"),
+    pytest.param(GOOD, {"effects": [EYE]},
+                 ["simulate", "--study", "1e-2", "--direction", "1e308", "1e308"],
+                 id="direction-norm-overflows"),
+    # values of 2**63 and above fail before anything is allocated; a large R
+    # that fits in int64 would allocate R x K counts
+    pytest.param(GOOD, {"effects": [EYE]}, ["simulate", "--N", str(2**63), "--R", "2"],
+                 id="copies-out-of-range"),
+    pytest.param(GOOD, {"effects": [EYE]}, ["simulate", "--N", "99999999999999999999"],
+                 id="copies-beyond-int64"),
+    pytest.param(GOOD, {"effects": [EYE]}, ["simulate", "--R", str(2**63)],
+                 id="trials-out-of-range"),
 ])
 def test_malformed_input_gives_an_error_report(tmp_path, config, povm_file, argv):
     model_path = tmp_path / "model.json"
@@ -506,6 +544,7 @@ def _ex2_frame_file(**change) -> dict:
     pytest.param(_ex2_frame_file(ranks=[True, 2]), "ParseError", id="rank-a-bool"),
     pytest.param(_ex2_frame_file(ranks=[1.0, 2]), "ParseError", id="rank-a-float"),
     pytest.param(_ex2_frame_file(effects=[EYE]), "InvalidPovm", id="frame-and-effects"),
+    pytest.param(_ex2_frame_file(junk=1), "ParseError", id="unknown-key"),
     pytest.param({"ranks": [3]}, "InvalidPovm", id="neither-key"),
     pytest.param(_ex2_frame_file(frame=qlinalg.matrix_to_json(np.eye(2))), "InvalidPovm",
                  id="frame-not-n_s"),
@@ -522,6 +561,67 @@ def _write_povm(tmp_path, payload: dict) -> str:
     path = tmp_path / "povm.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
     return str(path)
+
+
+# arbitrary small JSON values; NaN and Infinity are written as the tokens
+# Python's json module reads back
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=10,
+)
+EX2_FULL = {**GOOD, "d": [0.6, 0], "c1": 1, "c2": 2, "box": [[0, 1], [0, 1]]}
+EX2_STENCIL = stencil_payload(build_model("example2"), [0.25, 0.5], 1e-5)
+_DROP = object()
+
+
+def _mutated(base: dict):
+    """``base`` with one to three keys, known or new, set to a JSON value or dropped."""
+    edit = st.tuples(st.sampled_from(sorted(base)) | st.text(max_size=6),
+                     JSON_VALUES | st.just(_DROP))
+
+    def apply(edits) -> dict:
+        out = dict(base)
+        for key, value in edits:
+            if value is _DROP:
+                out.pop(key, None)
+            else:
+                out[key] = value
+        return out
+
+    return st.lists(edit, min_size=1, max_size=3).map(apply)
+
+
+# (model config, POVM file): one of the two arbitrary or mutated, the other valid
+INPUTS = st.one_of(
+    st.tuples(JSON_VALUES, st.just({"effects": [EYE]})),
+    st.tuples(_mutated(EX2_FULL), st.just({"effects": [EYE]})),
+    st.tuples(_mutated(EX2_STENCIL), st.just({"effects": [EYE]})),
+    st.tuples(st.just(GOOD), JSON_VALUES),
+    st.tuples(st.just(GOOD), _mutated({"effects": [EYE]})),
+    st.tuples(st.just(GOOD), _mutated(_ex2_frame_file())),
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(command=st.sampled_from(["analyze", "construct", "verify", "simulate"]), inputs=INPUTS)
+def test_any_input_gives_a_report_and_an_exit_code(tmp_path, command, inputs):
+    # every file is rewritten for each example, so the shared tmp_path holds no state
+    config, povm_file = inputs
+    model_path, povm_path, report = (tmp_path / name for name in ("m.json", "p.json", "r.json"))
+    model_path.write_text(json.dumps(config), encoding="utf-8")
+    povm_path.write_text(json.dumps(povm_file), encoding="utf-8")
+    report.unlink(missing_ok=True)
+    files = [str(model_path)] + ([str(povm_path)] if command in ("verify", "simulate") else [])
+    options = {"construct": ["--report", str(report)],
+               "simulate": ["--R", "3", "--N", "5", "--out", str(report)]}
+    code = main([command, *files, *options.get(command, ["--out", str(report)])])
+    written = json.loads(report.read_text(encoding="utf-8"))
+    VALIDATOR.validate(written)
+    assert code in (0, 1, 2, 3)
+    assert written["exit_code"] == code
 
 
 @pytest.mark.parametrize("argv, reported", [

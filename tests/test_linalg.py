@@ -8,6 +8,7 @@ from qcrb.errors import (
     NoConvergence,
     NotCommuting,
     NotHermitian,
+    ParseError,
 )
 
 from util import charpoly_roots, pauli, random_hermitian, random_unitary
@@ -236,9 +237,9 @@ class TestSerialization:
         assert back.view(np.uint64).tobytes() == a.view(np.uint64).tobytes()
 
     def test_rejects_ragged(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             linalg.matrix_from_json([[[1.0, 0.0]], [[1.0, 0.0], [2.0, 0.0]]])
 
     def test_rejects_non_pairs(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             linalg.matrix_from_json([[1.0, 2.0]])
