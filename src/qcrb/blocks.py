@@ -2,9 +2,10 @@
 
 The support of rho induces a split of the Hilbert space into range and
 null subspaces; any operator then has four blocks (++, +0, 0+, 00) with
-respect to that split.  The gauge of the bases is fixed deterministically
-(descending eigenvalue, largest entry real positive, lexicographic order
-inside degenerate eigenspaces) so repeated runs produce identical output.
+respect to that split.  The range basis is rho's eigenvectors in
+descending eigenvalue order, each with its largest entry real positive,
+so that rho V = V diag(q); inside a degenerate eigenspace the basis is
+the one ``eigh`` returns, which is deterministic for a given input.
 """
 
 from __future__ import annotations
@@ -48,24 +49,6 @@ class BlockView(NamedTuple):
     ozz: Array
 
 
-def _lex_key(col: Array) -> tuple:
-    return tuple(x for z in col for x in (round(z.real, 12), round(z.imag, 12)))
-
-
-def _order_degenerate(vectors: Array, values: Array, width: float) -> Array:
-    """Within clusters of equal eigenvalue, sort columns lexicographically."""
-    out = vectors.copy()
-    start = 0
-    n = values.size
-    for end in range(1, n + 1):
-        if end == n or abs(values[end] - values[start]) > width:
-            if end - start > 1:
-                cols = sorted(range(start, end), key=lambda j: _lex_key(out[:, j]), reverse=True)
-                out[:, start:end] = out[:, cols]
-            start = end
-    return out
-
-
 def decompose(rho, tol: Tolerances = DEFAULT,
               spectrum: linalg.HermEigen | None = None) -> BlockDecomposition:
     """Split rho into range and null subspaces.
@@ -105,11 +88,8 @@ def decompose(rho, tol: Tolerances = DEFAULT,
                 f"spectral gap ratio {smallest_kept / largest_dropped:.3e} below {tol.gap:.1e}"
             )
 
-    order = np.argsort(eig.values[kept], kind="stable")[::-1]
-    q = eig.values[kept][order]
-    v = eig.vectors[:, kept][:, order]
-    width = tol.rank * (1.0 + float(q[0]))
-    v = _order_degenerate(v, q, width)
+    q = eig.values[kept][::-1]             # eigh's values ascend
+    v = eig.vectors[:, kept][:, ::-1]
     y = eig.vectors[:, ~kept]
     qsum = float(np.sum(q))
     if abs(qsum - 1.0) > 1e-9:

@@ -4,7 +4,8 @@ Every verdict produced by this package is gated by one of the values
 below.  They are all overridable (CLI ``--tol name=value``) and every
 report echoes the table that was actually used, so numerical decisions
 stay auditable.  Unless stated otherwise a tolerance is applied
-relative to ``1 + ||.||_F`` of the operands.
+relative to ``1 + ||.||_F`` of the operands.  No CLI run reads the
+finite-difference step ``h`` or condition 2's PDE gate, so neither is here.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .errors import ParseError
 class Tolerances(NamedTuple):
     herm: float = 1e-10          # hermiticity gate
     diag: float = 1e-8           # off-diagonal mass after joint diagonalization
-    comm: float = 1e-8           # commutativity gate for joint diagonalization
     sv: float = 1e-8             # relative singular-value truncation in pinv
     state: float = 1e-10         # density-matrix invariants
     trace: float = 1e-7          # trace of state derivatives
@@ -27,15 +27,12 @@ class Tolerances(NamedTuple):
     nullblock: float = 1e-6      # allowed null-null mass of state derivatives
     cond: float = 1e-8           # condition residuals (commutators, effect constants)
     c4: float = 1e-8             # column-proportionality residuals
-    consistency: float = 1e-6    # |c_lm * c_ml - 1| gate for paired constants
     zero: float = 1e-8           # "this block/column is zero" threshold
     prob: float = 1e-10          # regular/null outcome probability threshold
     povm: float = 1e-9           # POVM completeness and PSD slack
     projective: float = 1e-8     # E^2 = E per effect (completeness implies orthogonality)
     cluster: float = 1e-7        # joint-eigenvalue clustering width
-    pde: float = 1e-5            # residual gate for the frame-change PDE (FD-limited)
     sat: float = 1e-7            # saturation identity gates
-    fd_step: float = 1e-5        # default central-difference step
     fisher_cond: float = 1e12    # max condition number of an invertible Fisher matrix
 
 

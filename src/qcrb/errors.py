@@ -17,10 +17,6 @@ class NoConvergence(QcrbError):
     """LAPACK reported that a factorization did not converge."""
 
 
-class NotCommuting(QcrbError):
-    """A family passed for joint diagonalization does not commute."""
-
-
 class DegeneracyUnresolved(QcrbError):
     """Joint diagonalization could not split a degenerate subspace."""
 

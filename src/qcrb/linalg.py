@@ -31,8 +31,8 @@ from .config import DEFAULT, Tolerances
 from .errors import (
     DegeneracyUnresolved,
     DimensionMismatch,
+    InvalidState,
     NoConvergence,
-    NotCommuting,
     NotHermitian,
     ParseError,
 )
@@ -41,12 +41,12 @@ Array = np.ndarray
 
 
 def as_matrix(a) -> Array:
-    """Coerce to a 2-d complex array, rejecting non-finite entries."""
+    """Coerce to a 2-d complex array; a non-finite entry (overflow) is InvalidState."""
     m = np.array(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise DimensionMismatch(f"expected a non-empty 2-d array, got shape {np.shape(a)}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-        raise ValueError("matrix has non-finite entries")
+    if not np.isfinite(m).all():
+        raise InvalidState("matrix has non-finite entries")
     return m
 
 
@@ -174,6 +174,10 @@ def real_ratio(u: Array, v: Array, zero: float,
     c = Re<v,u>/|v|^2, residual = |u - c v| / max(|u|, |v|), imag =
     |Im<v,u>|/|v|^2, and ok when both are within ``gate``.  When exactly one
     of them is zero, c is NaN, the residual is 1 and the pair fails.
+
+    The two orders of a pair agree: with c' the constant of ``v ~ c' u``,
+    1 - c c' = |u - c v|^2/|u|^2 = |v - c' u|^2/|v|^2, so when both fits
+    pass, 0 <= 1 - c c' <= gate^2.
     """
     nu, nv = fro(u), fro(v)
     if max(nu, nv) <= zero:
@@ -243,8 +247,9 @@ def simultaneous_diagonalize(family, tol: Tolerances = DEFAULT) -> tuple[Array, 
 
     Operator 0 is diagonalized first; each following operator is then
     diagonalized inside every cluster of equal eigenvalues that the
-    operators before it left.  Raises DegeneracyUnresolved when the result
-    still leaves some member off-diagonal.
+    operators before it left.  Commutation is not gated separately (both
+    callers gate it first): a family that does not commute leaves some
+    member off-diagonal, and that raises DegeneracyUnresolved.
     """
     mats = [require_hermitian(m, tol.herm) for m in family]
     if not mats:
@@ -253,11 +258,6 @@ def simultaneous_diagonalize(family, tol: Tolerances = DEFAULT) -> tuple[Array, 
     for mat in mats:
         if mat.shape != (n, n):
             raise DimensionMismatch("family members differ in dimension")
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            scale = 1.0 + fro(mats[i]) * fro(mats[j])
-            if comm_norm(mats[i], mats[j]) > tol.comm * scale:
-                raise NotCommuting(f"operators {i} and {j} do not commute")
 
     eig = herm_eigen(mats[0])
     u = eig.vectors

@@ -111,7 +111,7 @@ def _fd_derivative(model: StateModel, theta: Array, l: int, h: float) -> Array:
 def eval_bundle(
     model: StateModel,
     theta,
-    h: Optional[float] = None,
+    h: float = 1e-5,
     *,
     use_analytic: bool = True,
     tol: Tolerances = DEFAULT,
@@ -123,7 +123,6 @@ def eval_bundle(
     then sit at least ``h`` inside the box).  ``use_analytic=False``
     forces the finite-difference route, as a reference for the analytic one.
     """
-    h = tol.fd_step if h is None else float(h)
     if h <= 0.0:
         raise ValueError("finite-difference step must be positive")
     use_fd = model.deriv is None or not use_analytic

@@ -82,8 +82,7 @@ def with_lzz(slds: SldSet, lzz_list) -> SldSet:
 def sld_offdiag_from_factorization(
     model: StateModel,
     theta,
-    h: float | None = None,
-    tol: Tolerances = DEFAULT,
+    h: float = 1e-5,
 ) -> list[Array]:
     """+0 SLD blocks computed as 2 (d_l V)^dag Y in the factorization frame.
 
@@ -94,7 +93,6 @@ def sld_offdiag_from_factorization(
     if model.factorization is None:
         raise NoFactorization(f"model {model.name!r} exposes no factorization")
     theta = np.asarray(theta, dtype=float)
-    h = tol.fd_step if h is None else float(h)
     v, y, _ = model.factorization(theta)
     out = []
     for l in range(model.p):

@@ -87,6 +87,13 @@ class TestDecompose:
         d2 = blocks.decompose(rho)
         assert np.array_equal(d1.V, d2.V)
 
+    def test_range_vectors_keep_their_weights_in_a_near_degenerate_spectrum(self):
+        # the two top weights lie inside one tol.rank (1 + q_0) wide cluster
+        for seed in range(40):
+            rho = _state_with_spectrum([0.4 + 3e-9, 0.4, 0.2 - 3e-9], seed=seed)
+            dec = blocks.decompose(rho)
+            assert linalg.fro(rho @ dec.V - dec.V * dec.q) <= 1e-12
+
 
 class TestBlockView:
     def test_block_of_rho_is_diagonal(self, example2):

@@ -59,7 +59,7 @@ def run_to_file(tmp_path, args):
     out = tmp_path / "report.json"
     code = main(args + ["--out", str(out)])
     report = json.loads(out.read_text(encoding="utf-8"))
-    jsonschema.validate(report, SCHEMA)
+    VALIDATOR.validate(report)
     assert report["exit_code"] == code
     return code, report
 
@@ -111,7 +111,7 @@ class TestAnalyze:
     def test_stdout_default(self, ex2_file, capsys):
         code = main(["analyze", ex2_file])
         report = json.loads(capsys.readouterr().out)
-        jsonschema.validate(report, SCHEMA)
+        VALIDATOR.validate(report)
         assert code == 0
 
     def test_deterministic_output(self, tmp_path, ex2_file):
@@ -152,7 +152,7 @@ class TestConstruct:
         )
         assert code == 0
         report = json.loads(report_path.read_text())
-        jsonschema.validate(report, SCHEMA)
+        VALIDATOR.validate(report)
         assert report["saturation"]["passed"] is True
         assert report["optimality"]["passed"] is True
         payload = json.loads(povm_path.read_text())
@@ -171,7 +171,7 @@ class TestConstruct:
         assert "frame" not in json.loads(report_path.read_text())["povm"]
         assert main(["construct", ex2_file]) == 0
         printed = json.loads(capsys.readouterr().out)
-        jsonschema.validate(printed, SCHEMA)
+        VALIDATOR.validate(printed)
         povm = printed["povm"]
         assert json.loads(text) == {"frame": povm["frame"], "ranks": povm["ranks"]}
 
@@ -193,7 +193,7 @@ class TestConstruct:
         )
         assert code == 2
         report = json.loads(report_path.read_text())
-        jsonschema.validate(report, SCHEMA)
+        VALIDATOR.validate(report)
         assert report["error"]["type"] == "ConditionFailed"
 
 
@@ -264,7 +264,7 @@ def test_verify_reads_back_the_povm_construct_checked(tmp_path, monkeypatch, nam
     code = main(["construct", str(model_path), "--out", str(povm_path),
                  "--report", str(tmp_path / "construct.json")])
     constructed = json.loads((tmp_path / "construct.json").read_text())
-    jsonschema.validate(constructed, SCHEMA)
+    VALIDATOR.validate(constructed)
     if name in ("qubit_xy", "pure_state"):
         assert code in (2, 3) and not povm_path.exists()
         return
@@ -447,6 +447,15 @@ class TestUsage:
         assert code == 1
         assert report["error"]["type"] == "ParseError"
 
+    def test_overflowing_model_constants_are_an_invalid_state(self, tmp_path):
+        # finite constants whose phase c1 theta1 + c2 theta2 overflows to inf
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"model": "example2", "c1": 1e308, "c2": 1e308,
+                                    "theta": [0.9, 0.9]}), encoding="utf-8")
+        code, report = run_to_file(tmp_path, ["analyze", str(path)])
+        assert code == 1
+        assert report["error"]["type"] == "InvalidState"
+
 
 GOOD = {"model": "example2", "theta": [0.25, 0.5]}
 EYE = [[[1.0, 0.0] if i == j else [0.0, 0.0] for j in range(3)] for i in range(3)]
@@ -476,7 +485,8 @@ def _identity_with(entry) -> dict:
     pytest.param({**GOOD, "d": [0.6, False]}, None, ["analyze"], id="complex-part-a-bool"),
     pytest.param({**GOOD, "c1": "1.5"}, None, ["analyze"], id="constant-a-string"),
     pytest.param({**GOOD, "c1": 10**400}, None, ["analyze"], id="constant-out-of-range"),
-    pytest.param(GOOD, None, ["analyze", "--tol", "fd_step=0"], id="zero-fd-step"),
+    pytest.param(GOOD, None, ["analyze", "--tol", "cond=0"], id="zero-tolerance"),
+    pytest.param(GOOD, None, ["analyze", "--tol", "consistency=1e-6"], id="removed-tolerance"),
     pytest.param(GOOD, {"effects": [EYE]}, ["simulate", "--delta", "0.01"], id="delta-not-p-long"),
     pytest.param(GOOD, {"effects": [EYE]},
                  ["simulate", "--study", "1e-2", "--direction", "1", "0", "0"],
@@ -645,7 +655,7 @@ def test_an_unwritable_output_path_exits_1_without_a_traceback(tmp_path, ex2_fil
     assert code == 1
     if reported:
         written = json.loads(report.read_text(encoding="utf-8"))
-        jsonschema.validate(written, SCHEMA)
+        VALIDATOR.validate(written)
         assert written["exit_code"] == 1
         assert written["error"]["type"] == "ParseError"
         assert captured.err == ""

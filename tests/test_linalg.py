@@ -4,9 +4,9 @@ import pytest
 from qcrb import linalg
 from qcrb.config import DEFAULT
 from qcrb.errors import (
+    DegeneracyUnresolved,
     DimensionMismatch,
     NoConvergence,
-    NotCommuting,
     NotHermitian,
     ParseError,
 )
@@ -138,7 +138,8 @@ class TestSimultaneousDiagonalize:
         assert np.allclose(joint[:, 0], [-1.0, 1.0], atol=1e-10)
 
     def test_non_commuting_rejected(self):
-        with pytest.raises(NotCommuting):
+        # no commutation pre-gate: the family is left off-diagonal
+        with pytest.raises(DegeneracyUnresolved):
             linalg.simultaneous_diagonalize([pauli("x"), pauli("y")])
 
     @pytest.mark.parametrize("seed", range(6))
@@ -203,6 +204,24 @@ class TestCommNorm:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             linalg.comm_norm(np.eye(2), np.eye(3))
+
+
+class TestRealRatio:
+    @pytest.mark.parametrize("gate", [1e-8, 1e-4, 1e-2])
+    def test_both_orders_passing_bound_the_paired_constants(self, gate):
+        # 1 - c_lm c_ml is the squared relative residual of either ordered fit
+        rng = np.random.default_rng(23)
+        checked = 0
+        for _ in range(500):
+            v = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+            w = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+            u = rng.normal() * v + 2.0 * gate * rng.uniform() * linalg.fro(v) * w / linalg.fro(w)
+            c_lm, _, _, ok_lm = linalg.real_ratio(u, v, DEFAULT.zero, gate)
+            c_ml, _, _, ok_ml = linalg.real_ratio(v, u, DEFAULT.zero, gate)
+            if ok_lm and ok_ml:
+                checked += 1
+                assert abs(c_lm * c_ml - 1.0) <= gate ** 2 + 1e-14
+        assert 50 <= checked < 500
 
 
 class TestSerialization:
