@@ -131,7 +131,8 @@ def _simulation_inputs(args, p: int, seed: int) -> tuple[SimConfig, Optional[tup
     magnitudes = linalg.from_json(magnitudes, (None,), "--study").tolist()
     direction = (np.ones(p) if args.direction is None
                  else linalg.from_json(args.direction, (p,), "--direction"))
-    norm = float(np.linalg.norm(direction))
+    with np.errstate(over="ignore"):   # an overflowing norm is the error below
+        norm = float(np.linalg.norm(direction))
     if not 0.0 < norm < math.inf:
         raise ParseError(f"--direction must be non-zero with a finite norm, got norm {norm}")
     return config, (direction / norm, magnitudes)

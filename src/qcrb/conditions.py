@@ -75,36 +75,32 @@ class ConditionReport(NamedTuple):
     classification: str
 
 
+def _worst_pair(mats, defect: Callable[[Array, Array], float]) -> float:
+    """Largest defect(a, b) / (1 + ||a|| ||b||) over the pairs a, b of ``mats``."""
+    return max((defect(a, b) / (1.0 + linalg.fro(a) * linalg.fro(b))
+                for a, b in itertools.combinations(mats, 2)), default=0.0)
+
+
 def check_condition1(slds: SldSet, tol: Tolerances = DEFAULT) -> Verdict:
     """Pairwise commutators of the ++ blocks, normalized."""
-    worst = 0.0
-    for l in range(slds.p):
-        for m in range(l + 1, slds.p):
-            scale = 1.0 + linalg.fro(slds.Lpp[l]) * linalg.fro(slds.Lpp[m])
-            worst = max(worst, linalg.comm_norm(slds.Lpp[l], slds.Lpp[m]) / scale)
+    worst = _worst_pair(slds.Lpp, linalg.comm_norm)
     return Verdict(passed=worst <= tol.cond, residual=worst)
 
 
 def check_condition3(slds: SldSet, tol: Tolerances = DEFAULT) -> Verdict:
     """Hermiticity of Lpz_l Lpz_m^dag for all pairs; vacuous when r0 = 0."""
-    worst = 0.0
-    for l in range(slds.p):
-        for m in range(l + 1, slds.p):
-            cross = slds.Lpz[l] @ linalg.dag(slds.Lpz[m]) - slds.Lpz[m] @ linalg.dag(slds.Lpz[l])
-            scale = 1.0 + linalg.fro(slds.Lpz[l]) * linalg.fro(slds.Lpz[m])
-            worst = max(worst, linalg.fro(cross) / scale)
+    worst = _worst_pair(slds.Lpz, lambda a, b: linalg.fro(a @ linalg.dag(b) - b @ linalg.dag(a)))
     return Verdict(passed=worst <= tol.cond, residual=worst)
 
 
 def verify_W(slds: SldSet, w: Array, tol: Tolerances = DEFAULT) -> tuple[Verdict, Array]:
     """Check column-wise real proportionality of the Lpz blocks under W.
 
-    Each column s and ordered pair (l, m) goes through
-    :func:`linalg.real_ratio` at ``tol.zero`` and ``tol.c4``: both columns
-    vanishing passes unconstrained, exactly one vanishing fails, otherwise
-    the ratio must be real and the relative residual small.  Returns the
-    verdict and the lam table (p x p x r0, NaN where unconstrained, 1 on
-    the diagonal).
+    Each column s goes through :func:`linalg.ratio_table` at ``tol.zero``
+    and ``tol.c4``: a pair whose columns both vanish is unconstrained, one
+    with exactly one vanishing fails, otherwise the ratio must be real and
+    the relative residual small.  Returns the verdict and the lam table
+    (p x p x r0, NaN where unconstrained, 1 on the diagonal).
     """
     w = linalg.as_matrix(w)
     r0 = slds.dec.r_zero
@@ -113,20 +109,12 @@ def verify_W(slds: SldSet, w: Array, tol: Tolerances = DEFAULT) -> tuple[Verdict
     if not linalg.is_unitary(w):
         raise NotUnitary("W is not unitary within 1e-8")
 
-    p = slds.p
-    cols = [slds.Lpz[l] @ w for l in range(p)]
-    lam = np.full((p, p, r0), np.nan)
-    for l in range(p):
-        lam[l, l, :] = 1.0
-    worst = 0.0
-    passed = True
+    cols = [lpz @ w for lpz in slds.Lpz]
+    lam = np.full((slds.p, slds.p, r0), np.nan)
+    worst, passed = 0.0, True
     for s in range(r0):
-        for l, m in itertools.permutations(range(p), 2):
-            fit = linalg.real_ratio(cols[l][:, s], cols[m][:, s], tol.zero, tol.c4)
-            if fit is not None:
-                lam[l, m, s], resid, imag, ok = fit
-                worst = max(worst, resid, imag)
-                passed = passed and ok
+        lam[:, :, s], resid, imag, ok = linalg.ratio_table([c[:, s] for c in cols], tol.zero, tol.c4)
+        worst, passed = max(worst, resid, imag), passed and ok
     return Verdict(passed=passed, residual=worst), lam
 
 
@@ -173,12 +161,9 @@ def find_W(slds: SldSet, tol: Tolerances = DEFAULT) -> WCandidate:
             note="all off-diagonal blocks vanish",
         )
 
-    stacked = np.vstack(slds.Lpz)
-    _, svals, vh = linalg.svd(stacked)
-    kernel_mask = svals <= tol.zero * svals[0]
-    v_full = linalg.dag(vh)
-    kernel = v_full[:, kernel_mask]
-    coimage = v_full[:, ~kernel_mask]
+    _, svals, vh = linalg.svd(np.vstack(slds.Lpz))
+    rank = int(np.sum(svals > tol.zero * svals[0]))
+    coimage, kernel = linalg.dag(vh[:rank]), linalg.dag(vh[rank:])
 
     ref = int(np.argmax(norms))
     base = slds.Lpz[ref] @ coimage

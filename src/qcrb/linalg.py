@@ -10,8 +10,9 @@ the gauge that make their output deterministic:
   an eigenvalue is accurate to about n*eps*||A|| in absolute terms, not
   relative to its own size; callers that cut a spectrum at a threshold
   must treat values within that band of it as ambiguous.
-* SVD (``svd``) with the full right basis, and the Moore-Penrose
-  pseudoinverse built on it with relative singular-value truncation.
+* SVD (``svd``) and the Moore-Penrose pseudoinverse (``pinv``) with
+  relative singular-value truncation: plain ``numpy.linalg`` calls that
+  map a LAPACK failure to NoConvergence.
 * Joint diagonalization of a commuting Hermitian family, one operator at
   a time inside the degenerate eigenspaces the operators before it left;
   the result depends only on the family.
@@ -22,6 +23,7 @@ Matrices serialize to JSON as arrays of rows, each entry a two-element
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple
 
@@ -59,11 +61,6 @@ def fro(a: Array) -> float:
     return float(math.sqrt(float((np.abs(a) ** 2).sum())))
 
 
-def hs_inner(a: Array, b: Array) -> complex:
-    """Hilbert-Schmidt inner product tr(a^dag b)."""
-    return complex((a.conj() * b).sum())
-
-
 def herm_defect(a: Array) -> float:
     """Relative deviation from hermiticity, ||A - A^dag|| / (1 + ||A||)."""
     return fro(a - dag(a)) / (1.0 + fro(a))
@@ -82,11 +79,6 @@ def is_unitary(u: Array) -> bool:
     """Whether ``u`` is square, r x r, with ||u^dag u - I||_F <= 1e-8 (1 + r)."""
     r = u.shape[0]
     return u.shape == (r, r) and fro(dag(u) @ u - np.eye(r)) <= 1e-8 * (1.0 + r)
-
-
-def offdiag_norm(a: Array) -> float:
-    off = a - np.diag(np.diag(a))
-    return fro(off)
 
 
 def fix_phases(v: Array) -> Array:
@@ -120,40 +112,25 @@ def herm_eigen(a, tol: Tolerances = DEFAULT) -> HermEigen:
 
 
 def svd(a) -> tuple[Array, Array, Array]:
-    """Singular value decomposition by LAPACK (``numpy.linalg.svd``).
-
-    Returns (U, s, Vh) with U of shape m x n, s descending and zero-padded
-    to length n, and the full right basis (Vh is n x n, including the
-    kernel).  Columns of U beyond min(m, n) are zero.
-    """
-    a = as_matrix(a)
-    m, n = a.shape
+    """``numpy.linalg.svd``: (U, s, Vh) with s descending and the full bases."""
     try:
-        u, s, vh = np.linalg.svd(a, full_matrices=m < n)
+        return np.linalg.svd(as_matrix(a))
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"svd did not converge: {exc}") from exc
-    if m < n:
-        u = np.hstack([u, np.zeros((m, n - m), dtype=complex)])
-        s = np.concatenate([s, np.zeros(n - m)])
-    return u, s, vh
 
 
 def pinv(a, sv_cut: float = DEFAULT.sv) -> Array:
-    """Moore-Penrose pseudoinverse with relative singular-value truncation.
+    """``numpy.linalg.pinv``: singular values at or below ``sv_cut * s_max`` count as zero.
 
-    Singular values below ``sv_cut * s_max`` are treated as zero; the zero
-    matrix maps to the zero matrix.
+    The zero matrix maps to the zero matrix.
     """
     if not sv_cut > 0.0:
         raise ValueError("sv_cut must be positive")
-    a = as_matrix(a)
-    m, n = a.shape
-    u, s, vh = svd(a)
-    if s[0] <= 0.0:
-        return np.zeros((n, m), dtype=complex)
-    keep = s > sv_cut * s[0]
-    v = dag(vh)[:, keep]
-    return (v / s[keep]) @ dag(u[:, keep])
+    try:
+        # positional: numpy 2 names this cut rtol, numpy 1 (still supported) rcond
+        return np.linalg.pinv(as_matrix(a), sv_cut)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"pinv did not converge: {exc}") from exc
 
 
 def comm_norm(a, b) -> float:
@@ -184,15 +161,35 @@ def real_ratio(u: Array, v: Array, zero: float,
         return None
     if min(nu, nv) <= zero:
         return math.nan, 1.0, 0.0, False
-    raw = hs_inner(v, u) / (nv * nv)
+    raw = complex(np.vdot(v, u)) / (nv * nv)
     resid = fro(u - raw.real * v) / max(nu, nv)
     return raw.real, resid, abs(raw.imag), resid <= gate and abs(raw.imag) <= gate
+
+
+def ratio_table(vecs: list[Array], zero: float, gate: float) -> tuple[Array, float, float, bool]:
+    """:func:`real_ratio` over every ordered pair (l, m) of ``vecs``.
+
+    Returns the p x p table of constants c_lm (1 on the diagonal, NaN where
+    the pair is unconstrained), the worst residual, the worst imaginary
+    defect, and whether every pair passed.
+    """
+    p = len(vecs)
+    table = np.full((p, p), np.nan)
+    np.fill_diagonal(table, 1.0)
+    worst = imag_worst = 0.0
+    ok = True
+    for l, m in itertools.permutations(range(p), 2):
+        fit = real_ratio(vecs[l], vecs[m], zero, gate)
+        if fit is not None:
+            table[l, m], resid, imag, pair_ok = fit
+            worst, imag_worst, ok = max(worst, resid), max(imag_worst, imag), ok and pair_ok
+    return table, worst, imag_worst, ok
 
 
 def _family_diagonal(u: Array, mats: list[Array], tol_diag: float) -> bool:
     for mat in mats:
         conj = dag(u) @ mat @ u
-        if offdiag_norm(conj) > tol_diag * (1.0 + fro(mat)):
+        if fro(conj - np.diag(np.diag(conj))) > tol_diag * (1.0 + fro(mat)):
             return False
     return True
 

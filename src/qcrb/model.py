@@ -164,12 +164,17 @@ def make_example2(d: complex = 0.6, c1: float = 1.0, c2: float = 2.0) -> StateMo
     root = math.sqrt(1.0 - abs(d) ** 2)
     psi1 = np.array([0.0, 1.0, 0.0], dtype=complex)
 
+    def phase(theta: Array) -> float:
+        # Python floats overflow to inf without a numpy RuntimeWarning; the
+        # non-finite rho is then an InvalidState
+        return c[0] * float(theta[0]) + c[1] * float(theta[1])
+
     def psi2(theta: Array) -> Array:
-        phi = c[0] * theta[0] + c[1] * theta[1]
+        phi = phase(theta)
         return np.array([d * cmath.exp(1j * phi), 0.0, root], dtype=complex)
 
     def dpsi2(theta: Array, l: int) -> Array:
-        phi = c[0] * theta[0] + c[1] * theta[1]
+        phi = phase(theta)
         return np.array([1j * c[l] * d * cmath.exp(1j * phi), 0.0, 0.0], dtype=complex)
 
     def eval_rho(theta: Array) -> Array:
@@ -185,7 +190,7 @@ def make_example2(d: complex = 0.6, c1: float = 1.0, c2: float = 2.0) -> StateMo
         return out
 
     def factorization(theta: Array) -> tuple[Array, Array, Array]:
-        phi = c[0] * theta[0] + c[1] * theta[1]
+        phi = phase(theta)
         v = np.column_stack([psi1, psi2(theta)])
         y = np.array([[root], [0.0], [-d.conjugate() * cmath.exp(-1j * phi)]], dtype=complex)
         q = np.array([theta[0], 1.0 - theta[0]])

@@ -20,7 +20,6 @@ take a norm ||E_k X|| as ||G_k (G_k^dag X)||.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -262,7 +261,7 @@ def verify_optimality(povm: Povm, slds: SldSet, dec: BlockDecomposition,
 
     Regular effects: E L_l P_+ = c_l E P_+ with c_l real, for every l.
     Null effects: E_00 (Lpz_l^dag - c_lm Lpz_m^dag) = 0 with c_lm real,
-    for every ordered pair, by :func:`linalg.real_ratio` at ``tol.c4``.
+    for every ordered pair, by :func:`linalg.ratio_table` at ``tol.c4``.
     With A = V^dag G and B = Y^dag G, E_k P_+ V = G_k A_k^dag, E_k L_l P_+ V
     = G_k (A_k^dag Lpp_l + B_k^dag Lpz_l^dag) and E_00 = B_k B_k^dag.
     """
@@ -287,7 +286,7 @@ def verify_optimality(povm: Povm, slds: SldSet, dec: BlockDecomposition,
         ok = base_sq > 0.0
         for l in range(p):
             target = g[:, s] @ l_range[l][s]
-            raw = linalg.hs_inner(base, target) / base_sq
+            raw = complex(np.vdot(base, target)) / base_sq
             consts[l] = raw.real
             resid = linalg.fro(target - raw.real * base) / (linalg.fro(base) * (1.0 + l_norm[l]))
             worst = max(worst, resid)
@@ -300,18 +299,8 @@ def verify_optimality(povm: Povm, slds: SldSet, dec: BlockDecomposition,
 
     for k in povm.null_indices:
         e00 = b[:, groups[k]] @ linalg.dag(b[:, groups[k]])
-        prods = [e00 @ linalg.dag(slds.Lpz[l]) for l in range(p)]
-        consts = np.full((p, p), np.nan)
-        np.fill_diagonal(consts, 1.0)
-        worst = imag_worst = 0.0
-        ok = True
-        for l, m in itertools.permutations(range(p), 2):
-            fit = linalg.real_ratio(prods[l], prods[m], tol.zero, tol.c4)
-            if fit is not None:
-                consts[l, m], resid, imag, pair_ok = fit
-                worst = max(worst, resid)
-                imag_worst = max(imag_worst, imag)
-                ok = ok and pair_ok
+        consts, worst, imag_worst, ok = linalg.ratio_table(
+            [e00 @ linalg.dag(lpz) for lpz in slds.Lpz], tol.zero, tol.c4)
         null_checks.append(EffectCheck(index=k, label=NULL, constants=consts,
                                        residual=worst, imag_defect=imag_worst, ok=ok))
 

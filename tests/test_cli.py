@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -452,9 +453,13 @@ class TestUsage:
         path = tmp_path / "huge.json"
         path.write_text(json.dumps({"model": "example2", "c1": 1e308, "c2": 1e308,
                                     "theta": [0.9, 0.9]}), encoding="utf-8")
-        code, report = run_to_file(tmp_path, ["analyze", str(path)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, report = run_to_file(tmp_path, ["analyze", str(path)])
         assert code == 1
         assert report["error"]["type"] == "InvalidState"
+        # the report is the only output: no RuntimeWarning on stderr
+        assert [str(w.message) for w in caught] == []
 
 
 GOOD = {"model": "example2", "theta": [0.25, 0.5]}
@@ -536,9 +541,12 @@ def test_malformed_input_gives_an_error_report(tmp_path, config, povm_file, argv
         povm_path = tmp_path / "povm.json"
         povm_path.write_text(json.dumps(povm_file), encoding="utf-8")
         files.append(str(povm_path))
-    code, report = run_to_file(tmp_path, [command, *files, *options])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, report = run_to_file(tmp_path, [command, *files, *options])
     assert code == 1
     assert report["error"]["type"] == "ParseError"
+    assert [str(w.message) for w in caught] == []
 
 
 def _ex2_frame_file(**change) -> dict:

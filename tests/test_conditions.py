@@ -3,12 +3,23 @@ import cmath
 import numpy as np
 import pytest
 
-from qcrb import blocks, conditions, linalg, model, sld
+from qcrb import blocks, conditions, linalg, model, povm, sld
 from qcrb.errors import NoFactorization, NotUnitary
 from qcrb.model import StateBundle
 
 from conftest import THETA_EX2, THETA_FIXED, pipeline
 from util import embed_parts, embed_sld, pauli, random_hermitian, random_unitary
+
+
+def engineered_family(seed):
+    """Lpz_l = T diag(lambda_l) W0^dag, column-proportional with no zero entries."""
+    rng = np.random.default_rng(300 + seed)
+    r_plus, r_zero, p = 3, 2, 3
+    t = rng.standard_normal((r_plus, r_zero)) + 1j * rng.standard_normal((r_plus, r_zero))
+    w0 = random_unitary(rng, r_zero)
+    lams = rng.uniform(0.5, 2.0, size=(p, r_zero)) * rng.choice([-1.0, 1.0], size=(p, r_zero))
+    lpz = [t @ np.diag(lams[l]) @ linalg.dag(w0) for l in range(p)]
+    return make_slds([np.zeros((r_plus, r_plus))] * p, lpz, [0.5, 0.3, 0.2]), lams
 
 
 def make_slds(lpp_list, lpz_list, q):
@@ -154,14 +165,7 @@ class TestFindW:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_certifies_engineered_families(self, seed):
-        # Lpz_l = T diag(lambda_l) W0^dag satisfies column proportionality
-        rng = np.random.default_rng(300 + seed)
-        r_plus, r_zero, p = 3, 2, 3
-        t = rng.standard_normal((r_plus, r_zero)) + 1j * rng.standard_normal((r_plus, r_zero))
-        w0 = random_unitary(rng, r_zero)
-        lams = rng.uniform(0.5, 2.0, size=(p, r_zero)) * rng.choice([-1.0, 1.0], size=(p, r_zero))
-        lpz = [t @ np.diag(lams[l]) @ linalg.dag(w0) for l in range(p)]
-        slds = make_slds([np.zeros((r_plus, r_plus))] * p, lpz, [0.5, 0.3, 0.2])
+        slds, lams = engineered_family(seed)
         w = conditions.find_W(slds)
         assert w.certified
         verdict, _ = conditions.verify_W(slds, w.W)
@@ -177,6 +181,21 @@ class TestFindW:
 
 
 class TestVerifyW:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_agrees_with_verify_optimality(self, seed):
+        # E_00 Lpz_l^dag = w c_l^dag with c_l = Lpz_l w: the null-effect
+        # identities of the constructed POVM are verify_W's column ratios
+        slds, _ = engineered_family(seed)
+        c4 = conditions.find_W(slds)
+        verdict, _ = conditions.verify_W(slds, c4.W)
+        built = povm.construct_optimal(slds, c4)
+        out = povm.verify_optimality(built, slds, slds.dec)
+        assert verdict.passed and out.passed
+        assert len(out.null) == slds.dec.r_zero
+        for s, check in enumerate(out.null):
+            assert check.ok
+            assert np.allclose(check.constants, c4.lambda_[:, :, s], rtol=0.0, atol=1e-9)
+
     def test_example2_explicit_w(self, ex2_pipeline):
         _, _, slds, _ = ex2_pipeline
         verdict, lam = conditions.verify_W(slds, np.array([[1.0]]))

@@ -66,20 +66,36 @@ class TestHermEigen:
         assert np.array_equal(e1.values, e2.values)
 
 
+def _low_rank(rng, m, n, rank):
+    left = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
+    right = rng.standard_normal((rank, n)) + 1j * rng.standard_normal((rank, n))
+    return left @ right
+
+
+def _truncated_svd_pinv(a, sv_cut):
+    """(V / s) U^dag over the singular values above sv_cut * s_max."""
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    keep = s > sv_cut * s[0]
+    return (linalg.dag(vh[keep]) / s[keep]) @ linalg.dag(u[:, keep])
+
+
 class TestSvd:
     def test_wide_rank_deficient_matches_numpy(self):
+        # numpy's full bases, unpadded; tall and square inputs alike
         rng = np.random.default_rng(5)
-        left = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-        right = rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))
-        a = left @ right  # 3 x 6, rank 2
-        u, s, vh = linalg.svd(a)
-        assert (u.shape, s.shape, vh.shape) == ((3, 6), (6,), (6, 6))
-        ref = np.linalg.svd(a, compute_uv=False)
-        assert np.allclose(s[:3], ref, rtol=0.0, atol=1e-12)
-        assert np.all(s[3:] == 0.0)
-        assert s[2] <= 1e-14 * s[0]
-        assert linalg.fro(vh @ linalg.dag(vh) - np.eye(6)) <= 1e-12
-        assert linalg.fro((u * s) @ vh - a) <= 1e-12 * linalg.fro(a)
+        for m, n in [(3, 6), (6, 3), (4, 4)]:
+            a = _low_rank(rng, m, n, 2)
+            u, s, vh = linalg.svd(a)
+            k = min(m, n)
+            assert (u.shape, s.shape, vh.shape) == ((m, m), (k,), (n, n))
+            assert np.allclose(s, np.linalg.svd(a, compute_uv=False), rtol=0.0, atol=1e-12)
+            assert np.all(np.diff(s) <= 0.0)
+            assert s[2] <= 1e-14 * s[0]
+            assert linalg.fro(linalg.dag(u) @ u - np.eye(m)) <= 1e-12
+            assert linalg.fro(vh @ linalg.dag(vh) - np.eye(n)) <= 1e-12
+            assert linalg.fro((u[:, :k] * s) @ vh[:k] - a) <= 1e-12 * linalg.fro(a)
+            # the rows of Vh past the rank span the kernel, as find_W splits them
+            assert linalg.fro(a @ linalg.dag(vh[2:])) <= 1e-12 * linalg.fro(a)
 
     def test_lapack_failure_is_no_convergence(self, monkeypatch):
         def fail(*_, **__):
@@ -117,12 +133,40 @@ class TestPinv:
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         assert linalg.fro(linalg.pinv(linalg.pinv(a)) - a) <= 1e-9 * (1 + linalg.fro(a))
 
+    @pytest.mark.parametrize("m, n, rank", [(3, 5, 3), (5, 3, 3), (5, 4, 2), (4, 6, 1)])
+    def test_matches_the_truncated_svd_formula(self, m, n, rank):
+        rng = np.random.default_rng(10 * m + n)
+        a = _low_rank(rng, m, n, rank)
+        want = _truncated_svd_pinv(a, DEFAULT.sv)
+        assert linalg.fro(linalg.pinv(a) - want) <= 1e-12 * (1 + linalg.fro(want))
+
+    @pytest.mark.parametrize("sv_cut, kept", [(1e-8, 3), (1e-3, 2), (0.7, 1)])
+    def test_relative_cut_drops_small_singular_values(self, sv_cut, kept):
+        # singular values 2, 1e-1, 1e-5 and 1e-11 of a 4 x 5 matrix
+        rng = np.random.default_rng(17)
+        sigma = np.zeros((4, 5))
+        np.fill_diagonal(sigma, [2.0, 1e-1, 1e-5, 1e-11])
+        a = random_unitary(rng, 4) @ sigma @ random_unitary(rng, 5)
+        x = linalg.pinv(a, sv_cut)
+        want = _truncated_svd_pinv(a, sv_cut)
+        assert linalg.fro(x - want) <= 1e-12 * (1 + linalg.fro(want))
+        assert np.linalg.matrix_rank(x, tol=1e-6 * linalg.fro(x)) == kept
+
     def test_zero_matrix(self):
-        assert np.allclose(linalg.pinv(np.zeros((2, 3))), np.zeros((3, 2)))
+        for shape in [(2, 3), (3, 2), (1, 1)]:
+            assert np.array_equal(linalg.pinv(np.zeros(shape)), np.zeros(shape[::-1]))
 
     def test_requires_positive_cut(self):
         with pytest.raises(ValueError):
             linalg.pinv(np.eye(2), sv_cut=0.0)
+
+    def test_lapack_failure_is_no_convergence(self, monkeypatch):
+        def fail(*_, **__):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "pinv", fail)
+        with pytest.raises(NoConvergence):
+            linalg.pinv(np.eye(2))
 
 
 class TestSimultaneousDiagonalize:
@@ -154,7 +198,7 @@ class TestSimultaneousDiagonalize:
         u, joint = linalg.simultaneous_diagonalize(mats)
         for mat in mats:
             conj = linalg.dag(u) @ mat @ u
-            assert linalg.offdiag_norm(conj) <= DEFAULT.diag * (1 + linalg.fro(mat))
+            assert linalg.fro(conj - np.diag(np.diag(conj))) <= DEFAULT.diag * (1 + linalg.fro(mat))
         tuples = sorted(tuple(np.round(row, 8)) for row in joint)
         expected = sorted(zip(d1, d2))
         assert np.allclose(tuples, expected, atol=1e-8)
