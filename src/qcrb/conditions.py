@@ -93,14 +93,16 @@ def check_condition3(slds: SldSet, tol: Tolerances = DEFAULT) -> Verdict:
     return Verdict(passed=worst <= tol.cond, residual=worst)
 
 
-def verify_W(slds: SldSet, w: Array, tol: Tolerances = DEFAULT) -> tuple[Verdict, Array]:
+def verify_W(slds: SldSet, w: Array, tol: Tolerances = DEFAULT) -> WCandidate:
     """Check column-wise real proportionality of the Lpz blocks under W.
 
     Each column s goes through :func:`linalg.ratio_table` at ``tol.zero``
     and ``tol.c4``: a pair whose columns both vanish is unconstrained, one
     with exactly one vanishing fails, otherwise the ratio must be real and
-    the relative residual small.  Returns the verdict and the lam table
-    (p x p x r0, NaN where unconstrained, 1 on the diagonal).
+    the relative residual small.  Returns W as a candidate, certified when
+    every column passes, with the lam table (p x p x r0, NaN where
+    unconstrained, 1 on the diagonal) and the columns s at which every
+    Lpz_l W vanishes (norm at most ``tol.zero``).
     """
     w = linalg.as_matrix(w)
     r0 = slds.dec.r_zero
@@ -109,22 +111,20 @@ def verify_W(slds: SldSet, w: Array, tol: Tolerances = DEFAULT) -> tuple[Verdict
     if not linalg.is_unitary(w):
         raise NotUnitary("W is not unitary within 1e-8")
 
-    cols = [lpz @ w for lpz in slds.Lpz]
+    cols = np.stack([lpz @ w for lpz in slds.Lpz])
     lam = np.full((slds.p, slds.p, r0), np.nan)
     worst, passed = 0.0, True
     for s in range(r0):
-        lam[:, :, s], resid, imag, ok = linalg.ratio_table([c[:, s] for c in cols], tol.zero, tol.c4)
+        lam[:, :, s], resid, imag, ok = linalg.ratio_table(list(cols[:, :, s]), tol.zero, tol.c4)
         worst, passed = max(worst, resid, imag), passed and ok
-    return Verdict(passed=passed, residual=worst), lam
+    zero = np.all(np.linalg.norm(cols, axis=1) <= tol.zero, axis=0)
+    return WCandidate(certified=passed, residual=worst, W=w, lambda_=lam,
+                      zero_columns=tuple(np.flatnonzero(zero).tolist()))
 
 
-def _zero_column_indices(slds: SldSet, w: Array, tol: Tolerances) -> tuple[int, ...]:
-    cols = [slds.Lpz[l] @ w for l in range(slds.p)]
-    out = []
-    for s in range(w.shape[1]):
-        if all(float(np.linalg.norm(c[:, s])) <= tol.zero for c in cols):
-            out.append(s)
-    return tuple(out)
+def _uncertified(residual: float, note: str) -> WCandidate:
+    return WCandidate(certified=False, residual=residual, W=None, lambda_=None,
+                      zero_columns=(), note=note)
 
 
 def find_W(slds: SldSet, tol: Tolerances = DEFAULT) -> WCandidate:
@@ -133,8 +133,9 @@ def find_W(slds: SldSet, tol: Tolerances = DEFAULT) -> WCandidate:
     Strategy: split off the common kernel of all Lpz (those directions
     give jointly-vanishing columns); on the complement, form
     G_l = pinv(Lpz_r) Lpz_l against the largest block r.  When the G_l
-    are Hermitian and commute, their joint eigenbasis supplies the
-    remaining columns.  The result is certified only if verify_W passes.
+    are Hermitian and commute, their joint eigenbasis, grouped at
+    ``tol.c4``, supplies the remaining columns.  The result is certified
+    only if verify_W passes.
     """
     r0 = slds.dec.r_zero
     if r0 == 0:
@@ -150,16 +151,8 @@ def find_W(slds: SldSet, tol: Tolerances = DEFAULT) -> WCandidate:
 
     norms = [linalg.fro(lpz) for lpz in slds.Lpz]
     if max(norms, default=0.0) <= tol.zero:
-        w = np.eye(r0, dtype=complex)
-        verdict, lam = verify_W(slds, w, tol)
-        return WCandidate(
-            W=w,
-            lambda_=lam,
-            zero_columns=tuple(range(r0)),
-            certified=verdict.passed,
-            residual=verdict.residual,
-            note="all off-diagonal blocks vanish",
-        )
+        c4 = verify_W(slds, np.eye(r0, dtype=complex), tol)
+        return c4._replace(note="all off-diagonal blocks vanish")
 
     _, svals, vh = linalg.svd(np.vstack(slds.Lpz))
     rank = int(np.sum(svals > tol.zero * svals[0]))
@@ -167,43 +160,20 @@ def find_W(slds: SldSet, tol: Tolerances = DEFAULT) -> WCandidate:
 
     ref = int(np.argmax(norms))
     base = slds.Lpz[ref] @ coimage
-    base_pinv = linalg.pinv(base, tol.sv)
+    base_pinv = linalg.pinv(base, tol.zero)
     gs = []
     for l in range(slds.p):
         g = base_pinv @ (slds.Lpz[l] @ coimage)
         if linalg.herm_defect(g) > tol.c4:
-            return WCandidate(
-                W=None,
-                lambda_=None,
-                zero_columns=(),
-                certified=False,
-                residual=linalg.herm_defect(g),
-                note=f"ratio operator for parameter {l} is not Hermitian",
-            )
+            return _uncertified(linalg.herm_defect(g),
+                                f"ratio operator for parameter {l} is not Hermitian")
         gs.append(0.5 * (g + linalg.dag(g)))
-    for i in range(len(gs)):
-        for j in range(i + 1, len(gs)):
-            scale = 1.0 + linalg.fro(gs[i]) * linalg.fro(gs[j])
-            if linalg.comm_norm(gs[i], gs[j]) > tol.c4 * scale:
-                return WCandidate(
-                    W=None,
-                    lambda_=None,
-                    zero_columns=(),
-                    certified=False,
-                    residual=linalg.comm_norm(gs[i], gs[j]) / scale,
-                    note=f"ratio operators {i} and {j} do not commute",
-                )
-    z, _ = linalg.simultaneous_diagonalize(gs, tol)
-    w = np.hstack([coimage @ z, kernel])
-    verdict, lam = verify_W(slds, w, tol)
-    return WCandidate(
-        W=w,
-        lambda_=lam,
-        zero_columns=_zero_column_indices(slds, w, tol),
-        certified=verdict.passed,
-        residual=verdict.residual,
-        note="" if verdict.passed else "candidate failed column verification",
-    )
+    worst = _worst_pair(gs, linalg.comm_norm)
+    if worst > tol.c4:
+        return _uncertified(worst, "ratio operators do not commute")
+    z, _ = linalg.simultaneous_diagonalize(gs, tol.c4, tol)
+    c4 = verify_W(slds, np.hstack([coimage @ z, kernel]), tol)
+    return c4 if c4.certified else c4._replace(note="candidate failed column verification")
 
 
 def verify_condition2_U(

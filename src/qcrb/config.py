@@ -6,6 +6,9 @@ report echoes the table that was actually used, so numerical decisions
 stay auditable.  Unless stated otherwise a tolerance is applied
 relative to ``1 + ||.||_F`` of the operands.  No CLI run reads the
 finite-difference step ``h`` or condition 2's PDE gate, so neither is here.
+Joint eigenvalues count as equal at the gate that judges what is built
+from them (``cond`` for the optimal POVM's effects, ``c4`` for the null
+unitary W), so they have no tolerance of their own.
 """
 
 from __future__ import annotations
@@ -18,8 +21,6 @@ from .errors import ParseError
 
 class Tolerances(NamedTuple):
     herm: float = 1e-10          # hermiticity gate
-    diag: float = 1e-8           # off-diagonal mass after joint diagonalization
-    sv: float = 1e-8             # relative singular-value truncation in pinv
     state: float = 1e-10         # density-matrix invariants
     trace: float = 1e-7          # trace of state derivatives
     rank: float = 1e-8           # eigenvalue threshold separating range from null space
@@ -27,11 +28,10 @@ class Tolerances(NamedTuple):
     nullblock: float = 1e-6      # allowed null-null mass of state derivatives
     cond: float = 1e-8           # condition residuals (commutators, effect constants)
     c4: float = 1e-8             # column-proportionality residuals
-    zero: float = 1e-8           # "this block/column is zero" threshold
+    zero: float = 1e-8           # "this block/column is zero"; relative singular-value cut
     prob: float = 1e-10          # regular/null outcome probability threshold
     povm: float = 1e-9           # POVM completeness and PSD slack
     projective: float = 1e-8     # E^2 = E per effect (completeness implies orthogonality)
-    cluster: float = 1e-7        # joint-eigenvalue clustering width
     sat: float = 1e-7            # saturation identity gates
     fisher_cond: float = 1e12    # max condition number of an invertible Fisher matrix
 

@@ -18,7 +18,7 @@ class NoConvergence(QcrbError):
 
 
 class DegeneracyUnresolved(QcrbError):
-    """Joint diagonalization could not split a degenerate subspace."""
+    """Joint diagonalization left a member off-diagonal, or equal eigenvalues spread too wide."""
 
 
 class OutOfDomain(QcrbError):

@@ -11,11 +11,12 @@ the gauge that make their output deterministic:
   relative to its own size; callers that cut a spectrum at a threshold
   must treat values within that band of it as ambiguous.
 * SVD (``svd``) and the Moore-Penrose pseudoinverse (``pinv``) with
-  relative singular-value truncation: plain ``numpy.linalg`` calls that
-  map a LAPACK failure to NoConvergence.
+  relative singular-value truncation at a cut the caller passes: plain
+  ``numpy.linalg`` calls that map a LAPACK failure to NoConvergence.
 * Joint diagonalization of a commuting Hermitian family, one operator at
-  a time inside the degenerate eigenspaces the operators before it left;
-  the result depends only on the family.
+  a time inside the degenerate eigenspaces the operators before it left.
+  Eigenvalues count as equal at the gate the caller judges its result
+  by, so the grouping depends only on the family and that gate.
 
 Matrices serialize to JSON as arrays of rows, each entry a two-element
 ``[re, im]`` array; 64-bit floats round-trip exactly.
@@ -119,7 +120,7 @@ def svd(a) -> tuple[Array, Array, Array]:
         raise NoConvergence(f"svd did not converge: {exc}") from exc
 
 
-def pinv(a, sv_cut: float = DEFAULT.sv) -> Array:
+def pinv(a, sv_cut: float) -> Array:
     """``numpy.linalg.pinv``: singular values at or below ``sv_cut * s_max`` count as zero.
 
     The zero matrix maps to the zero matrix.
@@ -186,65 +187,41 @@ def ratio_table(vecs: list[Array], zero: float, gate: float) -> tuple[Array, flo
     return table, worst, imag_worst, ok
 
 
-def _family_diagonal(u: Array, mats: list[Array], tol_diag: float) -> bool:
-    for mat in mats:
-        conj = dag(u) @ mat @ u
-        if fro(conj - np.diag(np.diag(conj))) > tol_diag * (1.0 + fro(mat)):
-            return False
-    return True
-
-
 def gap_clusters(values, width: float) -> list[list[int]]:
-    """Cluster the rows of ``values`` (length n, or n x k) at gaps wider than ``width``.
+    """Split ascending ``values`` into runs of indices at gaps wider than ``width``.
 
-    Column 0 splits first, then each cluster is split by column 1, and so
-    on (single linkage between neighbours in sorted order).  Clusters come
-    in ascending order; inside a cluster the indices keep their original
-    order, so differences below ``width`` never decide an order.
+    A run is one eigenvalue, so it may spread no wider than ``width``
+    itself: a chain of steps each within the width raises
+    DegeneracyUnresolved rather than merge values that the width tells
+    apart.
     """
-    values = np.asarray(values, dtype=float).reshape(len(values), -1)
-    clusters = [list(range(values.shape[0]))]
-    for col in values.T:
-        refined: list[list[int]] = []
-        for cluster in clusters:
-            ranked = sorted(cluster, key=lambda i: col[i])
-            part = [ranked[0]]
-            for prev, idx in zip(ranked, ranked[1:]):
-                if col[idx] - col[prev] > width:
-                    refined.append(sorted(part))
-                    part = []
-                part.append(idx)
-            refined.append(sorted(part))
-        clusters = refined
-    return clusters
+    runs = np.split(np.arange(len(values)), np.flatnonzero(np.diff(values) > width) + 1)
+    for run in runs:
+        spread = values[run[-1]] - values[run[0]]
+        if spread > width:
+            raise DegeneracyUnresolved(f"a chain of eigenvalue gaps within {width:.3e} "
+                                       f"spreads {spread:.3e}")
+    return [run.tolist() for run in runs]
 
 
-def joint_width(joint: Array, tol: Tolerances) -> float:
-    """Width at which joint eigenvalues count as equal."""
-    return tol.cluster * (1.0 + float(np.max(np.abs(joint))))
-
-
-def _finish_joint(u: Array, mats: list[Array], tol: Tolerances) -> tuple[Array, Array]:
-    n = u.shape[0]
-    joint = np.zeros((n, len(mats)))
-    for l, mat in enumerate(mats):
-        joint[:, l] = (dag(u) @ mat @ u).diagonal().real
-    order = [i for cluster in gap_clusters(joint, joint_width(joint, tol)) for i in cluster]
-    return fix_phases(u[:, order]), joint[order, :]
-
-
-def simultaneous_diagonalize(family, tol: Tolerances = DEFAULT) -> tuple[Array, Array]:
+def simultaneous_diagonalize(family, gate: float,
+                             tol: Tolerances = DEFAULT) -> tuple[Array, tuple[int, ...]]:
     """Jointly diagonalize a commuting family of Hermitian matrices.
 
-    Returns ``(U, joint)`` where the columns of the unitary U are common
-    eigenvectors and ``joint[s, l]`` is the eigenvalue of the l-th operator
-    on column s.  Columns are ordered by :func:`gap_clusters` of ``joint``
-    at :func:`joint_width`: ascending in operator 0, ties within the width
-    broken by operator 1, and so on, so roundoff never decides the order.
+    Returns ``(U, ranks)``: the columns of the unitary U are common
+    eigenvectors, in consecutive groups of ``ranks[k]`` columns, one group
+    per joint eigenspace.  ``gate`` is the relative residual at which the
+    caller judges its result, and it alone decides equality: eigenvalues of
+    an operator A are equal when they lie within ``gate * (1 + ||A||_F)``
+    (:func:`gap_clusters`), and every member must come out diagonal within
+    that width.  A merged group's residual, at most half its spread, thus
+    stays inside the gate.
 
     Operator 0 is diagonalized first; each following operator is then
-    diagonalized inside every cluster of equal eigenvalues that the
-    operators before it left.  Commutation is not gated separately (both
+    diagonalized inside every group of equal eigenvalues that the operators
+    before it left (a single column needs no eigensolve).  Groups ascend in
+    operator 0, then operator 1, and so on, so roundoff within a width
+    never decides the order.  Commutation is not gated separately (both
     callers gate it first): a family that does not commute leaves some
     member off-diagonal, and that raises DegeneracyUnresolved.
     """
@@ -255,25 +232,28 @@ def simultaneous_diagonalize(family, tol: Tolerances = DEFAULT) -> tuple[Array, 
     for mat in mats:
         if mat.shape != (n, n):
             raise DimensionMismatch("family members differ in dimension")
+    widths = [gate * (1.0 + fro(mat)) for mat in mats]
 
     eig = herm_eigen(mats[0])
     u = eig.vectors
-    clusters = gap_clusters(eig.values, joint_width(eig.values, tol))
-    for mat in mats[1:]:
+    groups = gap_clusters(eig.values, widths[0])
+    for mat, width in zip(mats[1:], widths[1:]):
         refined: list[list[int]] = []
-        for cluster in clusters:
-            if len(cluster) == 1:
-                refined.append(cluster)
+        for group in groups:
+            if len(group) == 1:
+                refined.append(group)
                 continue
-            cols = u[:, cluster]
+            cols = u[:, group]
             eig = herm_eigen(dag(cols) @ mat @ cols)
-            u[:, cluster] = cols @ eig.vectors
-            for part in gap_clusters(eig.values, joint_width(eig.values, tol)):
-                refined.append([cluster[i] for i in part])
-        clusters = refined
-    if not _family_diagonal(u, mats, tol.diag):
-        raise DegeneracyUnresolved("could not split degenerate joint eigenspaces")
-    return _finish_joint(u, mats, tol)
+            u[:, group] = cols @ eig.vectors
+            refined += [[group[i] for i in part] for part in gap_clusters(eig.values, width)]
+        groups = refined
+    u = fix_phases(u[:, [i for group in groups for i in group]])
+    for mat, width in zip(mats, widths):
+        conj = dag(u) @ mat @ u
+        if fro(conj - np.diag(np.diag(conj))) > width:
+            raise DegeneracyUnresolved("could not split degenerate joint eigenspaces")
+    return u, tuple(len(group) for group in groups)
 
 
 def matrix_to_json(a) -> list:

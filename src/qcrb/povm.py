@@ -207,8 +207,11 @@ def construct_optimal(slds: SldSet, w: Optional[WCandidate] = None,
     embedded in the range and grouped by joint eigenvalue tuple (one
     regular effect per group), then the columns of Y W (one rank-one null
     effect each), every column's phase fixed by :func:`linalg.fix_phases`.
-    Raises ConditionFailed when the ++ blocks do not commute or, with a
-    non-trivial null space, when no certified W is supplied.
+    Eigenvalues are grouped at ``tol.cond``, the gate that
+    :func:`verify_optimality` holds each regular effect to.  Raises
+    ConditionFailed when the ++ blocks do not commute or, with a
+    non-trivial null space, when no certified W is supplied, and
+    DegeneracyUnresolved when a group would spread wider than that gate.
     """
     dec = slds.dec
     c1 = check_condition1(slds, tol)
@@ -218,13 +221,11 @@ def construct_optimal(slds: SldSet, w: Optional[WCandidate] = None,
         if w is None or not w.certified or w.W is None:
             raise ConditionFailed("no certified null-space unitary supplied")
 
-    u, joint = linalg.simultaneous_diagonalize(list(slds.Lpp), tol)
-    clusters = linalg.gap_clusters(joint, linalg.joint_width(joint, tol))
-    order = [i for cluster in clusters for i in cluster]
+    u, ranks = linalg.simultaneous_diagonalize(list(slds.Lpp), tol.cond, tol)
     null = dec.Y @ w.W if dec.r_zero > 0 else dec.Y
-    return Povm(G=linalg.fix_phases(np.hstack([dec.V @ u[:, order], null])),
-                ranks=tuple(len(cluster) for cluster in clusters) + (1,) * dec.r_zero,
-                labels=(REGULAR,) * len(clusters) + (NULL,) * dec.r_zero, projective=True)
+    return Povm(G=linalg.fix_phases(np.hstack([dec.V @ u, null])),
+                ranks=ranks + (1,) * dec.r_zero,
+                labels=(REGULAR,) * len(ranks) + (NULL,) * dec.r_zero, projective=True)
 
 
 def canonicalize(povm: Povm, dec: BlockDecomposition, slds: SldSet,

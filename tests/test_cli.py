@@ -23,6 +23,7 @@ from qcrb.config import Tolerances
 from qcrb.model import build_model, stencil_payload
 
 from conftest import WORKING_POINTS
+from util import planted_stencil
 
 SCHEMA = json.loads(
     (Path(qcrb.__file__).parent / "report_schema.json").read_text(encoding="utf-8")
@@ -276,6 +277,45 @@ def test_verify_reads_back_the_povm_construct_checked(tmp_path, monkeypatch, nam
         assert verified[section] == constructed[section]
 
 
+# q = 0.5/0.3/0.2; states 0 and 1 sit a joint gap g apart in both ++ SLD
+# blocks, state 2 far off (sum_i q_i L_ii = 0); the rank-deficient family
+# adds one null state with real-proportional +0 columns
+_GAP_Q = [0.5, 0.3, 0.2]
+_GAP_NULL = np.array([[1.0], [0.5], [0.25]])
+
+
+def _near_degenerate(gap: float, null: bool) -> dict:
+    lpp = [[1.0, 1.0 + gap, -4.0 - 1.5 * gap], [-1.0, -1.0 + gap, 4.0 - 1.5 * gap]]
+    return planted_stencil(_GAP_Q, lpp, [0.6 * _GAP_NULL, -0.4 * _GAP_NULL] if null else None)
+
+
+@pytest.mark.parametrize("null", [False, True], ids=["full-rank", "rank-deficient"])
+def test_construct_on_a_near_degenerate_joint_spectrum_never_fails_its_povm(tmp_path, null):
+    # at every gap, construct writes a POVM that passes both sections or
+    # writes none: the joint eigenvalues it merges are equal at the gate
+    # verify_optimality holds the merged effect to
+    outcomes = {}
+    for gap in np.geomspace(1e-4, 1e-10, 25):
+        model_path, povm_path = tmp_path / "model.json", tmp_path / "povm.json"
+        model_path.write_text(json.dumps(_near_degenerate(gap, null)), encoding="utf-8")
+        povm_path.unlink(missing_ok=True)
+        code = main(["construct", str(model_path), "--out", str(povm_path),
+                     "--report", str(tmp_path / "report.json")])
+        report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+        VALIDATOR.validate(report)
+        if code == 0:
+            sound = report["optimality"]["passed"] and report["saturation"]["passed"]
+            outcomes[gap] = report["povm"]["n_effects"] if sound and povm_path.exists() else "bad"
+        else:
+            error = report.get("error", {}).get("type")
+            unresolved = code == 1 and error == "DegeneracyUnresolved" and not povm_path.exists()
+            outcomes[gap] = "none" if unresolved else f"exit {code}: {error}"
+    failed = [gap for gap, out in outcomes.items() if out != "none" and not isinstance(out, int)]
+    assert failed == [], outcomes
+    # far apart, states 0 and 1 get an effect each; within roundoff, one
+    assert outcomes[1e-4] == 3 + null and outcomes[1e-10] == 2 + null
+
+
 def _agree(a, b) -> bool:
     """Whether two JSON values are equal, floats within 1e-12 (1 + |a|)."""
     if isinstance(a, float) and isinstance(b, float):
@@ -492,6 +532,9 @@ def _identity_with(entry) -> dict:
     pytest.param({**GOOD, "c1": 10**400}, None, ["analyze"], id="constant-out-of-range"),
     pytest.param(GOOD, None, ["analyze", "--tol", "cond=0"], id="zero-tolerance"),
     pytest.param(GOOD, None, ["analyze", "--tol", "consistency=1e-6"], id="removed-tolerance"),
+    pytest.param(GOOD, None, ["analyze", "--tol", "cluster=1e-7"], id="removed-cluster"),
+    pytest.param(GOOD, None, ["analyze", "--tol", "diag=1e-8"], id="removed-diag"),
+    pytest.param(GOOD, None, ["analyze", "--tol", "sv=1e-8"], id="removed-sv"),
     pytest.param(GOOD, {"effects": [EYE]}, ["simulate", "--delta", "0.01"], id="delta-not-p-long"),
     pytest.param(GOOD, {"effects": [EYE]},
                  ["simulate", "--study", "1e-2", "--direction", "1", "0", "0"],

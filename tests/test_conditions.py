@@ -168,8 +168,7 @@ class TestFindW:
         slds, lams = engineered_family(seed)
         w = conditions.find_W(slds)
         assert w.certified
-        verdict, _ = conditions.verify_W(slds, w.W)
-        assert verdict.passed
+        assert conditions.verify_W(slds, w.W).certified
         got = np.sort(w.lambda_[0, 1, :])
         want = np.sort(lams[0] / lams[1])
         assert np.allclose(got, want, atol=1e-8)
@@ -187,10 +186,10 @@ class TestVerifyW:
         # identities of the constructed POVM are verify_W's column ratios
         slds, _ = engineered_family(seed)
         c4 = conditions.find_W(slds)
-        verdict, _ = conditions.verify_W(slds, c4.W)
+        checked = conditions.verify_W(slds, c4.W)
         built = povm.construct_optimal(slds, c4)
         out = povm.verify_optimality(built, slds, slds.dec)
-        assert verdict.passed and out.passed
+        assert checked.certified and out.passed
         assert len(out.null) == slds.dec.r_zero
         for s, check in enumerate(out.null):
             assert check.ok
@@ -198,27 +197,25 @@ class TestVerifyW:
 
     def test_example2_explicit_w(self, ex2_pipeline):
         _, _, slds, _ = ex2_pipeline
-        verdict, lam = conditions.verify_W(slds, np.array([[1.0]]))
-        assert verdict.passed
-        assert np.isclose(lam[0, 1, 0], 0.5, atol=1e-9)
+        checked = conditions.verify_W(slds, np.array([[1.0]]))
+        assert checked.certified
+        assert np.isclose(checked.lambda_[0, 1, 0], 0.5, atol=1e-9)
 
     def test_global_column_phase_cancels(self, ex2_pipeline):
         _, _, slds, _ = ex2_pipeline
-        verdict, lam = conditions.verify_W(slds, np.array([[1j]]))
-        assert verdict.passed
-        assert np.isclose(lam[0, 1, 0], 0.5, atol=1e-9)
+        checked = conditions.verify_W(slds, np.array([[1j]]))
+        assert checked.certified
+        assert np.isclose(checked.lambda_[0, 1, 0], 0.5, atol=1e-9)
 
     def test_imaginary_ratio_fails(self):
         v = np.array([[1.0], [2.0]], dtype=complex)
         slds = make_slds([np.zeros((2, 2))] * 2, [v, 1j * v], [0.5, 0.5])
-        verdict, _ = conditions.verify_W(slds, np.array([[1.0]]))
-        assert not verdict.passed
+        assert not conditions.verify_W(slds, np.array([[1.0]])).certified
 
     def test_single_vanishing_partner_fails(self):
         v = np.array([[1.0], [0.0]], dtype=complex)
         slds = make_slds([np.zeros((2, 2))] * 2, [v, np.zeros((2, 1))], [0.5, 0.5])
-        verdict, _ = conditions.verify_W(slds, np.array([[1.0]]))
-        assert not verdict.passed
+        assert not conditions.verify_W(slds, np.array([[1.0]])).certified
 
     def test_not_unitary_rejected(self, ex2_pipeline):
         _, _, slds, _ = ex2_pipeline
@@ -234,15 +231,16 @@ class TestVerifyW:
         lams = rng.uniform(0.5, 2.0, size=(p, r_zero))
         lpz = [t @ np.diag(lams[l]) @ linalg.dag(w0) for l in range(p)]
         slds = make_slds([np.zeros((r_plus, r_plus))] * p, lpz, [0.5, 0.3, 0.2])
-        base, lam_base = conditions.verify_W(slds, w0)
+        base = conditions.verify_W(slds, w0)
         phases = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, r_zero)))
         perm = np.eye(r_zero)[:, rng.permutation(r_zero)]
-        redressed, lam_new = conditions.verify_W(slds, w0 @ phases @ perm)
-        assert base.passed and redressed.passed
+        redressed = conditions.verify_W(slds, w0 @ phases @ perm)
+        assert base.certified and redressed.certified
         for l in range(p):
             for m in range(p):
                 assert np.allclose(
-                    np.sort(lam_base[l, m, :]), np.sort(lam_new[l, m, :]), atol=1e-9
+                    np.sort(base.lambda_[l, m, :]), np.sort(redressed.lambda_[l, m, :]),
+                    atol=1e-9,
                 )
 
 

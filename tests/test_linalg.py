@@ -13,6 +13,8 @@ from qcrb.errors import (
 
 from util import charpoly_roots, pauli, random_hermitian, random_unitary
 
+CUT = DEFAULT.zero   # the relative singular-value cut find_W passes to pinv
+
 
 class TestHermEigen:
     def test_identity(self):
@@ -108,21 +110,21 @@ class TestSvd:
 
 class TestPinv:
     def test_identity(self):
-        assert np.allclose(linalg.pinv(np.eye(2)), np.eye(2), atol=1e-12)
+        assert np.allclose(linalg.pinv(np.eye(2), CUT), np.eye(2), atol=1e-12)
 
     def test_diagonal_truncation(self):
-        assert np.allclose(linalg.pinv(np.diag([2.0, 0.0])), np.diag([0.5, 0.0]), atol=1e-12)
+        assert np.allclose(linalg.pinv(np.diag([2.0, 0.0]), CUT), np.diag([0.5, 0.0]), atol=1e-12)
 
     def test_full_column_rank_left_inverse(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-        assert np.allclose(linalg.pinv(a) @ a, np.eye(2), atol=1e-10)
+        assert np.allclose(linalg.pinv(a, CUT) @ a, np.eye(2), atol=1e-10)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_penrose_identities(self, seed):
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-        x = linalg.pinv(a)
+        x = linalg.pinv(a, CUT)
         assert linalg.fro(a @ x @ a - a) <= 1e-10 * (1 + linalg.fro(a))
         assert linalg.fro(x @ a @ x - x) <= 1e-10 * (1 + linalg.fro(x))
         assert linalg.fro(a @ x - linalg.dag(a @ x)) <= 1e-10
@@ -131,14 +133,14 @@ class TestPinv:
     def test_double_pinv_on_retained_subspace(self):
         rng = np.random.default_rng(11)
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        assert linalg.fro(linalg.pinv(linalg.pinv(a)) - a) <= 1e-9 * (1 + linalg.fro(a))
+        assert linalg.fro(linalg.pinv(linalg.pinv(a, CUT), CUT) - a) <= 1e-9 * (1 + linalg.fro(a))
 
     @pytest.mark.parametrize("m, n, rank", [(3, 5, 3), (5, 3, 3), (5, 4, 2), (4, 6, 1)])
     def test_matches_the_truncated_svd_formula(self, m, n, rank):
         rng = np.random.default_rng(10 * m + n)
         a = _low_rank(rng, m, n, rank)
-        want = _truncated_svd_pinv(a, DEFAULT.sv)
-        assert linalg.fro(linalg.pinv(a) - want) <= 1e-12 * (1 + linalg.fro(want))
+        want = _truncated_svd_pinv(a, CUT)
+        assert linalg.fro(linalg.pinv(a, CUT) - want) <= 1e-12 * (1 + linalg.fro(want))
 
     @pytest.mark.parametrize("sv_cut, kept", [(1e-8, 3), (1e-3, 2), (0.7, 1)])
     def test_relative_cut_drops_small_singular_values(self, sv_cut, kept):
@@ -154,7 +156,7 @@ class TestPinv:
 
     def test_zero_matrix(self):
         for shape in [(2, 3), (3, 2), (1, 1)]:
-            assert np.array_equal(linalg.pinv(np.zeros(shape)), np.zeros(shape[::-1]))
+            assert np.array_equal(linalg.pinv(np.zeros(shape), CUT), np.zeros(shape[::-1]))
 
     def test_requires_positive_cut(self):
         with pytest.raises(ValueError):
@@ -166,25 +168,35 @@ class TestPinv:
 
         monkeypatch.setattr(np.linalg, "pinv", fail)
         with pytest.raises(NoConvergence):
-            linalg.pinv(np.eye(2))
+            linalg.pinv(np.eye(2), CUT)
+
+
+def _joint(u, mats):
+    """joint[s, l]: the eigenvalue of mats[l] on column s of u, diag(U^dag A U)."""
+    return np.stack([np.diag(linalg.dag(u) @ m @ u).real for m in mats], axis=1)
 
 
 class TestSimultaneousDiagonalize:
+    GATE = DEFAULT.cond
+
     def test_two_diagonals(self):
-        u, joint = linalg.simultaneous_diagonalize([np.diag([1.0, 2.0]), np.diag([3.0, 3.0])])
+        mats = [np.diag([1.0, 2.0]), np.diag([3.0, 3.0])]
+        u, ranks = linalg.simultaneous_diagonalize(mats, self.GATE)
         assert np.allclose(np.abs(u), np.eye(2), atol=1e-10)
-        assert np.allclose(joint, [[1.0, 3.0], [2.0, 3.0]], atol=1e-10)
+        assert np.allclose(_joint(u, mats), [[1.0, 3.0], [2.0, 3.0]], atol=1e-10)
+        assert ranks == (1, 1)
 
     def test_pauli_z_with_identity(self):
-        u, joint = linalg.simultaneous_diagonalize([pauli("z"), np.eye(2)])
+        mats = [pauli("z"), np.eye(2)]
+        u, _ = linalg.simultaneous_diagonalize(mats, self.GATE)
         # columns must be e1, e2 up to phase (ordered by the z eigenvalue)
         assert np.allclose(np.abs(u), np.array([[0.0, 1.0], [1.0, 0.0]]), atol=1e-10)
-        assert np.allclose(joint[:, 0], [-1.0, 1.0], atol=1e-10)
+        assert np.allclose(_joint(u, mats)[:, 0], [-1.0, 1.0], atol=1e-10)
 
     def test_non_commuting_rejected(self):
         # no commutation pre-gate: the family is left off-diagonal
         with pytest.raises(DegeneracyUnresolved):
-            linalg.simultaneous_diagonalize([pauli("x"), pauli("y")])
+            linalg.simultaneous_diagonalize([pauli("x"), pauli("y")], self.GATE)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_commuting_family(self, seed):
@@ -195,35 +207,66 @@ class TestSimultaneousDiagonalize:
         d1 = np.array([1.0, 1.0, 2.0, 3.0, 3.0])
         d2 = np.array([0.0, 1.0, 1.0, 1.0, 2.0])
         mats = [(u0 * d) @ linalg.dag(u0) for d in (d1, d2)]
-        u, joint = linalg.simultaneous_diagonalize(mats)
+        u, ranks = linalg.simultaneous_diagonalize(mats, self.GATE)
         for mat in mats:
             conj = linalg.dag(u) @ mat @ u
-            assert linalg.fro(conj - np.diag(np.diag(conj))) <= DEFAULT.diag * (1 + linalg.fro(mat))
+            assert linalg.fro(conj - np.diag(np.diag(conj))) <= self.GATE * (1 + linalg.fro(mat))
+        joint = _joint(u, mats)
         tuples = sorted(tuple(np.round(row, 8)) for row in joint)
         expected = sorted(zip(d1, d2))
         assert np.allclose(tuples, expected, atol=1e-8)
+        assert ranks == (1,) * n
 
     def test_roundoff_in_a_flat_operator_does_not_decide_the_order(self):
         # operator 0 is I up to +-1e-15, as the reference ratio operator in
         # find_W is; within that width operator 1 alone must set the order
         noise = np.array([-1e-15, 1e-15, -5e-16, 5e-16])
         mats = [np.diag(1.0 + noise), np.diag([4.0, 1.0, 3.0, 2.0])]
-        _, joint = linalg.simultaneous_diagonalize(mats)
-        assert np.all(np.diff(joint[:, 1]) > 0)
+        u, _ = linalg.simultaneous_diagonalize(mats, self.GATE)
+        assert np.all(np.diff(_joint(u, mats)[:, 1]) > 0)
 
     def test_gap_clusters_split_one_operator_at_a_time(self):
-        # rows 0 and 2 agree within the width on both columns: they form one
-        # cluster in index order, although row 2 is smaller in column 0
-        joint = np.array([[1.0 + 1e-12, 2.0], [0.0, 9.0], [1.0, 2.0], [1.0, 5.0]])
-        assert linalg.gap_clusters(joint, 1e-9) == [[1], [0, 2], [3]]
+        # states 0 and 2 agree within the width in both operators: they form
+        # one group, although state 2 is smaller in operator 0
+        mats = [np.diag([1.0 + 1e-12, 0.0, 1.0, 1.0]), np.diag([2.0, 9.0, 2.0, 5.0])]
+        u, ranks = linalg.simultaneous_diagonalize(mats, self.GATE)
+        assert ranks == (1, 2, 1)
+        assert np.allclose(np.abs(u[:, 0]), [0, 1, 0, 0], atol=1e-12)
+        assert np.allclose(np.abs(u[[1, 3], 1:3]), 0.0, atol=1e-12)
+        assert np.allclose(np.abs(u[:, 3]), [0, 0, 0, 1], atol=1e-12)
+        assert linalg.gap_clusters(np.array([0.0, 1.0, 1.0 + 1e-12, 5.0]), 1e-9) == [
+            [0], [1, 2], [3]]
 
     def test_sequential_refinement_splits_degeneracy(self):
         mats = [
             np.diag([1.0, 1.0, 2.0]).astype(complex),
             np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 5.0]], dtype=complex),
         ]
-        u, _ = linalg.simultaneous_diagonalize(mats)
-        assert linalg._family_diagonal(u, mats, DEFAULT.diag)
+        u, ranks = linalg.simultaneous_diagonalize(mats, self.GATE)
+        joint = _joint(u, mats)
+        for mat, column in zip(mats, joint.T):
+            assert linalg.fro(linalg.dag(u) @ mat @ u - np.diag(column)) <= 1e-12
+        assert ranks == (1, 1, 1)
+
+    def test_gate_decides_which_eigenvalues_are_equal(self):
+        # width = gate (1 + ||A||_F); a gap just inside it merges, just outside splits
+        gate = 1e-8
+        for factor, ranks in [(0.5, (2, 1)), (2.0, (1, 1, 1))]:
+            gap = factor * gate * (1.0 + np.sqrt(6.0))
+            mats = [np.diag([1.0, 1.0 + gap, 2.0])]
+            assert linalg.simultaneous_diagonalize(mats, gate)[1] == ranks
+
+    def test_chain_wider_than_the_width_is_unresolved(self):
+        # every step lies within the width, the chain spans 2.7 widths
+        gate = 1e-8
+        step = 0.9 * gate * 3.0   # ||A||_F is 2 up to the steps
+        mats = [np.diag(1.0 + step * np.arange(4)), np.eye(4)]
+        assert step < gate * (1.0 + linalg.fro(mats[0]))
+        with pytest.raises(DegeneracyUnresolved):
+            linalg.simultaneous_diagonalize(mats, gate)
+        # the same chain inside one operator's eigenspace of the one before it
+        with pytest.raises(DegeneracyUnresolved):
+            linalg.simultaneous_diagonalize(mats[::-1], gate)
 
 
 class TestCommNorm:

@@ -102,6 +102,40 @@ def rank2_path_model(seed: int) -> StateModel:
     )
 
 
+def planted_stencil(q, lpp, lpz=None, h: float = 1e-3) -> dict:
+    """A stencil config at rho = diag(q, 0) whose SLDs are planted exactly.
+
+    ``lpp[l]`` is the diagonal of SLD l's ++ block (sum_i q_i lpp[l][i]
+    must vanish: it is tr d_l rho) and ``lpz[l]`` its r_plus x r_zero +0
+    block (``None``: full rank), so d_l rho = [[diag(q lpp_l), Q lpz_l / 2],
+    [h.c., 0]].  The neighbours are rho +- h d_l rho + h^2 K_l, with K_l
+    putting 2 B^dag Q^-1 B (B the +0 block) on the null-null block to keep
+    them positive, and taking its trace off the range.  The central
+    difference cancels K_l, so the derivative is exact up to roundoff.
+    """
+    q = np.asarray(q, dtype=float)
+    r_plus = q.size
+    r_zero = 0 if lpz is None else np.shape(lpz[0])[1]
+    n = r_plus + r_zero
+    rho = np.zeros((n, n), dtype=complex)
+    rho[:r_plus, :r_plus] = np.diag(q)
+    plus, minus = [], []
+    for l, diagonal in enumerate(lpp):
+        d = np.zeros((n, n), dtype=complex)
+        d[:r_plus, :r_plus] = np.diag(q * np.asarray(diagonal))
+        k = np.zeros((n, n), dtype=complex)
+        if r_zero:
+            b = 0.5 * q[:, None] * np.asarray(lpz[l])
+            d[:r_plus, r_plus:], d[r_plus:, :r_plus] = b, linalg.dag(b)
+            c = 2.0 * linalg.dag(b) @ (b / q[:, None])
+            k[r_plus:, r_plus:] = c
+            k[:r_plus, :r_plus] = -np.trace(c).real / r_plus * np.eye(r_plus)
+        plus.append(linalg.matrix_to_json(rho + h * d + h * h * k))
+        minus.append(linalg.matrix_to_json(rho - h * d + h * h * k))
+    return {"model": "stencil", "h": h, "center": [0.5] * len(lpp),
+            "rho_center": linalg.matrix_to_json(rho), "rho_plus": plus, "rho_minus": minus}
+
+
 def random_projective_povm(rng: np.random.Generator, n: int) -> list[np.ndarray]:
     u = random_unitary(rng, n)
     return [np.outer(u[:, j], u[:, j].conj()) for j in range(n)]
