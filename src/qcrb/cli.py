@@ -31,7 +31,7 @@ from .conditions import SATURABLE_PROJECTIVE, UNDETERMINED, evaluate_conditions
 from .config import DEFAULT, Tolerances, parse_overrides
 from .errors import ConditionFailed, ParseError, QcrbError, SingularFisher
 from .estimate import SimConfig, fc_convergence_study, run_trials, study_csv
-from .model import StateModel, eval_bundle, load_model, read_json
+from .model import StateModel, eval_bundle, factorization_at, load_model, read_json
 from .povm import (
     construct_optimal,
     make_povm,
@@ -101,11 +101,9 @@ def _model_json(model: StateModel) -> dict:
 
 def _factorization_order(model: StateModel, theta, dec) -> Optional[np.ndarray]:
     """Map the descending eigenvalues back to the model's own weight order."""
-    if model.factorization is None:
-        return None
     try:
-        _, _, q_model = model.factorization(np.asarray(theta, dtype=float))
-    except QcrbError:
+        _, _, q_model = factorization_at(model, np.asarray(theta, dtype=float))
+    except QcrbError:   # NoFactorization included
         return None
     return q_model if len(q_model) == dec.r_plus else None
 

@@ -30,9 +30,9 @@ import numpy as np
 
 from . import linalg
 from .config import DEFAULT, Tolerances
-from .errors import NoFactorization, NotUnitary
-from .model import StateModel
-from .sld import SldSet
+from .errors import NotUnitary
+from .model import StateModel, central_difference, factorization_at, frame_derivative
+from .sld import SldSet, sld_offdiag_from_factorization
 
 Array = np.ndarray
 
@@ -180,7 +180,6 @@ def verify_condition2_U(
     model: StateModel,
     theta,
     u_eval: Callable[[Array], Array],
-    h: float = 1e-5,
 ) -> Verdict:
     """Residual of the frame-change PDE for a supplied U(theta).
 
@@ -193,13 +192,13 @@ def verify_condition2_U(
     PDE, and so the residual, is invariant under U -> C U for a constant
     unitary C.
 
-    d_l U is taken by central differences; V^dag d_l V comes from the
-    model factorization (analytic when available).  The gate is absolute
-    at :data:`PDE_GATE`.
+    d_l U is :func:`model.central_difference` at ``model.FD_STEP``; d_l V
+    is :func:`model.frame_derivative` (the model's ``dfactorization`` when
+    it has one, else the same difference of V).  The gate is absolute at
+    :data:`PDE_GATE`.
     """
-    if model.factorization is None:
-        raise NoFactorization(f"model {model.name!r} exposes no factorization")
     theta = np.asarray(theta, dtype=float)
+    v0, _, _ = factorization_at(model, theta)
 
     def unitary_at(point: Array) -> Array:
         u = linalg.as_matrix(u_eval(point))
@@ -208,18 +207,10 @@ def verify_condition2_U(
         return u
 
     u0 = unitary_at(theta)
-    v0, _, _ = model.factorization(theta)
     worst = 0.0
     for l in range(model.p):
-        step = np.zeros_like(theta)
-        step[l] = h
-        du = (unitary_at(theta + step) - unitary_at(theta - step)) / (2.0 * h)
-        if model.dfactorization is not None:
-            dv = model.dfactorization(theta, l)
-        else:
-            v_hi, _, _ = model.factorization(theta + step)
-            v_lo, _, _ = model.factorization(theta - step)
-            dv = (v_hi - v_lo) / (2.0 * h)
+        du = central_difference(unitary_at, theta, l)
+        dv = frame_derivative(model, theta, l)
         m_l = linalg.dag(u0) @ du - linalg.dag(v0) @ dv
         worst = max(worst, linalg.fro(m_l))
     return Verdict(passed=worst <= PDE_GATE, residual=worst)
@@ -238,11 +229,7 @@ def solve_U_fixed_range(
     the range frame at a fixed anchor point.  Returns None when the
     special case does not apply.
     """
-    if model.factorization is None:
-        raise NoFactorization(f"model {model.name!r} exposes no factorization")
     theta = np.asarray(theta, dtype=float)
-    from .sld import sld_offdiag_from_factorization
-
     offdiag = sld_offdiag_from_factorization(model, theta)
     if any(linalg.fro(b) > 2.0 * tol.zero for b in offdiag):
         return None
@@ -250,8 +237,8 @@ def solve_U_fixed_range(
         theta_ref if theta_ref is not None else [0.5 * (lo + hi) for lo, hi in model.box],
         dtype=float,
     )
-    b_plus, _, _ = model.factorization(anchor)
-    v, _, _ = model.factorization(theta)
+    b_plus, _, _ = factorization_at(model, anchor)
+    v, _, _ = factorization_at(model, theta)
     u = linalg.dag(b_plus) @ v
     return u if linalg.is_unitary(u) else None
 

@@ -5,7 +5,7 @@ below.  They are all overridable (CLI ``--tol name=value``) and every
 report echoes the table that was actually used, so numerical decisions
 stay auditable.  Unless stated otherwise a tolerance is applied
 relative to ``1 + ||.||_F`` of the operands.  No CLI run reads the
-finite-difference step ``h`` or condition 2's PDE gate, so neither is here.
+difference step ``model.FD_STEP`` or condition 2's PDE gate, so neither is here.
 Joint eigenvalues count as equal at the gate that judges what is built
 from them (``cond`` for the optimal POVM's effects, ``c4`` for the null
 unitary W), so they have no tolerance of their own.

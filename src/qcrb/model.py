@@ -25,6 +25,7 @@ from . import linalg
 from .config import DEFAULT, Tolerances
 from .errors import (
     InvalidState,
+    NoFactorization,
     OutOfDomain,
     ParseError,
     StencilIncomplete,
@@ -33,6 +34,9 @@ from .errors import (
 
 Array = np.ndarray
 Box = tuple[tuple[float, float], ...]
+
+# step of every library central difference; only eval_bundle takes another
+FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -100,18 +104,32 @@ def validate_state(rho: Array, n_s: int, tol: Tolerances = DEFAULT) -> linalg.He
     return spectrum
 
 
-def _fd_derivative(model: StateModel, theta: Array, l: int, h: float) -> Array:
+def central_difference(f: Callable[[Array], Array], theta: Array, l: int,
+                       h: float = FD_STEP) -> Array:
+    """(f(theta + h e_l) - f(theta - h e_l)) / 2h, the one difference of the package."""
     step = np.zeros_like(theta)
     step[l] = h
-    hi = model.eval_rho(theta + step)
-    lo = model.eval_rho(theta - step)
-    return (hi - lo) / (2.0 * h)
+    return (f(theta + step) - f(theta - step)) / (2.0 * h)
+
+
+def factorization_at(model: StateModel, theta: Array) -> tuple[Array, Array, Array]:
+    """The model's factorization (V, Y, q) at theta; NoFactorization if it has none."""
+    if model.factorization is None:
+        raise NoFactorization(f"model {model.name!r} exposes no factorization")
+    return model.factorization(theta)
+
+
+def frame_derivative(model: StateModel, theta: Array, l: int) -> Array:
+    """d_l V at theta: the model's ``dfactorization``, else a central difference of V."""
+    if model.dfactorization is not None:
+        return model.dfactorization(theta, l)
+    return central_difference(lambda point: factorization_at(model, point)[0], theta, l)
 
 
 def eval_bundle(
     model: StateModel,
     theta,
-    h: float = 1e-5,
+    h: float = FD_STEP,
     *,
     use_analytic: bool = True,
     tol: Tolerances = DEFAULT,
@@ -132,7 +150,7 @@ def eval_bundle(
     spectrum = validate_state(rho, model.n_s, tol)
 
     if use_fd:
-        drho = [_fd_derivative(model, theta, l, h) for l in range(model.p)]
+        drho = [central_difference(model.eval_rho, theta, l, h) for l in range(model.p)]
     else:
         drho = [linalg.as_matrix(model.deriv(theta, l)) for l in range(model.p)]
     for l, d in enumerate(drho):
@@ -415,20 +433,21 @@ def _make_stencil_model(obj: dict, tol: Tolerances) -> StateModel:
         table[tuple(center + step)] = hi
         table[tuple(center - step)] = lo
 
+    # the one rule for "theta is this tabulated point", read by lookup and deriv
+    def at(point: tuple[float, ...], theta: Array) -> bool:
+        gap = max(abs(a - float(t)) for a, t in zip(point, theta))
+        return gap <= 1e-12 * (1.0 + max(map(abs, point)))
+
     def lookup(theta: Array) -> Array:
-        key = tuple(float(t) for t in theta)
         for point, rho in table.items():
-            if max(abs(a - b) for a, b in zip(point, key)) <= 1e-12 * (1.0 + max(map(abs, point))):
+            if at(point, theta):
                 return rho.copy()
         raise OutOfDomain(f"stencil model tabulated only at its center and {2 * p} neighbours")
 
     def deriv(theta: Array, l: int) -> Array:
-        key = tuple(float(t) for t in theta)
-        if max(abs(a - b) for a, b in zip(tuple(center), key)) > 1e-12:
+        if not at(tuple(center), theta):
             raise OutOfDomain("stencil derivatives are available only at the center")
-        step = np.zeros(p)
-        step[l] = h
-        return (table[tuple(center + step)] - table[tuple(center - step)]) / (2.0 * h)
+        return central_difference(lambda point: table[tuple(point)], center, l, h)
 
     box = tuple((float(c - 2.0 * h), float(c + 2.0 * h)) for c in center)
     return StateModel(

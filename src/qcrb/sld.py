@@ -22,8 +22,8 @@ import numpy as np
 from . import blocks, linalg
 from .blocks import BlockDecomposition
 from .config import DEFAULT, Tolerances
-from .errors import NoFactorization, RankDrift
-from .model import StateBundle, StateModel
+from .errors import RankDrift
+from .model import StateBundle, StateModel, factorization_at, frame_derivative
 
 Array = np.ndarray
 
@@ -79,33 +79,16 @@ def with_lzz(slds: SldSet, lzz_list) -> SldSet:
     return slds._replace(Lzz=lzz)
 
 
-def sld_offdiag_from_factorization(
-    model: StateModel,
-    theta,
-    h: float = 1e-5,
-) -> list[Array]:
+def sld_offdiag_from_factorization(model: StateModel, theta) -> list[Array]:
     """+0 SLD blocks computed as 2 (d_l V)^dag Y in the factorization frame.
 
     This route uses only the derivative of the range frame and is
     independent of the weights; it serves as a second path against the
-    block-equation solution.
+    block-equation solution.  d_l V is :func:`model.frame_derivative`.
     """
-    if model.factorization is None:
-        raise NoFactorization(f"model {model.name!r} exposes no factorization")
     theta = np.asarray(theta, dtype=float)
-    v, y, _ = model.factorization(theta)
-    out = []
-    for l in range(model.p):
-        if model.dfactorization is not None:
-            dv = model.dfactorization(theta, l)
-        else:
-            step = np.zeros_like(theta)
-            step[l] = h
-            v_hi, _, _ = model.factorization(theta + step)
-            v_lo, _, _ = model.factorization(theta - step)
-            dv = (v_hi - v_lo) / (2.0 * h)
-        out.append(2.0 * linalg.dag(dv) @ y)
-    return out
+    _, y, _ = factorization_at(model, theta)
+    return [2.0 * linalg.dag(frame_derivative(model, theta, l)) @ y for l in range(model.p)]
 
 
 def qfim(slds: SldSet) -> Qfim:

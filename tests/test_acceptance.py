@@ -68,13 +68,13 @@ class TestCriterion2Condition2Verifier:
         def u_closed(theta):
             return np.diag([1.0, cmath.exp(1j * abs(d) ** 2 * (c1 * theta[0] + c2 * theta[1]))])
 
-        verdict = conditions.verify_condition2_U(example2, THETA_EX2, u_closed, h=1e-5)
+        verdict = conditions.verify_condition2_U(example2, THETA_EX2, u_closed)
         check("2 closed-form U passes", verdict.passed and verdict.residual <= 1e-5,
               f"residual {verdict.residual:.2e}")
 
     def test_identity_candidate_rejected(self, example2):
         verdict = conditions.verify_condition2_U(
-            example2, THETA_EX2, lambda theta: np.eye(2), h=1e-5
+            example2, THETA_EX2, lambda theta: np.eye(2)
         )
         check("2 identity U fails", verdict.residual >= 1e-2,
               f"residual {verdict.residual:.2e}")
@@ -91,7 +91,7 @@ class TestCriterion3FixedRangeSpecialCase:
         def u_eval(theta):
             return conditions.solve_U_fixed_range(fixed_range, theta, theta_ref=anchor)
 
-        verdict = conditions.verify_condition2_U(fixed_range, THETA_FIXED, u_eval, h=1e-5)
+        verdict = conditions.verify_condition2_U(fixed_range, THETA_FIXED, u_eval)
         check("3 frame passes verifier", verdict.passed and verdict.residual <= 1e-5,
               f"residual {verdict.residual:.2e}")
 
@@ -138,7 +138,7 @@ class TestCriterion5OracleEquivalence:
                 worst_solve = max(worst_solve, float(np.max(np.abs(ours - oracle))))
             v_f, y_f, _ = mdl.factorization(theta)
             aligned = aligned_offdiag(slds, v_f, y_f)
-            route15 = sld.sld_offdiag_from_factorization(mdl, theta, h=1e-5)
+            route15 = sld.sld_offdiag_from_factorization(mdl, theta)
             for a, b in zip(aligned, route15):
                 worst_paths = max(worst_paths, float(np.max(np.abs(a - b))))
         check("5 dense-solve oracle", worst_solve <= 1e-8, f"worst {worst_solve:.2e}")

@@ -775,6 +775,14 @@ def test_every_echoed_tolerance_is_read():
     assert unread == []
 
 
+def test_one_central_difference_and_one_factorization_gate():
+    # every difference is model.central_difference, every gate model.factorization_at
+    src = Path(qcrb.__file__).resolve().parent
+    text = "\n".join(path.read_text(encoding="utf-8") for path in src.glob("*.py"))
+    assert text.count("/ (2.0 * h)") == 1
+    assert text.count("raise NoFactorization") == 1
+
+
 # Runs analyze and construct on every built-in model in one interpreter and
 # prints each report and POVM file, tagged with its name.
 _BUILTIN_REPORTS = """

@@ -252,7 +252,7 @@ def example2_closed_form_U(theta, d=0.6, c1=1.0, c2=2.0):
 class TestCondition2Verifier:
     def test_example2_closed_form_passes(self, example2):
         verdict = conditions.verify_condition2_U(
-            example2, THETA_EX2, example2_closed_form_U, h=1e-5
+            example2, THETA_EX2, example2_closed_form_U
         )
         assert verdict.passed and verdict.residual <= 1e-5
 
@@ -262,7 +262,7 @@ class TestCondition2Verifier:
         def u_eval(theta):
             return conditions.solve_U_fixed_range(fixed_range, theta, theta_ref=anchor)
 
-        verdict = conditions.verify_condition2_U(fixed_range, THETA_FIXED, u_eval, h=1e-5)
+        verdict = conditions.verify_condition2_U(fixed_range, THETA_FIXED, u_eval)
         assert verdict.passed and verdict.residual <= 1e-5
 
     def test_identity_solves_when_connection_is_diagonal(self, example2):
@@ -272,12 +272,12 @@ class TestCondition2Verifier:
         # identity frame M_l = -diag(0, i c_l |d|^2), whose largest
         # Frobenius norm is c2 |d|^2 = 2 * 0.36
         closed = conditions.verify_condition2_U(
-            example2, THETA_EX2, example2_closed_form_U, h=1e-5
+            example2, THETA_EX2, example2_closed_form_U
         )
         assert closed.passed
         assert closed.residual <= 1e-9
         identity = conditions.verify_condition2_U(
-            example2, THETA_EX2, lambda theta: np.eye(2), h=1e-5
+            example2, THETA_EX2, lambda theta: np.eye(2)
         )
         assert not identity.passed
         assert identity.residual == pytest.approx(0.72, abs=1e-9)
@@ -289,17 +289,17 @@ class TestCondition2Verifier:
         assert linalg.fro(c - np.diag(np.diag(c))) > 0.1
 
         verdict = conditions.verify_condition2_U(
-            example2, THETA_EX2, lambda theta: c @ example2_closed_form_U(theta), h=1e-5
+            example2, THETA_EX2, lambda theta: c @ example2_closed_form_U(theta)
         )
         assert verdict.passed and verdict.residual <= 1e-9
 
     def test_identity_rejected_at_small_weight(self, example2):
         # a kept weight of 1e-6 (above tol.rank) must not shrink the residual
         theta = np.array([1.0 - 1e-6, 0.5])
-        closed = conditions.verify_condition2_U(example2, theta, example2_closed_form_U, h=1e-5)
+        closed = conditions.verify_condition2_U(example2, theta, example2_closed_form_U)
         assert closed.passed
         identity = conditions.verify_condition2_U(
-            example2, theta, lambda theta: np.eye(2), h=1e-5
+            example2, theta, lambda theta: np.eye(2)
         )
         assert not identity.passed
         assert identity.residual == pytest.approx(0.72, abs=1e-9)
@@ -313,20 +313,20 @@ class TestCondition2Verifier:
                 dtype=complex,
             )
 
-        verdict = conditions.verify_condition2_U(example2, THETA_EX2, u_eval, h=1e-5)
+        verdict = conditions.verify_condition2_U(example2, THETA_EX2, u_eval)
         assert not verdict.passed
         assert verdict.residual >= 1e-2
 
     def test_not_unitary_rejected(self, example2):
         with pytest.raises(NotUnitary):
             conditions.verify_condition2_U(
-                example2, THETA_EX2, lambda theta: np.diag([1.0, 2.0]), h=1e-5
+                example2, THETA_EX2, lambda theta: np.diag([1.0, 2.0])
             )
 
     def test_requires_factorization(self, qubit_xy):
         with pytest.raises(NoFactorization):
             conditions.verify_condition2_U(
-                qubit_xy, np.array([0.3, 0.2]), lambda theta: np.eye(2), h=1e-5
+                qubit_xy, np.array([0.3, 0.2]), lambda theta: np.eye(2)
             )
 
 

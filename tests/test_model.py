@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -7,13 +8,14 @@ from qcrb import linalg, model
 from qcrb.config import DEFAULT
 from qcrb.errors import (
     InvalidState,
+    NoFactorization,
     OutOfDomain,
     ParseError,
     StencilIncomplete,
     UnknownModel,
 )
 
-from conftest import WORKING_POINTS
+from conftest import THETA_EX2, THETA_QUBIT, WORKING_POINTS
 
 
 def _box_interior_points(mdl, count, seed):
@@ -43,8 +45,6 @@ class TestEvalBundle:
             assert np.max(np.abs(a - f)) <= 1e-9
 
     def test_cross_check_catches_bad_derivative(self, example2):
-        import dataclasses
-
         broken = dataclasses.replace(
             example2, deriv=lambda theta, l: example2.deriv(theta, l) + 0.1 * np.eye(3)
         )
@@ -96,6 +96,25 @@ class TestBuiltinInvariants:
             for l in range(2):
                 dv = fixed_range.dfactorization(theta, l)
                 assert np.max(np.abs(linalg.dag(dv) @ y)) == 0.0
+
+    @pytest.mark.parametrize("name", ["example2", "fixed_range", "classical_diag", "pure_state"])
+    def test_analytic_frame_derivative_matches_the_difference(self, name):
+        mdl = model.build_model(name)
+        theta = WORKING_POINTS[name]
+        for l in range(mdl.p):
+            fd = model.central_difference(lambda point: mdl.factorization(point)[0], theta, l)
+            assert np.allclose(mdl.dfactorization(theta, l), fd, rtol=0.0, atol=1e-8)
+            assert np.array_equal(model.frame_derivative(mdl, theta, l), mdl.dfactorization(theta, l))
+
+    def test_frame_derivative_differences_v_without_dfactorization(self, example2):
+        bare = dataclasses.replace(example2, dfactorization=None)
+        for l in range(example2.p):
+            fd = model.central_difference(lambda point: example2.factorization(point)[0], THETA_EX2, l)
+            assert np.array_equal(model.frame_derivative(bare, THETA_EX2, l), fd)
+
+    def test_frame_derivative_needs_a_factorization(self, qubit_xy):
+        with pytest.raises(NoFactorization):
+            model.frame_derivative(qubit_xy, THETA_QUBIT, 0)
 
     def test_qubit_xy_closed_form_spectrum(self, qubit_xy):
         bundle = model.eval_bundle(qubit_xy, [0.3, 0.2])
@@ -207,6 +226,20 @@ class TestStencil:
         stencil = model.load_model(path)
         with pytest.raises(OutOfDomain):
             model.eval_bundle(stencil, [0.26, 0.5])
+
+    def test_state_and_derivative_share_one_centre_rule(self, tmp_path, example2):
+        payload = model.stencil_payload(example2, [0.25, 0.5], 1e-5)
+        path = tmp_path / "stencil.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        stencil = model.load_model(path)
+        centre = model.eval_bundle(stencil, [0.25, 0.5])
+        # within 1e-12 (1 + max|centre|) = 1.5e-12 of the centre: rho and drho are both read
+        near = model.eval_bundle(stencil, [0.25 + 1.2e-12, 0.5])
+        assert np.array_equal(near.rho, centre.rho)
+        for a, b in zip(near.drho, centre.drho):
+            assert np.array_equal(a, b)
+        with pytest.raises(OutOfDomain):
+            model.eval_bundle(stencil, [0.25 + 3e-12, 0.5])
 
     def test_missing_point_rejected(self, tmp_path, example2):
         payload = model.stencil_payload(example2, [0.25, 0.5], 1e-5)

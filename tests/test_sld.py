@@ -104,7 +104,7 @@ class TestRandomFamilies:
         slds = sld.compute_slds(bundle, dec)
         v_f, y_f, _ = mdl.factorization(theta)
         aligned = aligned_offdiag(slds, v_f, y_f)
-        route15 = sld.sld_offdiag_from_factorization(mdl, theta, h=1e-5)
+        route15 = sld.sld_offdiag_from_factorization(mdl, theta)
         for a, b in zip(aligned, route15):
             assert np.max(np.abs(a - b)) <= 1e-8
 
