@@ -33,14 +33,6 @@ class BlockDecomposition(NamedTuple):
     def n_s(self) -> int:
         return self.V.shape[0]
 
-    @property
-    def P_plus(self) -> Array:
-        return self.V @ linalg.dag(self.V)
-
-    @property
-    def P_zero(self) -> Array:
-        return self.Y @ linalg.dag(self.Y)
-
 
 class BlockView(NamedTuple):
     opp: Array

@@ -171,7 +171,7 @@ def find_W(slds: SldSet, tol: Tolerances = DEFAULT) -> WCandidate:
     worst = _worst_pair(gs, linalg.comm_norm)
     if worst > tol.c4:
         return _uncertified(worst, "ratio operators do not commute")
-    z, _ = linalg.simultaneous_diagonalize(gs, tol.c4, tol)
+    z, _ = linalg.simultaneous_diagonalize(gs, tol.c4)
     c4 = verify_W(slds, np.hstack([coimage @ z, kernel]), tol)
     return c4 if c4.certified else c4._replace(note="candidate failed column verification")
 

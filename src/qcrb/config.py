@@ -5,7 +5,9 @@ below.  They are all overridable (CLI ``--tol name=value``) and every
 report echoes the table that was actually used, so numerical decisions
 stay auditable.  Unless stated otherwise a tolerance is applied
 relative to ``1 + ||.||_F`` of the operands.  No CLI run reads the
-difference step ``model.FD_STEP`` or condition 2's PDE gate, so neither is here.
+difference step ``model.FD_STEP`` or condition 2's PDE gate, and
+``linalg.HERM_GATE`` guards only eigensolve inputs that are Hermitian by
+construction or gated by a value below, so none of the three is here.
 Joint eigenvalues count as equal at the gate that judges what is built
 from them (``cond`` for the optimal POVM's effects, ``c4`` for the null
 unitary W), so they have no tolerance of their own.
@@ -20,7 +22,6 @@ from .errors import ParseError
 
 
 class Tolerances(NamedTuple):
-    herm: float = 1e-10          # hermiticity gate
     state: float = 1e-10         # density-matrix invariants
     trace: float = 1e-7          # trace of state derivatives
     rank: float = 1e-8           # eigenvalue threshold separating range from null space

@@ -2,14 +2,16 @@
 
 All routines work on plain complex ``numpy`` arrays.  The factorizations
 come from LAPACK through ``numpy.linalg``; this module adds the gates and
-the gauge that make their output deterministic:
+the gauge that make their output deterministic, and reads no tolerance table:
 
-* Hermitian eigendecomposition (``eigh``) behind a hermiticity gate, with
-  ascending eigenvalues and each eigenvector's phase fixed so that its
-  largest-magnitude entry is real positive.  LAPACK is backward stable, so
-  an eigenvalue is accurate to about n*eps*||A|| in absolute terms, not
-  relative to its own size; callers that cut a spectrum at a threshold
-  must treat values within that band of it as ambiguous.
+* Hermitian eigendecomposition (``eigh``) with ascending eigenvalues and
+  each eigenvector's phase fixed so that its largest-magnitude entry is
+  real positive.  Its inputs are Hermitian by construction or gated by
+  the caller, so its hermiticity gate is the constant ``HERM_GATE``.
+  LAPACK is backward stable, so an eigenvalue is accurate to about
+  n*eps*||A|| in absolute terms, not relative to its own size; callers
+  that cut a spectrum at a threshold must treat values within that band
+  of it as ambiguous.
 * SVD (``svd``) and the Moore-Penrose pseudoinverse (``pinv``) with
   relative singular-value truncation at a cut the caller passes: plain
   ``numpy.linalg`` calls that map a LAPACK failure to NoConvergence.
@@ -30,7 +32,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
 from .errors import (
     DegeneracyUnresolved,
     DimensionMismatch,
@@ -41,6 +42,9 @@ from .errors import (
 )
 
 Array = np.ndarray
+
+# relative hermiticity defect above which an eigensolve's input is rejected
+HERM_GATE = 1e-10
 
 
 def as_matrix(a) -> Array:
@@ -67,12 +71,13 @@ def herm_defect(a: Array) -> float:
     return fro(a - dag(a)) / (1.0 + fro(a))
 
 
-def require_hermitian(a: Array, tol: float = DEFAULT.herm) -> Array:
+def require_hermitian(a: Array) -> Array:
+    """The Hermitian part of a square matrix whose defect is within ``HERM_GATE``."""
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got {a.shape}")
-    if herm_defect(a) > tol:
-        raise NotHermitian(f"hermiticity defect {herm_defect(a):.3e} exceeds {tol:.3e}")
+    if herm_defect(a) > HERM_GATE:
+        raise NotHermitian(f"hermiticity defect {herm_defect(a):.3e} exceeds {HERM_GATE:.3e}")
     return 0.5 * (a + dag(a))
 
 
@@ -97,14 +102,14 @@ class HermEigen(NamedTuple):
     vectors: Array
 
 
-def herm_eigen(a, tol: Tolerances = DEFAULT) -> HermEigen:
+def herm_eigen(a) -> HermEigen:
     """Eigendecomposition of a Hermitian matrix by LAPACK (``numpy.linalg.eigh``).
 
     Values ascend; each eigenvector's largest-magnitude entry is real
-    positive.  Raises NotHermitian when the input fails the hermiticity
-    gate and NoConvergence when LAPACK reports that it did not converge.
+    positive.  Raises NotHermitian above ``HERM_GATE`` and NoConvergence
+    when LAPACK reports that it did not converge.
     """
-    work = require_hermitian(a, tol.herm)
+    work = require_hermitian(a)
     try:
         values, vectors = np.linalg.eigh(work)
     except np.linalg.LinAlgError as exc:
@@ -204,8 +209,7 @@ def gap_clusters(values, width: float) -> list[list[int]]:
     return [run.tolist() for run in runs]
 
 
-def simultaneous_diagonalize(family, gate: float,
-                             tol: Tolerances = DEFAULT) -> tuple[Array, tuple[int, ...]]:
+def simultaneous_diagonalize(family, gate: float) -> tuple[Array, tuple[int, ...]]:
     """Jointly diagonalize a commuting family of Hermitian matrices.
 
     Returns ``(U, ranks)``: the columns of the unitary U are common
@@ -223,9 +227,10 @@ def simultaneous_diagonalize(family, gate: float,
     operator 0, then operator 1, and so on, so roundoff within a width
     never decides the order.  Commutation is not gated separately (both
     callers gate it first): a family that does not commute leaves some
-    member off-diagonal, and that raises DegeneracyUnresolved.
+    member off-diagonal, and that raises DegeneracyUnresolved.  Members
+    are gated at ``HERM_GATE`` (:func:`require_hermitian`).
     """
-    mats = [require_hermitian(m, tol.herm) for m in family]
+    mats = [require_hermitian(m) for m in family]
     if not mats:
         raise DimensionMismatch("need at least one matrix")
     n = mats[0].shape[0]

@@ -35,7 +35,7 @@ from .errors import (
 Array = np.ndarray
 Box = tuple[tuple[float, float], ...]
 
-# step of every library central difference; only eval_bundle takes another
+# step of every library central difference; a stencil's tabulated h is the only other
 FD_STEP = 1e-5
 
 
@@ -85,10 +85,10 @@ def _require_in_box(model: StateModel, theta: Array, margin: float) -> Array:
 
 
 def validate_state(rho: Array, n_s: int, tol: Tolerances = DEFAULT) -> linalg.HermEigen:
-    """Gate hermiticity, positivity and unit trace of a density matrix.
+    """Gate hermiticity (at ``tol.state`` only), positivity and unit trace of rho.
 
-    Returns the eigendecomposition of rho made for the positivity gate, so
-    that ``blocks.decompose`` need not make a second one.
+    Returns the eigendecomposition of rho's Hermitian part made for the
+    positivity gate, so that ``blocks.decompose`` need not make a second one.
     """
     rho = linalg.as_matrix(rho)
     if rho.shape != (n_s, n_s):
@@ -98,7 +98,7 @@ def validate_state(rho: Array, n_s: int, tol: Tolerances = DEFAULT) -> linalg.He
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > 10.0 * tol.state:
         raise InvalidState(f"state trace {tr} deviates from 1")
-    spectrum = linalg.herm_eigen(rho, tol)
+    spectrum = linalg.herm_eigen(0.5 * (rho + linalg.dag(rho)))
     if spectrum.values[0] < -tol.state:
         raise InvalidState(f"state has negative eigenvalue {spectrum.values[0]:.3e}")
     return spectrum
@@ -126,31 +126,20 @@ def frame_derivative(model: StateModel, theta: Array, l: int) -> Array:
     return central_difference(lambda point: factorization_at(model, point)[0], theta, l)
 
 
-def eval_bundle(
-    model: StateModel,
-    theta,
-    h: float = FD_STEP,
-    *,
-    use_analytic: bool = True,
-    tol: Tolerances = DEFAULT,
-) -> StateBundle:
+def eval_bundle(model: StateModel, theta, tol: Tolerances = DEFAULT) -> StateBundle:
     """Evaluate rho and all first derivatives at theta.
 
-    Analytic derivatives are preferred when the model supplies them;
-    otherwise central differences with step ``h`` are used (theta must
-    then sit at least ``h`` inside the box).  ``use_analytic=False``
-    forces the finite-difference route, as a reference for the analytic one.
+    The derivatives are the model's ``deriv`` when it has one, else
+    :func:`central_difference` at ``FD_STEP`` (theta must then sit at
+    least ``FD_STEP`` inside the box).
     """
-    if h <= 0.0:
-        raise ValueError("finite-difference step must be positive")
-    use_fd = model.deriv is None or not use_analytic
-    theta = _require_in_box(model, theta, h if use_fd else 0.0)
+    theta = _require_in_box(model, theta, FD_STEP if model.deriv is None else 0.0)
 
     rho = linalg.as_matrix(model.eval_rho(theta))
     spectrum = validate_state(rho, model.n_s, tol)
 
-    if use_fd:
-        drho = [central_difference(model.eval_rho, theta, l, h) for l in range(model.p)]
+    if model.deriv is None:
+        drho = [central_difference(model.eval_rho, theta, l) for l in range(model.p)]
     else:
         drho = [linalg.as_matrix(model.deriv(theta, l)) for l in range(model.p)]
     for l, d in enumerate(drho):

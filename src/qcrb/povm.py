@@ -221,7 +221,7 @@ def construct_optimal(slds: SldSet, w: Optional[WCandidate] = None,
         if w is None or not w.certified or w.W is None:
             raise ConditionFailed("no certified null-space unitary supplied")
 
-    u, ranks = linalg.simultaneous_diagonalize(list(slds.Lpp), tol.cond, tol)
+    u, ranks = linalg.simultaneous_diagonalize(list(slds.Lpp), tol.cond)
     null = dec.Y @ w.W if dec.r_zero > 0 else dec.Y
     return Povm(G=linalg.fix_phases(np.hstack([dec.V @ u, null])),
                 ranks=ranks + (1,) * dec.r_zero,

@@ -2,6 +2,7 @@
 pass/fail line so the whole gate can be audited from the test log."""
 
 import cmath
+import dataclasses
 
 import numpy as np
 from qcrb import blocks, conditions, estimate, linalg, model, povm, sld
@@ -33,7 +34,7 @@ class TestCriterion1ExamplePipeline:
 
         # independent oracle first: F from finite-difference derivatives and
         # the full-matrix trace Re tr(rho L_l L_m)
-        fd_bundle = model.eval_bundle(example2, THETA_EX2, h=1e-5, use_analytic=False)
+        fd_bundle = model.eval_bundle(dataclasses.replace(example2, deriv=None), THETA_EX2)
         fd_dec = blocks.decompose(fd_bundle.rho)
         fd_slds = sld.compute_slds(fd_bundle, fd_dec)
         full = [embed_sld(fd_slds, l) for l in range(2)]
@@ -129,7 +130,7 @@ class TestCriterion5OracleEquivalence:
         theta = np.array([0.08, -0.12])
         for seed in range(50):
             mdl = rank2_path_model(seed)
-            bundle = model.eval_bundle(mdl, theta, h=1e-5)
+            bundle = model.eval_bundle(mdl, theta)
             dec = blocks.decompose(bundle.rho)
             slds = sld.compute_slds(bundle, dec)
             for l in range(2):
@@ -202,7 +203,8 @@ class TestCriterion7CanonicalStructure:
         mdl = model.build_model("fixed_range")
         bundle, dec, slds, report = pipeline(mdl, THETA_FIXED)
         built = povm.construct_optimal(slds, report.c4)
-        padded = [effects(built)[k] + 0.5 * dec.P_zero for k in built.regular_indices]
+        p_zero = dec.Y @ linalg.dag(dec.Y)
+        padded = [effects(built)[k] + 0.5 * p_zero for k in built.regular_indices]
         pv, _ = povm.make_povm(padded, bundle.rho, dec)
         cases.append(("fixed_range padded", bundle, dec, slds, pv))
 

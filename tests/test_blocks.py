@@ -34,7 +34,8 @@ class TestDecompose:
         assert np.allclose(linalg.dag(dec.Y) @ dec.Y, np.eye(dec.r_zero), atol=1e-10)
         assert np.max(np.abs(linalg.dag(dec.V) @ dec.Y)) <= 1e-10
         assert np.allclose(bundle.rho @ dec.V, dec.V * dec.q, atol=1e-9)
-        assert np.allclose(dec.P_plus + dec.P_zero, np.eye(3), atol=1e-10)
+        projectors = dec.V @ linalg.dag(dec.V) + dec.Y @ linalg.dag(dec.Y)
+        assert np.allclose(projectors, np.eye(3), atol=1e-10)
         assert np.min(dec.q) > DEFAULT.rank
 
     def test_ill_determined_rank(self):

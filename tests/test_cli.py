@@ -316,6 +316,19 @@ def test_construct_on_a_near_degenerate_joint_spectrum_never_fails_its_povm(tmp_
     assert outcomes[1e-4] == 3 + null and outcomes[1e-10] == 2 + null
 
 
+def test_rho_is_held_to_one_hermiticity_gate(tmp_path):
+    # a 1e-9 anti-Hermitian off-diagonal in rho fails tol.state at its
+    # default and passes it at 1e-8: the eigensolve adds no second gate
+    config = planted_stencil([0.6, 0.4], [[1.0, -1.5]])
+    config["rho_center"][0][1], config["rho_center"][1][0] = [1e-9, 0.0], [-1e-9, 0.0]
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(config), encoding="utf-8")
+    code, report = run_to_file(tmp_path, ["analyze", str(model_path)])
+    assert (code, report["error"]["type"]) == (1, "InvalidState")
+    code, report = run_to_file(tmp_path, ["analyze", str(model_path), "--tol", "state=1e-8"])
+    assert (code, report["conditions"]["classification"]) == (0, "SaturableProjective")
+
+
 def _agree(a, b) -> bool:
     """Whether two JSON values are equal, floats within 1e-12 (1 + |a|)."""
     if isinstance(a, float) and isinstance(b, float):
@@ -535,6 +548,7 @@ def _identity_with(entry) -> dict:
     pytest.param(GOOD, None, ["analyze", "--tol", "cluster=1e-7"], id="removed-cluster"),
     pytest.param(GOOD, None, ["analyze", "--tol", "diag=1e-8"], id="removed-diag"),
     pytest.param(GOOD, None, ["analyze", "--tol", "sv=1e-8"], id="removed-sv"),
+    pytest.param(GOOD, None, ["analyze", "--tol", "herm=1e-10"], id="removed-herm"),
     pytest.param(GOOD, {"effects": [EYE]}, ["simulate", "--delta", "0.01"], id="delta-not-p-long"),
     pytest.param(GOOD, {"effects": [EYE]},
                  ["simulate", "--study", "1e-2", "--direction", "1", "0", "0"],
@@ -742,8 +756,21 @@ def test_only_the_simulation_draws_random_numbers():
 _CRITERION_ONLY = {"canonicalize", "with_lzz", "verify_condition2_U", "solve_U_fixed_range"}
 
 
+def _public_names(tree: ast.Module):
+    """Public top-level functions and classes, and the public properties of the classes."""
+    for node in tree.body:
+        members = node.body if isinstance(node, ast.ClassDef) else []
+        properties = [m for m in members if isinstance(m, ast.FunctionDef)
+                      and any(isinstance(d, ast.Name) and d.id == "property"
+                              for d in m.decorator_list)]
+        for item in [node, *properties]:
+            if isinstance(item, (ast.FunctionDef, ast.ClassDef)) and not item.name.startswith("_"):
+                yield item.name
+
+
 def test_every_public_function_has_a_caller():
-    # a public top-level function or class that only tests reach is dead code
+    # a public top-level function or class, or a public property, that only
+    # tests reach is dead code
     src = Path(qcrb.__file__).resolve().parent
     bench = Path(__file__).resolve().parent.parent / "bench"
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
@@ -758,10 +785,8 @@ def test_every_public_function_has_a_caller():
                 used.add(node.attr)
             elif isinstance(node, ast.alias):
                 used.add(node.name)
-    defined = {node.name for path, tree in trees.items() if path.parent == src
-               for node in tree.body
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-               and not node.name.startswith("_")}
+    defined = {name for path, tree in trees.items() if path.parent == src
+               for name in _public_names(tree)}
     assert _CRITERION_ONLY <= defined
     assert sorted(defined - used - _CRITERION_ONLY) == []
 

@@ -40,7 +40,7 @@ class TestEvalBundle:
     def test_pure_state_fd_matches_analytic(self, pure_state):
         theta = np.array([0.6, 0.4])
         analytic = model.eval_bundle(pure_state, theta)
-        fd = model.eval_bundle(pure_state, theta, h=1e-5, use_analytic=False)
+        fd = model.eval_bundle(dataclasses.replace(pure_state, deriv=None), theta)
         for a, f in zip(analytic.drho, fd.drho):
             assert np.max(np.abs(a - f)) <= 1e-9
 
@@ -60,7 +60,7 @@ class TestEvalBundle:
         theta = [1e-7, 0.5]
         model.eval_bundle(example2, theta)  # analytic path needs no margin
         with pytest.raises(OutOfDomain):
-            model.eval_bundle(example2, theta, h=1e-5, use_analytic=False)
+            model.eval_bundle(dataclasses.replace(example2, deriv=None), theta)
 
     def test_derivative_traceless(self, example2):
         bundle = model.eval_bundle(example2, [0.37, 0.21])
@@ -129,8 +129,9 @@ class TestBuiltinInvariants:
         ratios = {}
         for h in (1e-4, 1e-5):
             analytic = model.eval_bundle(mdl, theta)
-            fd = model.eval_bundle(mdl, theta, h=h, use_analytic=False)
-            err = max(np.max(np.abs(a - f)) for a, f in zip(analytic.drho, fd.drho))
+            fd = [model.central_difference(mdl.eval_rho, analytic.theta, l, h)
+                  for l in range(mdl.p)]
+            err = max(np.max(np.abs(a - f)) for a, f in zip(analytic.drho, fd))
             ratios[h] = err / h**2
         if ratios[1e-4] < 1e-4 and ratios[1e-5] < 1e-2:
             return  # derivative is exactly linear in theta; FD is exact
@@ -213,8 +214,8 @@ class TestStencil:
         path = tmp_path / "stencil.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
         stencil = model.load_model(path)
-        direct = model.eval_bundle(example2, theta, h=h, use_analytic=False)
-        tabulated = model.eval_bundle(stencil, theta, h=h)
+        direct = model.eval_bundle(dataclasses.replace(example2, deriv=None), theta)
+        tabulated = model.eval_bundle(stencil, theta)
         assert np.max(np.abs(direct.rho - tabulated.rho)) <= 1e-12
         for a, b in zip(direct.drho, tabulated.drho):
             assert np.max(np.abs(a - b)) <= 1e-12

@@ -41,7 +41,7 @@ class TestConstructOptimal:
         built = povm.construct_optimal(zeroed, report.c4)
         regular = [effects(built)[k] for k in built.regular_indices]
         assert len(regular) == 1
-        assert np.allclose(regular[0], dec.P_plus, atol=1e-10)
+        assert np.allclose(regular[0], dec.V @ linalg.dag(dec.V), atol=1e-10)
 
     def test_completeness_and_projectivity(self):
         for name in SATURABLE:
@@ -83,7 +83,7 @@ class TestClassify:
     def test_null_projector_consistent(self, ex2_pipeline):
         bundle, dec, _, _ = ex2_pipeline
         labels, flags = _classify(
-            [dec.P_plus, dec.P_zero], bundle.rho, dec
+            [dec.V @ linalg.dag(dec.V), dec.Y @ linalg.dag(dec.Y)], bundle.rho, dec
         )
         assert labels == ["regular", "null"]
         assert flags == []
@@ -185,7 +185,7 @@ class TestCanonicalize:
         bundle, dec, slds, report = fixed_pipeline
         built = povm.construct_optimal(slds, report.c4)
         reg = [effects(built)[k] for k in built.regular_indices]
-        padded = [r + 0.5 * dec.P_zero for r in reg]
+        padded = [r + 0.5 * (dec.Y @ linalg.dag(dec.Y)) for r in reg]
         pv, _ = povm.make_povm(padded, bundle.rho, dec)
         assert povm.verify_optimality(pv, slds, dec).passed
         canon = povm.canonicalize(pv, dec, slds)
@@ -268,8 +268,9 @@ class TestNullComponentSum:
 
     def test_fixed_range_any_null_set_works(self, fixed_pipeline):
         bundle, dec, slds, _ = fixed_pipeline
+        p_zero = dec.Y @ linalg.dag(dec.Y)
         pv, _ = povm.make_povm(
-            [dec.P_plus, 0.25 * dec.P_zero, 0.75 * dec.P_zero], bundle.rho, dec
+            [dec.V @ linalg.dag(dec.V), 0.25 * p_zero, 0.75 * p_zero], bundle.rho, dec
         )
         assert np.max(np.abs(povm.null_component_sum(pv, slds))) == 0.0
         fim = sld.qfim(slds)

@@ -87,7 +87,7 @@ class TestRandomFamilies:
     def test_dense_solve_oracle(self, seed):
         mdl = rank2_path_model(seed)
         theta = np.array([0.1, -0.2])
-        bundle = model.eval_bundle(mdl, theta, h=1e-5)
+        bundle = model.eval_bundle(mdl, theta)
         dec = blocks.decompose(bundle.rho)
         slds = sld.compute_slds(bundle, dec)
         for l in range(2):
@@ -99,7 +99,7 @@ class TestRandomFamilies:
     def test_two_paths_agree_on_random_families(self, seed):
         mdl = rank2_path_model(100 + seed)
         theta = np.array([0.05, 0.15])
-        bundle = model.eval_bundle(mdl, theta, h=1e-5)
+        bundle = model.eval_bundle(mdl, theta)
         dec = blocks.decompose(bundle.rho)
         slds = sld.compute_slds(bundle, dec)
         v_f, y_f, _ = mdl.factorization(theta)
