@@ -175,8 +175,9 @@ def _run(args, tol: Tolerances, seed: int, warnings: list[str]) -> tuple[dict, i
     """The one pipeline behind every subcommand; returns the report sections and exit code.
 
     load -> theta -> state bundle -> decomposition -> SLDs, QFIM and
-    conditions (not for simulate) -> POVM, built or read from a file ->
-    optimality and saturation, or the simulation.
+    conditions (not for simulate) -> POVM, built or read from a file and
+    labelled by one make_povm -> optimality and saturation, or the
+    simulation.
     """
     model = load_model(args.model, tol)
     theta = _resolve_theta(model, args.theta)
@@ -197,11 +198,11 @@ def _run(args, tol: Tolerances, seed: int, warnings: list[str]) -> tuple[dict, i
         if conditions.classification != SATURABLE_PROJECTIVE:
             raise ConditionFailed(
                 f"classification is {conditions.classification}; nothing to construct")
-        povm = construct_optimal(slds, conditions.c4, tol)
+        source = construct_optimal(slds, conditions.c4, tol)
     else:
         source = povm_from_json(read_json(args.povm, "POVM file"))
-        povm, flags = make_povm(source, bundle.rho, dec, tol)
-        warnings.extend(flags)
+    povm, flags = make_povm(source, bundle.rho, dec, tol)
+    warnings.extend(flags)
     if args.command == "simulate":
         report.update(_simulation_sections(model, povm, theta, bundle, dec, config, study, args, tol))
         return report, EXIT_OK

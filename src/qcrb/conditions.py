@@ -30,7 +30,7 @@ import numpy as np
 
 from . import linalg
 from .config import DEFAULT, Tolerances
-from .errors import NotUnitary
+from .errors import DegeneracyUnresolved, NotUnitary
 from .model import StateModel, central_difference, factorization_at, frame_derivative
 from .sld import SldSet, sld_offdiag_from_factorization
 
@@ -134,7 +134,8 @@ def find_W(slds: SldSet, tol: Tolerances = DEFAULT) -> WCandidate:
     give jointly-vanishing columns); on the complement, form
     G_l = pinv(Lpz_r) Lpz_l against the largest block r.  When the G_l
     are Hermitian and commute, their joint eigenbasis, grouped at
-    ``tol.c4``, supplies the remaining columns.  The result is certified
+    ``tol.c4``, supplies the remaining columns; a joint spectrum that
+    grouping cannot resolve leaves W uncertified.  The result is certified
     only if verify_W passes.
     """
     r0 = slds.dec.r_zero
@@ -171,7 +172,10 @@ def find_W(slds: SldSet, tol: Tolerances = DEFAULT) -> WCandidate:
     worst = _worst_pair(gs, linalg.comm_norm)
     if worst > tol.c4:
         return _uncertified(worst, "ratio operators do not commute")
-    z, _ = linalg.simultaneous_diagonalize(gs, tol.c4)
+    try:
+        z, _ = linalg.simultaneous_diagonalize(gs, tol.c4)
+    except DegeneracyUnresolved as exc:
+        return _uncertified(worst, f"joint spectrum of the ratio operators is unresolved: {exc}")
     c4 = verify_W(slds, np.hstack([coimage @ z, kernel]), tol)
     return c4 if c4.certified else c4._replace(note="candidate failed column verification")
 

@@ -225,10 +225,11 @@ def simultaneous_diagonalize(family, gate: float) -> tuple[Array, tuple[int, ...
     diagonalized inside every group of equal eigenvalues that the operators
     before it left (a single column needs no eigensolve).  Groups ascend in
     operator 0, then operator 1, and so on, so roundoff within a width
-    never decides the order.  Commutation is not gated separately (both
-    callers gate it first): a family that does not commute leaves some
-    member off-diagonal, and that raises DegeneracyUnresolved.  Members
-    are gated at ``HERM_GATE`` (:func:`require_hermitian`).
+    never decides the order.  Commutation is not gated separately (find_W
+    gates it first, and the CLI builds a POVM only past condition 1): a
+    family that does not commute leaves some member off-diagonal, and that
+    raises DegeneracyUnresolved.  Members are gated at ``HERM_GATE``
+    (:func:`require_hermitian`).
     """
     mats = [require_hermitian(m) for m in family]
     if not mats:

@@ -11,11 +11,12 @@ compared against the regular/null split of the QFIM.
 
 A :class:`Povm` is held as column factors: effect k is G_k G_k^dag, G_k
 the k-th group of ``ranks[k]`` columns of one n_s x R matrix G.  The
-optimal measurement is one orthonormal basis, a unitary G (a POVM file's
-:class:`Frame`); an effect given explicitly is factored as its
-eigenvectors times the square roots of its positive eigenvalues.  Checks
-work from V^dag G, Y^dag G and G^dag X G, one product per operator X, and
-take a norm ||E_k X|| as ||G_k (G_k^dag X)||.
+optimal measurement is one orthonormal basis, a unitary G held as a
+:class:`Frame`, whether :func:`construct_optimal` built it or a POVM file
+holds it; an effect given explicitly is factored as its eigenvectors
+times the square roots of its positive eigenvalues.  Checks work from
+V^dag G, Y^dag G and G^dag X G, one product per operator X, and take a
+norm ||E_k X|| as ||G_k (G_k^dag X)||.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import linalg
 from .blocks import BlockDecomposition
-from .conditions import WCandidate, check_condition1
+from .conditions import WCandidate
 from .config import DEFAULT, Tolerances
 from .errors import ConditionFailed, InvalidPovm, NotBlockDiagonal, ParseError
 from .model import StateBundle
@@ -199,33 +200,26 @@ def make_povm(source, rho: Array, dec: BlockDecomposition,
     return Povm(g, ranks, tuple(labels), _is_projective(g, ranks, tol)), warnings + flags
 
 
-def construct_optimal(slds: SldSet, w: Optional[WCandidate] = None,
-                      tol: Tolerances = DEFAULT) -> Povm:
-    """Build the optimal projective POVM from commuting ++ blocks and W.
+def construct_optimal(slds: SldSet, w: Optional[WCandidate], tol: Tolerances = DEFAULT) -> Frame:
+    """The optimal projective POVM's :class:`Frame`, built from the ++ blocks and W.
 
-    Its unitary G holds the common eigenvectors of the ++ SLD blocks,
-    embedded in the range and grouped by joint eigenvalue tuple (one
-    regular effect per group), then the columns of Y W (one rank-one null
-    effect each), every column's phase fixed by :func:`linalg.fix_phases`.
-    Eigenvalues are grouped at ``tol.cond``, the gate that
-    :func:`verify_optimality` holds each regular effect to.  Raises
-    ConditionFailed when the ++ blocks do not commute or, with a
+    Its unitary holds the common eigenvectors of the ++ SLD blocks,
+    embedded in the range and grouped by joint eigenvalue tuple (one group
+    per effect), then the columns of Y W (one rank-one effect each), every
+    column's phase fixed by :func:`linalg.fix_phases`.  Eigenvalues are
+    grouped at ``tol.cond``, the gate that :func:`verify_optimality` holds
+    each regular effect to.  :func:`make_povm` labels and checks the frame
+    as it does one read from a file.  Raises ConditionFailed, with a
     non-trivial null space, when no certified W is supplied, and
-    DegeneracyUnresolved when a group would spread wider than that gate.
+    DegeneracyUnresolved when the ++ blocks do not commute or a group would
+    spread wider than that gate.
     """
     dec = slds.dec
-    c1 = check_condition1(slds, tol)
-    if not c1.passed:
-        raise ConditionFailed(f"++ blocks do not commute (residual {c1.residual:.3e})")
-    if dec.r_zero > 0:
-        if w is None or not w.certified or w.W is None:
-            raise ConditionFailed("no certified null-space unitary supplied")
-
+    if dec.r_zero > 0 and (w is None or not w.certified or w.W is None):
+        raise ConditionFailed("no certified null-space unitary supplied")
     u, ranks = linalg.simultaneous_diagonalize(list(slds.Lpp), tol.cond)
     null = dec.Y @ w.W if dec.r_zero > 0 else dec.Y
-    return Povm(G=linalg.fix_phases(np.hstack([dec.V @ u, null])),
-                ranks=ranks + (1,) * dec.r_zero,
-                labels=(REGULAR,) * len(ranks) + (NULL,) * dec.r_zero, projective=True)
+    return Frame(linalg.fix_phases(np.hstack([dec.V @ u, null])), ranks + (1,) * dec.r_zero)
 
 
 def canonicalize(povm: Povm, dec: BlockDecomposition, slds: SldSet,

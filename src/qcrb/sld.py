@@ -1,8 +1,9 @@
 """Symmetric logarithmic derivatives in block form, and the QFIM.
 
 For a rank-deficient state the SLD equation only constrains the ++ and
-+0 blocks of each L; the 00 block is free and defaults to zero here.  In
-the eigenbasis where rho_++ = diag(q) the solution is entrywise:
++0 blocks of each L; the 00 block is free, and no check reads it, so it
+is not held.  In the eigenbasis where rho_++ = diag(q) the solution is
+entrywise:
 
     (L_++)_jk = 2 (drho_++)_jk / (q_j + q_k)
     L_+0      = 2 diag(1/q) drho_+0
@@ -33,7 +34,6 @@ class SldSet(NamedTuple):
 
     Lpp: tuple[Array, ...]   # p Hermitian r+ x r+ blocks
     Lpz: tuple[Array, ...]   # p r+ x r0 blocks
-    Lzz: tuple[Array, ...]   # p Hermitian r0 x r0 blocks (free choice, default 0)
     dec: BlockDecomposition
 
     @property
@@ -67,16 +67,7 @@ def compute_slds(bundle: StateBundle, dec: BlockDecomposition, tol: Tolerances =
         app = 0.5 * (bv.opp + linalg.dag(bv.opp))
         lpp.append(2.0 * app / denom)
         lpz.append(2.0 * (bv.opz / q[:, None]))
-    lzz = tuple(np.zeros((dec.r_zero, dec.r_zero), dtype=complex) for _ in bundle.drho)
-    return SldSet(Lpp=tuple(lpp), Lpz=tuple(lpz), Lzz=lzz, dec=dec)
-
-
-def with_lzz(slds: SldSet, lzz_list) -> SldSet:
-    """Replace the free 00 blocks (used to test invariance of verdicts)."""
-    lzz = tuple(linalg.require_hermitian(m) for m in lzz_list)
-    if len(lzz) != slds.p:
-        raise ValueError("need one 00 block per parameter")
-    return slds._replace(Lzz=lzz)
+    return SldSet(Lpp=tuple(lpp), Lpz=tuple(lpz), dec=dec)
 
 
 def sld_offdiag_from_factorization(model: StateModel, theta) -> list[Array]:

@@ -6,20 +6,20 @@ from qcrb.errors import ParseError, SingularFisher
 from qcrb.estimate import SimConfig
 
 from conftest import THETA_DIAG, THETA_EX2, pipeline
-from util import basis_povm, effects
+from util import basis_povm, effects, optimal_povm
 
 
 @pytest.fixture(scope="module")
 def diag_setup(classical_diag):
     bundle, dec, slds, report = pipeline(classical_diag, THETA_DIAG)
-    built = povm.construct_optimal(slds, report.c4)
+    built = optimal_povm(bundle.rho, slds, report.c4)
     return classical_diag, bundle, dec, slds, built
 
 
 @pytest.fixture(scope="module")
 def ex2_setup(example2):
     bundle, dec, slds, report = pipeline(example2, THETA_EX2)
-    built = povm.construct_optimal(slds, report.c4)
+    built = optimal_povm(bundle.rho, slds, report.c4)
     return example2, bundle, dec, slds, built
 
 

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from qcrb import blocks, conditions, linalg, model, povm, sld
-from qcrb.errors import ConditionFailed, InvalidPovm, NotBlockDiagonal, ParseError
+from qcrb.errors import (ConditionFailed, DegeneracyUnresolved, InvalidPovm, NotBlockDiagonal,
+                         ParseError)
 
 from conftest import THETA_EX2, THETA_QUBIT, WORKING_POINTS, pipeline
-from util import basis_povm, effects, pauli, random_projective_povm, random_unitary
+from util import (basis_povm, effects, optimal_povm, pauli, random_projective_povm,
+                  random_unitary)
 
 SATURABLE = ["example2", "fixed_range", "classical_diag"]
 
@@ -13,14 +15,14 @@ SATURABLE = ["example2", "fixed_range", "classical_diag"]
 def construct_for(name):
     mdl = model.build_model(name)
     bundle, dec, slds, report = pipeline(mdl, WORKING_POINTS[name])
-    built = povm.construct_optimal(slds, report.c4)
+    built = optimal_povm(bundle.rho, slds, report.c4)
     return mdl, bundle, dec, slds, report, built
 
 
 class TestConstructOptimal:
     def test_example2_effects(self, ex2_pipeline, example2):
         bundle, dec, slds, report = ex2_pipeline
-        built = povm.construct_optimal(slds, report.c4)
+        built = optimal_povm(bundle.rho, slds, report.c4)
         assert built.labels == ("regular", "regular", "null")
         assert built.projective
         v, y, _ = example2.factorization(THETA_EX2)
@@ -30,15 +32,15 @@ class TestConstructOptimal:
             assert any(np.max(np.abs(e - target)) <= 1e-9 for e in effects(built))
 
     def test_classical_diag_pure_regular(self, diag_pipeline):
-        _, _, slds, report = diag_pipeline
-        built = povm.construct_optimal(slds, report.c4)
+        bundle, _, slds, report = diag_pipeline
+        built = optimal_povm(bundle.rho, slds, report.c4)
         assert built.labels == ("regular",) * 3
         assert built.projective
 
     def test_degenerate_blocks_give_single_range_cluster(self, ex2_pipeline):
-        _, dec, slds, report = ex2_pipeline
+        bundle, dec, slds, report = ex2_pipeline
         zeroed = slds._replace(Lpp=tuple(np.zeros_like(m) for m in slds.Lpp))
-        built = povm.construct_optimal(zeroed, report.c4)
+        built = optimal_povm(bundle.rho, zeroed, report.c4)
         regular = [effects(built)[k] for k in built.regular_indices]
         assert len(regular) == 1
         assert np.allclose(regular[0], dec.V @ linalg.dag(dec.V), atol=1e-10)
@@ -52,8 +54,10 @@ class TestConstructOptimal:
                 assert linalg.fro(e @ e - e) <= 1e-8
 
     def test_condition1_gate(self, qubit_xy):
+        # condition 1 is the classification's to decide; the joint
+        # diagonalization cannot make non-commuting ++ blocks diagonal
         _, _, slds, report = pipeline(qubit_xy, THETA_QUBIT)
-        with pytest.raises(ConditionFailed):
+        with pytest.raises(DegeneracyUnresolved):
             povm.construct_optimal(slds, report.c4)
 
     def test_uncertified_w_gate(self, ex2_pipeline):
@@ -70,8 +74,8 @@ def _classify(mats, rho, dec):
 class TestClassify:
     def test_constructed_labels(self, ex2_pipeline):
         bundle, dec, slds, report = ex2_pipeline
-        built = povm.construct_optimal(slds, report.c4)
-        labels, flags = povm.classify(built.G, built.ranks, bundle.rho, dec)
+        frame = povm.construct_optimal(slds, report.c4)
+        labels, flags = povm.classify(frame.matrix, frame.ranks, bundle.rho, dec)
         assert labels == ["regular", "regular", "null"]
         assert flags == []
 
@@ -153,8 +157,8 @@ class TestVerifyOptimality:
         assert out.null_sum_residual <= 1e-8
 
     def test_example2_constants(self, ex2_pipeline):
-        _, dec, slds, report = ex2_pipeline
-        built = povm.construct_optimal(slds, report.c4)
+        bundle, dec, slds, report = ex2_pipeline
+        built = optimal_povm(bundle.rho, slds, report.c4)
         out = povm.verify_optimality(built, slds, dec)
         reg_consts = sorted(round(float(c.constants[0]), 6) for c in out.regular)
         assert reg_consts == [round(-4.0 / 3.0, 6), 4.0]
@@ -183,7 +187,7 @@ class TestVerifyOptimality:
 class TestCanonicalize:
     def test_padded_regular_effects_split(self, fixed_pipeline):
         bundle, dec, slds, report = fixed_pipeline
-        built = povm.construct_optimal(slds, report.c4)
+        built = optimal_povm(bundle.rho, slds, report.c4)
         reg = [effects(built)[k] for k in built.regular_indices]
         padded = [r + 0.5 * (dec.Y @ linalg.dag(dec.Y)) for r in reg]
         pv, _ = povm.make_povm(padded, bundle.rho, dec)
@@ -205,7 +209,7 @@ class TestCanonicalize:
 
     def test_already_canonical_unchanged(self, ex2_pipeline):
         bundle, dec, slds, report = ex2_pipeline
-        built = povm.construct_optimal(slds, report.c4)
+        built = optimal_povm(bundle.rho, slds, report.c4)
         canon = povm.canonicalize(built, dec, slds)
         assert len(canon) == len(built)
         for a, b in zip(effects(canon), effects(built)):
@@ -223,7 +227,7 @@ class TestCanonicalize:
 class TestClassicalFI:
     def test_example2_equals_regular_part(self, ex2_pipeline):
         bundle, dec, slds, report = ex2_pipeline
-        built = povm.construct_optimal(slds, report.c4)
+        built = optimal_povm(bundle.rho, slds, report.c4)
         f_c = povm.classical_fi(built, bundle)
         assert np.allclose(f_c, [[16.0 / 3.0, 0.0], [0.0, 0.0]], atol=1e-9)
 
@@ -252,13 +256,13 @@ class TestClassicalFI:
 class TestNullComponentSum:
     def test_example2_matches_null_part(self, ex2_pipeline):
         bundle, dec, slds, report = ex2_pipeline
-        built = povm.construct_optimal(slds, report.c4)
+        built = optimal_povm(bundle.rho, slds, report.c4)
         n_sum = povm.null_component_sum(built, slds)
         assert np.allclose(n_sum, 0.6912 * np.array([[1.0, 2.0], [2.0, 4.0]]), atol=1e-9)
 
     def test_missing_null_effects_leave_gap(self, ex2_pipeline):
         bundle, dec, slds, report = ex2_pipeline
-        built = povm.construct_optimal(slds, report.c4)
+        built = optimal_povm(bundle.rho, slds, report.c4)
         eff = effects(built)
         folded = [eff[0] + eff[2], eff[1]]
         pv, _ = povm.make_povm(folded, bundle.rho, dec)
@@ -296,7 +300,7 @@ class TestSaturation:
 
     def test_verdict_invariant_under_effect_permutation(self, ex2_pipeline):
         bundle, dec, slds, report = ex2_pipeline
-        built = povm.construct_optimal(slds, report.c4)
+        built = optimal_povm(bundle.rho, slds, report.c4)
         rng = np.random.default_rng(9)
         perm = rng.permutation(len(built))
         shuffled, _ = povm.make_povm([effects(built)[i] for i in perm], bundle.rho, dec)
@@ -305,7 +309,7 @@ class TestSaturation:
 
     def test_verdict_invariant_under_regauge(self, ex2_pipeline, example2):
         bundle, dec, slds, report = ex2_pipeline
-        built = povm.construct_optimal(slds, report.c4)
+        built = optimal_povm(bundle.rho, slds, report.c4)
         rng = np.random.default_rng(10)
         phases = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, dec.r_plus)))
         y_mix = random_unitary(rng, dec.r_zero)
@@ -352,7 +356,7 @@ class TestClosureProperties:
         )
         bundle, dec, slds, report = pipeline(mdl, np.array([0.7]))
         assert report.classification == "SaturableProjective"
-        built = povm.construct_optimal(slds, report.c4)
+        built = optimal_povm(bundle.rho, slds, report.c4)
         assert povm.verify_optimality(built, slds, dec).passed
         out = povm.saturation_check(built, slds, bundle)
         assert out.passed
@@ -366,7 +370,7 @@ class TestJsonRoundTrip:
         # the file holds the frame bit for bit, so the POVM read back is the
         # one that was built, effect for effect
         bundle, dec, slds, report = ex2_pipeline
-        built = povm.construct_optimal(slds, report.c4)
+        built = optimal_povm(bundle.rho, slds, report.c4)
         payload = json.loads(json.dumps(povm.povm_to_json(built)))
         assert payload["ranks"] == [1, 1, 1]
         read, _ = povm.make_povm(povm.povm_from_json(payload), bundle.rho, dec)

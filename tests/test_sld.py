@@ -7,8 +7,7 @@ from qcrb import blocks, linalg, model, sld
 from qcrb.errors import NoFactorization, RankDrift
 
 from conftest import THETA_DIAG, THETA_EX2, THETA_PURE, WORKING_POINTS, pipeline
-from util import (aligned_offdiag, embed_parts, embed_sld, random_hermitian, rank2_path_model,
-                  sylvester_sld)
+from util import aligned_offdiag, embed_parts, embed_sld, rank2_path_model, sylvester_sld
 
 
 def _factorization_frames(mdl, theta):
@@ -192,9 +191,3 @@ class TestQfim:
         expected[1, :] /= a
         expected[:, 1] /= a
         assert np.allclose(f_scaled, expected, atol=1e-8)
-
-    def test_lzz_choice_does_not_move_qfim(self, ex2_pipeline):
-        _, _, slds, _ = ex2_pipeline
-        rng = np.random.default_rng(12)
-        injected = sld.with_lzz(slds, [random_hermitian(rng, 1), random_hermitian(rng, 1)])
-        assert np.array_equal(sld.qfim(injected).F, sld.qfim(slds).F)

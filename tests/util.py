@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from qcrb import linalg
+from qcrb import linalg, povm
 from qcrb.blocks import BlockDecomposition, BlockView
 from qcrb.errors import DimensionMismatch
 from qcrb.model import StateModel
@@ -190,8 +190,14 @@ def embed_parts(dec: BlockDecomposition, opp=None, opz=None, ozz=None) -> np.nda
 
 
 def embed_sld(slds, l: int) -> np.ndarray:
-    """Full-space Hermitian SLD for parameter l."""
-    return embed_parts(slds.dec, opp=slds.Lpp[l], opz=slds.Lpz[l], ozz=slds.Lzz[l])
+    """Full-space Hermitian SLD for parameter l, its free 00 block zero."""
+    return embed_parts(slds.dec, opp=slds.Lpp[l], opz=slds.Lpz[l])
+
+
+def optimal_povm(rho: np.ndarray, slds, w) -> povm.Povm:
+    """The optimal POVM as ``construct`` builds it: its frame, labelled by make_povm."""
+    built, _ = povm.make_povm(povm.construct_optimal(slds, w), rho, slds.dec)
+    return built
 
 
 def effects(povm) -> list[np.ndarray]:
