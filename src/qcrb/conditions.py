@@ -97,9 +97,9 @@ def verify_W(slds: SldSet, w: Array, tol: Tolerances = DEFAULT) -> WCandidate:
     """Check column-wise real proportionality of the Lpz blocks under W.
 
     Each column s goes through :func:`linalg.ratio_table` at ``tol.zero``
-    and ``tol.c4``: a pair whose columns both vanish is unconstrained, one
-    with exactly one vanishing fails, otherwise the ratio must be real and
-    the relative residual small.  Returns W as a candidate, certified when
+    and ``tol.cond``: a pair whose columns both vanish is unconstrained,
+    one with exactly one vanishing fails, otherwise the ratio must be real
+    and the relative residual small.  Returns W as a candidate, certified when
     every column passes, with the lam table (p x p x r0, NaN where
     unconstrained, 1 on the diagonal) and the columns s at which every
     Lpz_l W vanishes (norm at most ``tol.zero``).
@@ -115,7 +115,7 @@ def verify_W(slds: SldSet, w: Array, tol: Tolerances = DEFAULT) -> WCandidate:
     lam = np.full((slds.p, slds.p, r0), np.nan)
     worst, passed = 0.0, True
     for s in range(r0):
-        lam[:, :, s], resid, imag, ok = linalg.ratio_table(list(cols[:, :, s]), tol.zero, tol.c4)
+        lam[:, :, s], resid, imag, ok = linalg.ratio_table(list(cols[:, :, s]), tol.zero, tol.cond)
         worst, passed = max(worst, resid, imag), passed and ok
     zero = np.all(np.linalg.norm(cols, axis=1) <= tol.zero, axis=0)
     return WCandidate(certified=passed, residual=worst, W=w, lambda_=lam,
@@ -134,7 +134,7 @@ def find_W(slds: SldSet, tol: Tolerances = DEFAULT) -> WCandidate:
     give jointly-vanishing columns); on the complement, form
     G_l = pinv(Lpz_r) Lpz_l against the largest block r.  When the G_l
     are Hermitian and commute, their joint eigenbasis, grouped at
-    ``tol.c4``, supplies the remaining columns; a joint spectrum that
+    ``tol.cond``, supplies the remaining columns; a joint spectrum that
     grouping cannot resolve leaves W uncertified.  The result is certified
     only if verify_W passes.
     """
@@ -165,15 +165,15 @@ def find_W(slds: SldSet, tol: Tolerances = DEFAULT) -> WCandidate:
     gs = []
     for l in range(slds.p):
         g = base_pinv @ (slds.Lpz[l] @ coimage)
-        if linalg.herm_defect(g) > tol.c4:
+        if linalg.herm_defect(g) > tol.cond:
             return _uncertified(linalg.herm_defect(g),
                                 f"ratio operator for parameter {l} is not Hermitian")
         gs.append(0.5 * (g + linalg.dag(g)))
     worst = _worst_pair(gs, linalg.comm_norm)
-    if worst > tol.c4:
+    if worst > tol.cond:
         return _uncertified(worst, "ratio operators do not commute")
     try:
-        z, _ = linalg.simultaneous_diagonalize(gs, tol.c4)
+        z, _ = linalg.simultaneous_diagonalize(gs, tol.cond)
     except DegeneracyUnresolved as exc:
         return _uncertified(worst, f"joint spectrum of the ratio operators is unresolved: {exc}")
     c4 = verify_W(slds, np.hstack([coimage @ z, kernel]), tol)

@@ -8,9 +8,9 @@ relative to ``1 + ||.||_F`` of the operands.  No CLI run reads the
 difference step ``model.FD_STEP`` or condition 2's PDE gate, and
 ``linalg.HERM_GATE`` guards only eigensolve inputs that are Hermitian by
 construction or gated by a value below, so none of the three is here.
-Joint eigenvalues count as equal at the gate that judges what is built
-from them (``cond`` for the optimal POVM's effects, ``c4`` for the null
-unitary W), so they have no tolerance of their own.
+Every exact identity (commutators, effect constants, null-column ratios,
+projectivity) is judged at ``cond``, and joint eigenvalues count as equal
+at that same gate, so grouping and judging cannot disagree.
 """
 
 from __future__ import annotations
@@ -27,12 +27,11 @@ class Tolerances(NamedTuple):
     rank: float = 1e-8           # eigenvalue threshold separating range from null space
     gap: float = 1e4             # minimum ratio (smallest kept)/(largest dropped)
     nullblock: float = 1e-6      # allowed null-null mass of state derivatives
-    cond: float = 1e-8           # condition residuals (commutators, effect constants)
-    c4: float = 1e-8             # column-proportionality residuals
+    cond: float = 1e-8           # every exact identity: commutators, effect
+                                 # constants, null-column ratios, projectivity
     zero: float = 1e-8           # "this block/column is zero"; relative singular-value cut
     prob: float = 1e-10          # regular/null outcome probability threshold
     povm: float = 1e-9           # POVM completeness and PSD slack
-    projective: float = 1e-8     # E^2 = E per effect (completeness implies orthogonality)
     sat: float = 1e-7            # saturation identity gates
     fisher_cond: float = 1e12    # max condition number of an invertible Fisher matrix
 

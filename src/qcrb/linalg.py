@@ -215,11 +215,11 @@ def simultaneous_diagonalize(family, gate: float) -> tuple[Array, tuple[int, ...
     Returns ``(U, ranks)``: the columns of the unitary U are common
     eigenvectors, in consecutive groups of ``ranks[k]`` columns, one group
     per joint eigenspace.  ``gate`` is the relative residual at which the
-    caller judges its result, and it alone decides equality: eigenvalues of
-    an operator A are equal when they lie within ``gate * (1 + ||A||_F)``
-    (:func:`gap_clusters`), and every member must come out diagonal within
-    that width.  A merged group's residual, at most half its spread, thus
-    stays inside the gate.
+    caller judges its result (``tol.cond`` at both callers), and it alone
+    decides equality: eigenvalues of an operator A are equal when they lie
+    within ``gate * (1 + ||A||_F)`` (:func:`gap_clusters`), and every member
+    must come out diagonal within that width.  A merged group's residual,
+    at most half its spread, thus stays inside the gate.
 
     Operator 0 is diagonalized first; each following operator is then
     diagonalized inside every group of equal eigenvalues that the operators

@@ -141,7 +141,7 @@ def _is_projective(g: Array, ranks, tol: Tolerances) -> bool:
     # mutually orthogonal, so the completeness gate bounds every E_j E_k
     # (canonicalize skips that gate)
     gram = linalg.dag(g) @ g
-    return all(linalg.fro(gk @ gk - gk) <= tol.projective * (1.0 + linalg.fro(gk))
+    return all(linalg.fro(gk @ gk - gk) <= tol.cond * (1.0 + linalg.fro(gk))
                for gk in (gram[s, s] for s in _groups(ranks)))
 
 
@@ -155,8 +155,8 @@ def classify(g: Array, ranks, rho: Array, dec: BlockDecomposition,
              tol: Tolerances = DEFAULT) -> tuple[list[str], list[str]]:
     """Label the effects G_k G_k^dag regular/null by tr(rho E) and sanity-check null blocks.
 
-    Null effects must live entirely in the 00 block; violations are
-    reported as flags, not errors.
+    Null effects must live entirely in the 00 block: range-block mass above
+    ``tol.zero * (1 + ||Gamma_k||)``, as in :func:`canonicalize`, is a flag.
     """
     probs = _traces(g, ranks, rho[None])[0]
     a, b = linalg.dag(dec.V) @ g, linalg.dag(dec.Y) @ g
@@ -171,7 +171,7 @@ def classify(g: Array, ranks, rho: Array, dec: BlockDecomposition,
         # are A_k A_k^dag and A_k B_k^dag
         mass = max(linalg.fro(a[:, s] @ linalg.dag(a[:, s])),
                    linalg.fro(a[:, s] @ linalg.dag(b[:, s])))
-        if mass > 1e-8 * (1.0 + linalg.fro(linalg.dag(g[:, s]) @ g[:, s])):
+        if mass > tol.zero * (1.0 + linalg.fro(linalg.dag(g[:, s]) @ g[:, s])):
             flags.append(f"InconsistentNull: effect {k} has range-block mass {mass:.3e}")
     return labels, flags
 
@@ -208,7 +208,7 @@ def construct_optimal(slds: SldSet, w: Optional[WCandidate], tol: Tolerances = D
     per effect), then the columns of Y W (one rank-one effect each), every
     column's phase fixed by :func:`linalg.fix_phases`.  Eigenvalues are
     grouped at ``tol.cond``, the gate that :func:`verify_optimality` holds
-    each regular effect to.  :func:`make_povm` labels and checks the frame
+    every effect to.  :func:`make_povm` labels and checks the frame
     as it does one read from a file.  Raises ConditionFailed, with a
     non-trivial null space, when no certified W is supplied, and
     DegeneracyUnresolved when the ++ blocks do not commute or a group would
@@ -256,7 +256,7 @@ def verify_optimality(povm: Povm, slds: SldSet, dec: BlockDecomposition,
 
     Regular effects: E L_l P_+ = c_l E P_+ with c_l real, for every l.
     Null effects: E_00 (Lpz_l^dag - c_lm Lpz_m^dag) = 0 with c_lm real,
-    for every ordered pair, by :func:`linalg.ratio_table` at ``tol.c4``.
+    for every ordered pair, by :func:`linalg.ratio_table` at ``tol.cond``.
     With A = V^dag G and B = Y^dag G, E_k P_+ V = G_k A_k^dag, E_k L_l P_+ V
     = G_k (A_k^dag Lpp_l + B_k^dag Lpz_l^dag) and E_00 = B_k B_k^dag.
     """
@@ -295,7 +295,7 @@ def verify_optimality(povm: Povm, slds: SldSet, dec: BlockDecomposition,
     for k in povm.null_indices:
         e00 = b[:, groups[k]] @ linalg.dag(b[:, groups[k]])
         consts, worst, imag_worst, ok = linalg.ratio_table(
-            [e00 @ linalg.dag(lpz) for lpz in slds.Lpz], tol.zero, tol.c4)
+            [e00 @ linalg.dag(lpz) for lpz in slds.Lpz], tol.zero, tol.cond)
         null_checks.append(EffectCheck(index=k, label=NULL, constants=consts,
                                        residual=worst, imag_defect=imag_worst, ok=ok))
 

@@ -106,6 +106,8 @@ class TestAnalyze:
         code, report = run_to_file(tmp_path, ["analyze", ex2_file, "--tol", "cond=1e-6"])
         assert report["tolerances"]["cond"] == 1e-6
         assert report["tolerances"]["rank"] == 1e-8
+        assert list(report["tolerances"]) == list(Tolerances._fields)
+        assert len(Tolerances._fields) == 11
 
     def test_unknown_tolerance_rejected(self, ex2_file, capsys):
         assert main(["analyze", ex2_file, "--tol", "bogus=1"]) == 1
@@ -298,18 +300,21 @@ def _near_degenerate(gap: float, null: bool) -> dict:
     return planted_stencil(_GAP_Q, lpp, [0.6 * _GAP_NULL, -0.4 * _GAP_NULL] if null else None)
 
 
-@pytest.mark.parametrize("null", [False, True], ids=["full-rank", "rank-deficient"])
-def test_construct_on_a_near_degenerate_joint_spectrum_never_fails_its_povm(tmp_path, null):
+@pytest.mark.parametrize("null, tol", [
+    pytest.param(null, ["--tol", f"cond={cond}"] if cond else [],
+                 id=("rank-deficient" if null else "full-rank") + (f"-cond-{cond}" if cond else ""))
+    for cond in (None, "1e-6", "1e-10") for null in (False, True)])
+def test_construct_on_a_near_degenerate_joint_spectrum_never_fails_its_povm(tmp_path, null, tol):
     # at every gap, construct writes a POVM that passes both sections or
-    # writes none: the joint eigenvalues it merges are equal at the gate
-    # verify_optimality holds the merged effect to
+    # writes none: the joint eigenvalues it merges, and find_W's, are equal
+    # at the gate that judges the merged effect, whatever that gate is
     outcomes = {}
     for gap in np.geomspace(1e-4, 1e-10, 25):
         model_path, povm_path = tmp_path / "model.json", tmp_path / "povm.json"
         model_path.write_text(json.dumps(_near_degenerate(gap, null)), encoding="utf-8")
         povm_path.unlink(missing_ok=True)
         code = main(["construct", str(model_path), "--out", str(povm_path),
-                     "--report", str(tmp_path / "report.json")])
+                     "--report", str(tmp_path / "report.json"), *tol])
         report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
         VALIDATOR.validate(report)
         if code == 0:
@@ -338,6 +343,34 @@ def test_analyze_on_a_near_degenerate_ratio_spectrum_is_never_an_error(tmp_path)
                                                          lpz)), encoding="utf-8")
         codes[s], _ = run_to_file(tmp_path, ["analyze", str(model_path)])
     assert set(codes.values()) <= {0, 3} and codes[1e-6] == 0, codes
+
+
+def test_one_cond_override_moves_every_identity_gate(tmp_path):
+    # Lpz_l = C diag(a_l) W^dag, C of unit non-orthogonal columns, whose
+    # second column is 1e-2 small and carries a 1e-9 complex ratio: c3
+    # sees that defect times 1e-4, c4 and the null effect's ratio table see
+    # it whole, so a cond between the two residuals fails only those gates
+    c = np.array([[1.0, 0.6], [0.0, 0.8]])
+    w_dag = random_unitary(np.random.default_rng(5), 2).conj().T
+    lpz = [c @ np.diag([1.0, 1e-2]) @ w_dag, c @ np.diag([-0.5, 1e-2 * (0.7 + 1e-9j)]) @ w_dag]
+    model_path, povm_path = tmp_path / "model.json", tmp_path / "povm.json"
+    model_path.write_text(json.dumps(planted_stencil([0.6, 0.4], [[1.0, -1.5], [-2.0, 3.0]], lpz)),
+                          encoding="utf-8")
+    assert main(["construct", str(model_path), "--out", str(povm_path),
+                 "--report", str(tmp_path / "construct.json")]) == 0
+    code, report = run_to_file(tmp_path, ["analyze", str(model_path)])
+    residual = {name: report["conditions"][name]["residual"] for name in ("c1", "c3", "c4")}
+    assert code == 0 and residual["c4"] > 1e3 * max(residual["c1"], residual["c3"]), residual
+    cond = ["--tol", f"cond={math.sqrt(max(residual['c1'], residual['c3']) * residual['c4'])!r}"]
+
+    code, report = run_to_file(tmp_path, ["analyze", str(model_path), *cond])
+    assert report["conditions"]["c1"]["passed"] and report["conditions"]["c3"]["passed"]
+    assert report["conditions"]["c4"]["certified"] is False
+    assert (code, report["conditions"]["classification"]) == (3, "Undetermined")
+    code, report = run_to_file(tmp_path, ["verify", str(model_path), str(povm_path), *cond])
+    assert [check["ok"] for check in report["optimality"]["regular"]] == [True, True]
+    assert [check["ok"] for check in report["optimality"]["null"]] == [True, False]
+    assert code == 2
 
 
 def test_rho_is_held_to_one_hermiticity_gate(tmp_path):
@@ -434,6 +467,18 @@ class TestSimulate:
         devs = [float(line.split(",")[1]) for line in lines[1:]]
         assert devs[0] > devs[1] > devs[2]
         assert report["study"]["rows"][0]["delta"] == pytest.approx(0.1)
+
+    def test_simulates_every_povm_that_verify_accepts(self, tmp_path, diag_file):
+        # effects (1 + eps) e_k e_k^dag miss completeness by eps sqrt(3),
+        # within tol.povm n_s: the probabilities then sum to 1 + eps
+        effects = [qlinalg.matrix_to_json((1.0 + 1.5e-9) * np.diag(np.eye(3)[k])) for k in range(3)]
+        povm_path = tmp_path / "povm.json"
+        povm_path.write_text(json.dumps({"effects": effects}), encoding="utf-8")
+        code, report = run_to_file(tmp_path, ["verify", diag_file, str(povm_path)])
+        assert code == 0 and report["optimality"]["passed"] and report["saturation"]["passed"]
+        code, report = run_to_file(tmp_path, ["simulate", diag_file, str(povm_path),
+                                              "--R", "100", "--N", "10"])
+        assert code == 0, report.get("error")
 
     def test_env_seed_fallback(self, tmp_path, ex2_file, monkeypatch):
         povm_path = self._povm(tmp_path, ex2_file)
@@ -573,6 +618,8 @@ def _identity_with(entry) -> dict:
     pytest.param(GOOD, None, ["analyze", "--tol", "diag=1e-8"], id="removed-diag"),
     pytest.param(GOOD, None, ["analyze", "--tol", "sv=1e-8"], id="removed-sv"),
     pytest.param(GOOD, None, ["analyze", "--tol", "herm=1e-10"], id="removed-herm"),
+    pytest.param(GOOD, None, ["analyze", "--tol", "c4=1e-8"], id="removed-c4"),
+    pytest.param(GOOD, None, ["analyze", "--tol", "projective=1e-8"], id="removed-projective"),
     pytest.param(GOOD, {"effects": [EYE]}, ["simulate", "--delta", "0.01"], id="delta-not-p-long"),
     pytest.param(GOOD, {"effects": [EYE]},
                  ["simulate", "--study", "1e-2", "--direction", "1", "0", "0"],
