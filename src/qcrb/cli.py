@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__, blocks, linalg
 from .conditions import SATURABLE_PROJECTIVE, UNDETERMINED, evaluate_conditions
 from .config import DEFAULT, Tolerances, parse_overrides
-from .errors import ConditionFailed, ParseError, QcrbError, SingularFisher
+from .errors import ConditionFailed, ParseError, QcrbError, SingularFisher, UsageError
 from .estimate import SimConfig, fc_convergence_study, run_trials, study_csv
 from .model import StateModel, eval_bundle, factorization_at, load_model, read_json
 from .povm import (
@@ -57,14 +57,14 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
 
-    # usage problems map to the generic error exit, keeping the code lattice total
+    # usage problems are error reports with the generic error exit, keeping the code lattice total
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise _UsageError(message)
+        print(f"error: {message}", file=sys.stderr)
+        raise UsageError(message)
 
 
-class _UsageError(Exception):
-    pass
+_COMMANDS = ("analyze", "construct", "verify", "simulate")
 
 
 def _json(value):
@@ -175,9 +175,9 @@ def _run(args, tol: Tolerances, seed: int, warnings: list[str]) -> tuple[dict, i
     """The one pipeline behind every subcommand; returns the report sections and exit code.
 
     load -> theta -> state bundle -> decomposition -> SLDs, QFIM and
-    conditions (not for simulate) -> POVM, built or read from a file and
-    labelled by one make_povm -> optimality and saturation, or the
-    simulation.
+    conditions (not for simulate) -> POVM, built from the frame the
+    conditions certified or read from a file, and labelled by one
+    make_povm -> optimality and saturation, or the simulation.
     """
     model = load_model(args.model, tol)
     theta = _resolve_theta(model, args.theta)
@@ -189,16 +189,19 @@ def _run(args, tol: Tolerances, seed: int, warnings: list[str]) -> tuple[dict, i
     if args.command != "simulate":
         slds = compute_slds(bundle, dec, tol)
         fim = qfim(slds)
-        conditions = evaluate_conditions(slds, tol)
+        conditions, joint = evaluate_conditions(slds, tol)
+        if joint.note:
+            warnings.append(joint.note)
         report.update(_analysis_sections(model, theta, bundle, dec, fim, conditions))
         if args.command == "analyze":
             return report, _VERDICT_EXIT.get(conditions.classification, EXIT_FAILED)
 
     if args.command == "construct":
-        if conditions.classification != SATURABLE_PROJECTIVE:
+        # one rule: a frame comes only with a SaturableProjective verdict
+        if joint.U is None:
             raise ConditionFailed(
                 f"classification is {conditions.classification}; nothing to construct")
-        source = construct_optimal(slds, conditions.c4, tol)
+        source = construct_optimal(dec, conditions.c4.W, joint)
     else:
         source = povm_from_json(read_json(args.povm, "POVM file"))
     povm, flags = make_povm(source, bundle.rho, dec, tol)
@@ -281,21 +284,18 @@ def _check_seed(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-
+    argv = sys.argv[1:] if argv is None else argv
     report: dict = {
         "tool": {"name": "qcrb", "version": __version__},
-        "command": args.command,
+        # the subcommand argv names, known also when argparse rejects the rest
+        "command": next((word for word in argv if word in _COMMANDS), None),
         "tolerances": DEFAULT._asdict(),
         "warnings": [],
     }
-    out_path = args.report if args.command == "construct" else args.out
+    out_path = None
     try:
+        args = build_parser().parse_args(argv)
+        out_path = args.report if args.command == "construct" else args.out
         tol = DEFAULT._replace(**parse_overrides(args.tol))
         report["tolerances"] = tol._asdict()
         seed = _check_seed(args)

@@ -19,6 +19,10 @@ projective measurement; failure of 1 or 3 rules saturation out entirely.
 The W finder is a sound-but-incomplete heuristic: a candidate is only
 reported as certified after passing :func:`verify_W`, and "not certified"
 never claims condition 4 is violated.
+
+The optimal measurement is the joint eigenbasis U of the ++ blocks plus
+W; :func:`evaluate_conditions` groups that spectrum once and certifies a
+model only with the frame that ``construct`` writes.
 """
 
 from __future__ import annotations
@@ -73,6 +77,18 @@ class ConditionReport(NamedTuple):
     c3: Verdict
     c4: WCandidate
     classification: str
+
+
+class JointFrame(NamedTuple):
+    """The ++ blocks' joint eigenbasis in groups of ``ranks`` columns; not reported.
+
+    U is None unless the model is SaturableProjective; ``note`` says why
+    when c1, c3 and c4 passed but the ++ spectrum could not be grouped.
+    """
+
+    U: Optional[Array]
+    ranks: tuple[int, ...] = ()
+    note: str = ""
 
 
 def _worst_pair(mats, defect: Callable[[Array, Array], float]) -> float:
@@ -196,10 +212,9 @@ def verify_condition2_U(
     PDE, and so the residual, is invariant under U -> C U for a constant
     unitary C.
 
-    d_l U is :func:`model.central_difference` at ``model.FD_STEP``; d_l V
-    is :func:`model.frame_derivative` (the model's ``dfactorization`` when
-    it has one, else the same difference of V).  The gate is absolute at
-    :data:`PDE_GATE`.
+    d_l U and d_l V are :func:`model.central_difference` at
+    ``model.FD_STEP`` (d_l V through :func:`model.frame_derivative`).  The
+    gate is absolute at :data:`PDE_GATE`.
     """
     theta = np.asarray(theta, dtype=float)
     v0, _, _ = factorization_at(model, theta)
@@ -247,17 +262,27 @@ def solve_U_fixed_range(
     return u if linalg.is_unitary(u) else None
 
 
-def classify(c1: Verdict, c3: Verdict, c4: WCandidate) -> str:
-    if not c1.passed or not c3.passed:
-        return NECESSARY_FAILED
-    if c4.certified:
-        return SATURABLE_PROJECTIVE
-    return UNDETERMINED
+def evaluate_conditions(slds: SldSet,
+                        tol: Tolerances = DEFAULT) -> tuple[ConditionReport, JointFrame]:
+    """Run all block-level checks, classify the model at this point, and group its ++ spectrum.
 
-
-def evaluate_conditions(slds: SldSet, tol: Tolerances = DEFAULT) -> ConditionReport:
-    """Run all block-level checks and classify the model at this point."""
+    A failed c1 or c3 is NecessaryFailed.  Past them and a certified W,
+    the ++ blocks are jointly diagonalized at ``tol.cond``, the gate that
+    :func:`povm.verify_optimality` holds every regular effect to, and the
+    model is SaturableProjective when that grouping resolves.  Otherwise
+    it is Undetermined, with an unresolved spectrum named in the
+    :class:`JointFrame`'s note.
+    """
     c1 = check_condition1(slds, tol)
     c3 = check_condition3(slds, tol)
     c4 = find_W(slds, tol)
-    return ConditionReport(c1=c1, c3=c3, c4=c4, classification=classify(c1, c3, c4))
+    classification, joint = UNDETERMINED, JointFrame(None)
+    if not c1.passed or not c3.passed:
+        classification = NECESSARY_FAILED
+    elif c4.certified:
+        try:
+            joint = JointFrame(*linalg.simultaneous_diagonalize(slds.Lpp, tol.cond))
+            classification = SATURABLE_PROJECTIVE
+        except DegeneracyUnresolved as exc:
+            joint = JointFrame(None, note=f"joint spectrum of the ++ blocks is unresolved: {exc}")
+    return ConditionReport(c1=c1, c3=c3, c4=c4, classification=classification), joint

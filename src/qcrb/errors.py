@@ -25,6 +25,10 @@ class OutOfDomain(QcrbError):
     """Parameter point lies outside the model's open box (or its margin)."""
 
 
+class UsageError(QcrbError):
+    """The command line does not parse (argparse rejected it)."""
+
+
 class ParseError(QcrbError):
     """An input (config file, data file or command-line value) is malformed or out of range."""
 

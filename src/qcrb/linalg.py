@@ -16,9 +16,10 @@ the gauge that make their output deterministic, and reads no tolerance table:
   relative singular-value truncation at a cut the caller passes: plain
   ``numpy.linalg`` calls that map a LAPACK failure to NoConvergence.
 * Joint diagonalization of a commuting Hermitian family, one operator at
-  a time inside the degenerate eigenspaces the operators before it left.
-  Eigenvalues count as equal at the gate the caller judges its result
-  by, so the grouping depends only on the family and that gate.
+  a time inside the degenerate eigenspaces the operators before it left,
+  until no operator splits a group.  Eigenvalues count as equal at the
+  gate the caller judges its result by, so the grouping depends only on
+  the family and that gate, not on the order of its members.
 
 Matrices serialize to JSON as arrays of rows, each entry a two-element
 ``[re, im]`` array; 64-bit floats round-trip exactly.
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -192,21 +193,38 @@ def ratio_table(vecs: list[Array], zero: float, gate: float) -> tuple[Array, flo
     return table, worst, imag_worst, ok
 
 
-def gap_clusters(values, width: float) -> list[list[int]]:
-    """Split ascending ``values`` into runs of indices at gaps wider than ``width``.
+def _runs(cols: list[int], values, width: float, chain: Optional[str]) -> list:
+    """Split ``cols`` into runs where the ascending ``values`` step wider than ``width``.
 
-    A run is one eigenvalue, so it may spread no wider than ``width``
-    itself: a chain of steps each within the width raises
-    DegeneracyUnresolved rather than merge values that the width tells
-    apart.
+    Returns (columns, chain) groups.  A run may spread wider than the width,
+    as a chain of steps each within it.  A group's chain, None once its
+    eigenvalues are known to be equal, names the chain it is, or is part of.
     """
-    runs = np.split(np.arange(len(values)), np.flatnonzero(np.diff(values) > width) + 1)
-    for run in runs:
+    parts = []
+    for run in np.split(np.arange(len(values)), np.flatnonzero(np.diff(values) > width) + 1):
         spread = values[run[-1]] - values[run[0]]
         if spread > width:
-            raise DegeneracyUnresolved(f"a chain of eigenvalue gaps within {width:.3e} "
-                                       f"spreads {spread:.3e}")
-    return [run.tolist() for run in runs]
+            why = f"a chain of eigenvalue gaps within {width:.3e} spreads {spread:.3e}"
+        else:
+            why = chain if len(run) > 1 else None
+        parts.append(([cols[i] for i in run], why))
+    return parts
+
+
+def _refine(u: Array, parts: list, ops) -> list:
+    """Split each group of ``parts`` by each (matrix, width) of ``ops``, rotating u's columns."""
+    for mat, width in ops:
+        refined = []
+        for cols, chain in parts:
+            if len(cols) == 1:
+                refined.append((cols, None))
+                continue
+            block = u[:, cols]
+            eig = herm_eigen(dag(block) @ mat @ block)
+            u[:, cols] = block @ eig.vectors
+            refined += _runs(cols, eig.values, width, chain)
+        parts = refined
+    return parts
 
 
 def simultaneous_diagonalize(family, gate: float) -> tuple[Array, tuple[int, ...]]:
@@ -214,52 +232,47 @@ def simultaneous_diagonalize(family, gate: float) -> tuple[Array, tuple[int, ...
 
     Returns ``(U, ranks)``: the columns of the unitary U are common
     eigenvectors, in consecutive groups of ``ranks[k]`` columns, one group
-    per joint eigenspace.  ``gate`` is the relative residual at which the
-    caller judges its result (``tol.cond`` at both callers), and it alone
-    decides equality: eigenvalues of an operator A are equal when they lie
-    within ``gate * (1 + ||A||_F)`` (:func:`gap_clusters`), and every member
-    must come out diagonal within that width.  A merged group's residual,
-    at most half its spread, thus stays inside the gate.
+    per joint eigenvalue tuple.  ``gate`` is the relative residual at which
+    the caller judges its result (``tol.cond`` at both callers), and it
+    alone decides equality: eigenvalues of an operator A are told apart at
+    gaps wider than its width ``gate * (1 + ||A||_F)``.
 
-    Operator 0 is diagonalized first; each following operator is then
-    diagonalized inside every group of equal eigenvalues that the operators
-    before it left (a single column needs no eigensolve).  Groups ascend in
-    operator 0, then operator 1, and so on, so roundoff within a width
-    never decides the order.  Commutation is not gated separately (find_W
-    gates it first, and the CLI builds a POVM only past condition 1): a
-    family that does not commute leaves some member off-diagonal, and that
-    raises DegeneracyUnresolved.  Members are gated at ``HERM_GATE``
-    (:func:`require_hermitian`).
+    Each operator splits, at its wide gaps, every group the operators
+    before it left (a single column needs no eigensolve).  A run of steps
+    within the width that spreads wider than it, a chain, is refined by the
+    operators after it, and each part of it with more than one column by
+    the whole family again, until no operator splits a group; so the groups
+    do not depend on the order of the family.  A group that still spreads
+    wider than some operator's width raises DegeneracyUnresolved, so every
+    group's residual, at most half its spread, stays inside the gate.
+    Groups ascend in operator 0, then operator 1, and so on, so roundoff
+    within a width never decides the order.  Commutation is not gated
+    separately: a family that does not commute leaves some member
+    off-diagonal beyond its width, and that raises DegeneracyUnresolved.
+    Members are gated at ``HERM_GATE`` (:func:`require_hermitian`).
     """
     mats = [require_hermitian(m) for m in family]
     if not mats:
         raise DimensionMismatch("need at least one matrix")
-    n = mats[0].shape[0]
-    for mat in mats:
-        if mat.shape != (n, n):
-            raise DimensionMismatch("family members differ in dimension")
-    widths = [gate * (1.0 + fro(mat)) for mat in mats]
+    if any(mat.shape != mats[0].shape for mat in mats):
+        raise DimensionMismatch("family members differ in dimension")
+    ops = [(mat, gate * (1.0 + fro(mat))) for mat in mats]
 
     eig = herm_eigen(mats[0])
     u = eig.vectors
-    groups = gap_clusters(eig.values, widths[0])
-    for mat, width in zip(mats[1:], widths[1:]):
-        refined: list[list[int]] = []
-        for group in groups:
-            if len(group) == 1:
-                refined.append(group)
-                continue
-            cols = u[:, group]
-            eig = herm_eigen(dag(cols) @ mat @ cols)
-            u[:, group] = cols @ eig.vectors
-            refined += [[group[i] for i in part] for part in gap_clusters(eig.values, width)]
-        groups = refined
-    u = fix_phases(u[:, [i for group in groups for i in group]])
-    for mat, width in zip(mats, widths):
+    groups = _refine(u, _runs(list(range(len(u))), eig.values, ops[0][1], None), ops[1:])
+    while any(chain for _, chain in groups):
+        again = [part for cols, chain in groups
+                 for part in (_refine(u, [(cols, None)], ops) if chain else [(cols, None)])]
+        if len(again) == len(groups) and any(chain for _, chain in again):
+            raise DegeneracyUnresolved(next(chain for _, chain in again if chain))
+        groups = again
+    u = fix_phases(u[:, [i for cols, _ in groups for i in cols]])
+    for mat, width in ops:
         conj = dag(u) @ mat @ u
         if fro(conj - np.diag(np.diag(conj))) > width:
             raise DegeneracyUnresolved("could not split degenerate joint eigenspaces")
-    return u, tuple(len(group) for group in groups)
+    return u, tuple(len(cols) for cols, _ in groups)
 
 
 def matrix_to_json(a) -> list:

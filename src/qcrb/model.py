@@ -50,7 +50,6 @@ class StateModel:
     eval_rho: Callable[[Array], Array]
     deriv: Optional[Callable[[Array, int], Array]] = None
     factorization: Optional[Callable[[Array], tuple[Array, Array, Array]]] = None
-    dfactorization: Optional[Callable[[Array, int], Array]] = None
     constants: dict = field(default_factory=dict)
     default_theta: Optional[tuple[float, ...]] = None
 
@@ -120,9 +119,7 @@ def factorization_at(model: StateModel, theta: Array) -> tuple[Array, Array, Arr
 
 
 def frame_derivative(model: StateModel, theta: Array, l: int) -> Array:
-    """d_l V at theta: the model's ``dfactorization``, else a central difference of V."""
-    if model.dfactorization is not None:
-        return model.dfactorization(theta, l)
+    """d_l V at theta: the central difference of the factorization's range frame V."""
     return central_difference(lambda point: factorization_at(model, point)[0], theta, l)
 
 
@@ -203,9 +200,6 @@ def make_example2(d: complex = 0.6, c1: float = 1.0, c2: float = 2.0) -> StateMo
         q = np.array([theta[0], 1.0 - theta[0]])
         return v, y, q
 
-    def dfactorization(theta: Array, l: int) -> Array:
-        return np.column_stack([np.zeros(3, dtype=complex), dpsi2(theta, l)])
-
     return StateModel(
         name="example2",
         n_s=3,
@@ -214,7 +208,6 @@ def make_example2(d: complex = 0.6, c1: float = 1.0, c2: float = 2.0) -> StateMo
         eval_rho=eval_rho,
         deriv=deriv,
         factorization=factorization,
-        dfactorization=dfactorization,
         constants={"d": d, "c1": c[0], "c2": c[1]},
     )
 
@@ -242,12 +235,6 @@ def make_fixed_range() -> StateModel:
         y[2, 0] = 1.0
         return v, y, np.array([theta[0], 1.0 - theta[0]])
 
-    def dfactorization(theta: Array, l: int) -> Array:
-        dv = np.zeros((3, 2), dtype=complex)
-        if l == 1:
-            dv[1, 1] = 1j * cmath.exp(1j * theta[1])
-        return dv
-
     return StateModel(
         name="fixed_range",
         n_s=3,
@@ -256,7 +243,6 @@ def make_fixed_range() -> StateModel:
         eval_rho=eval_rho,
         deriv=deriv,
         factorization=factorization,
-        dfactorization=dfactorization,
     )
 
 
@@ -278,9 +264,6 @@ def make_classical_diag() -> StateModel:
             np.array([theta[0], theta[1], 1.0 - theta[0] - theta[1]]),
         )
 
-    def dfactorization(theta: Array, l: int) -> Array:
-        return np.zeros((3, 3), dtype=complex)
-
     # box keeps theta1 + theta2 < 1 so the third weight stays positive
     return StateModel(
         name="classical_diag",
@@ -290,7 +273,6 @@ def make_classical_diag() -> StateModel:
         eval_rho=eval_rho,
         deriv=deriv,
         factorization=factorization,
-        dfactorization=dfactorization,
     )
 
 
@@ -344,9 +326,6 @@ def make_pure_state() -> StateModel:
         )
         return v, y, np.array([1.0])
 
-    def dfactorization(theta: Array, l: int) -> Array:
-        return dpsi(theta, l).reshape(2, 1)
-
     return StateModel(
         name="pure_state",
         n_s=2,
@@ -355,7 +334,6 @@ def make_pure_state() -> StateModel:
         eval_rho=eval_rho,
         deriv=deriv,
         factorization=factorization,
-        dfactorization=dfactorization,
     )
 
 

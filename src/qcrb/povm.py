@@ -23,15 +23,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg
 from .blocks import BlockDecomposition
-from .conditions import WCandidate
+from .conditions import JointFrame
 from .config import DEFAULT, Tolerances
-from .errors import ConditionFailed, InvalidPovm, NotBlockDiagonal, ParseError
+from .errors import InvalidPovm, NotBlockDiagonal, ParseError
 from .model import StateBundle
 from .sld import SldSet, qfim
 
@@ -200,26 +200,17 @@ def make_povm(source, rho: Array, dec: BlockDecomposition,
     return Povm(g, ranks, tuple(labels), _is_projective(g, ranks, tol)), warnings + flags
 
 
-def construct_optimal(slds: SldSet, w: Optional[WCandidate], tol: Tolerances = DEFAULT) -> Frame:
-    """The optimal projective POVM's :class:`Frame`, built from the ++ blocks and W.
+def construct_optimal(dec: BlockDecomposition, w: Array, joint: JointFrame) -> Frame:
+    """The optimal projective POVM's :class:`Frame`, ``fix_phases([V U | Y W])``.
 
-    Its unitary holds the common eigenvectors of the ++ SLD blocks,
-    embedded in the range and grouped by joint eigenvalue tuple (one group
-    per effect), then the columns of Y W (one rank-one effect each), every
-    column's phase fixed by :func:`linalg.fix_phases`.  Eigenvalues are
-    grouped at ``tol.cond``, the gate that :func:`verify_optimality` holds
-    every effect to.  :func:`make_povm` labels and checks the frame
-    as it does one read from a file.  Raises ConditionFailed, with a
-    non-trivial null space, when no certified W is supplied, and
-    DegeneracyUnresolved when the ++ blocks do not commute or a group would
-    spread wider than that gate.
+    ``joint`` is the grouped ++ eigenbasis U that
+    :func:`conditions.evaluate_conditions` certified (one effect per
+    group) and ``w`` the certified W (one rank-one effect per column of Y
+    W).  Nothing is solved here; :func:`make_povm` labels and checks the
+    frame as it does one read from a file.
     """
-    dec = slds.dec
-    if dec.r_zero > 0 and (w is None or not w.certified or w.W is None):
-        raise ConditionFailed("no certified null-space unitary supplied")
-    u, ranks = linalg.simultaneous_diagonalize(list(slds.Lpp), tol.cond)
-    null = dec.Y @ w.W if dec.r_zero > 0 else dec.Y
-    return Frame(linalg.fix_phases(np.hstack([dec.V @ u, null])), ranks + (1,) * dec.r_zero)
+    return Frame(linalg.fix_phases(np.hstack([dec.V @ joint.U, dec.Y @ w])),
+                 joint.ranks + (1,) * dec.r_zero)
 
 
 def canonicalize(povm: Povm, dec: BlockDecomposition, slds: SldSet,

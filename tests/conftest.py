@@ -48,7 +48,7 @@ def pipeline(mdl, theta):
     bundle = model.eval_bundle(mdl, theta)
     dec = blocks.decompose(bundle.rho)
     slds = sld.compute_slds(bundle, dec)
-    report = conditions.evaluate_conditions(slds)
+    report, _ = conditions.evaluate_conditions(slds)
     return bundle, dec, slds, report
 
 

@@ -53,7 +53,7 @@ class TestCriterion1ExamplePipeline:
         check("1 F_null", np.max(np.abs(fim.F_null - F_NULL_HAND)) <= 1e-7,
               f"max dev {np.max(np.abs(fim.F_null - F_NULL_HAND)):.2e}")
 
-        built = optimal_povm(bundle.rho, slds, report.c4)
+        built = optimal_povm(bundle.rho, slds)
         check("1 POVM built", len(built) == 3 and built.projective)
         optimality = povm.verify_optimality(built, slds, dec)
         saturation = povm.saturation_check(built, slds, bundle)
@@ -148,7 +148,7 @@ class TestCriterion5OracleEquivalence:
 
 class TestCriterion6InvarianceSuite:
     def _verdict_tuple(self, slds, bundle, dec, base_povm):
-        report = conditions.evaluate_conditions(slds)
+        report, _ = conditions.evaluate_conditions(slds)
         sat = povm.saturation_check(base_povm, slds, bundle)
         opt = povm.verify_optimality(base_povm, slds, dec)
         return (
@@ -162,7 +162,7 @@ class TestCriterion6InvarianceSuite:
 
     def test_invariances(self, example2):
         bundle, dec, slds, report = pipeline(example2, THETA_EX2)
-        built = optimal_povm(bundle.rho, slds, report.c4)
+        built = optimal_povm(bundle.rho, slds)
         base = self._verdict_tuple(slds, bundle, dec, built)
 
         rng = np.random.default_rng(606)
@@ -192,13 +192,13 @@ class TestCriterion7CanonicalStructure:
         ):
             mdl = model.build_model(name)
             bundle, dec, slds, report = pipeline(mdl, theta)
-            built = optimal_povm(bundle.rho, slds, report.c4)
+            built = optimal_povm(bundle.rho, slds)
             cases.append((name, bundle, dec, slds, built))
         # add a non-canonical optimal POVM: regular effects padded with
         # null-space mass (possible when the off-diagonal blocks vanish)
         mdl = model.build_model("fixed_range")
         bundle, dec, slds, report = pipeline(mdl, THETA_FIXED)
-        built = optimal_povm(bundle.rho, slds, report.c4)
+        built = optimal_povm(bundle.rho, slds)
         p_zero = dec.Y @ linalg.dag(dec.Y)
         padded = [effects(built)[k] + 0.5 * p_zero for k in built.regular_indices]
         pv, _ = povm.make_povm(padded, bundle.rho, dec)
@@ -230,7 +230,7 @@ class TestCriterion7CanonicalStructure:
 class TestCriterion8MonteCarlo:
     def test_classical_diag_covariance(self, classical_diag):
         bundle, dec, slds, report = pipeline(classical_diag, THETA_DIAG)
-        built = optimal_povm(bundle.rho, slds, report.c4)
+        built = optimal_povm(bundle.rho, slds)
         result = estimate.run_trials(
             classical_diag, built, THETA_DIAG, SimConfig(seed=123, N=1000, R=2000)
         )
@@ -239,7 +239,7 @@ class TestCriterion8MonteCarlo:
 
     def test_example2_displaced_covariance(self, example2):
         bundle, dec, slds, report = pipeline(example2, THETA_EX2)
-        built = optimal_povm(bundle.rho, slds, report.c4)
+        built = optimal_povm(bundle.rho, slds)
         result = estimate.run_trials(
             example2, built, THETA_EX2,
             SimConfig(seed=123, N=1000, R=2000, delta=(0.0, 0.05)),
@@ -249,7 +249,7 @@ class TestCriterion8MonteCarlo:
 
     def test_convergence_study_and_plateau(self, example2):
         bundle, dec, slds, report = pipeline(example2, THETA_EX2)
-        built = optimal_povm(bundle.rho, slds, report.c4)
+        built = optimal_povm(bundle.rho, slds)
         fim = sld.qfim(slds)
         deltas = [t * np.array([1.0, 1.0]) / np.sqrt(2.0) for t in (1e-1, 1e-2, 1e-3)]
         rows = estimate.fc_convergence_study(example2, built, THETA_EX2, deltas, fim.F)

@@ -300,34 +300,45 @@ def _near_degenerate(gap: float, null: bool) -> dict:
     return planted_stencil(_GAP_Q, lpp, [0.6 * _GAP_NULL, -0.4 * _GAP_NULL] if null else None)
 
 
+def _analyze_and_construct(tmp_path, config: dict, *tol: str) -> tuple[int, dict, int, dict]:
+    """Exit codes and reports of analyze and construct on one config.
+
+    One frame serves both commands, so analyze exits 0 exactly when
+    construct writes a POVM that passes both sections; otherwise construct
+    writes none and exits 2.
+    """
+    model_path, povm_path = tmp_path / "model.json", tmp_path / "povm.json"
+    model_path.write_text(json.dumps(config), encoding="utf-8")
+    povm_path.unlink(missing_ok=True)
+    code, analysis = run_to_file(tmp_path, ["analyze", str(model_path), *tol])
+    built = main(["construct", str(model_path), "--out", str(povm_path),
+                  "--report", str(tmp_path / "construct.json"), *tol])
+    construction = json.loads((tmp_path / "construct.json").read_text(encoding="utf-8"))
+    VALIDATOR.validate(construction)
+    if code == 0:
+        assert built == 0 and povm_path.exists(), construction
+        assert construction["optimality"]["passed"] and construction["saturation"]["passed"]
+    else:
+        assert (built, construction["error"]["type"]) == (2, "ConditionFailed")
+        assert not povm_path.exists()
+    return code, analysis, built, construction
+
+
 @pytest.mark.parametrize("null, tol", [
     pytest.param(null, ["--tol", f"cond={cond}"] if cond else [],
                  id=("rank-deficient" if null else "full-rank") + (f"-cond-{cond}" if cond else ""))
     for cond in (None, "1e-6", "1e-10") for null in (False, True)])
 def test_construct_on_a_near_degenerate_joint_spectrum_never_fails_its_povm(tmp_path, null, tol):
-    # at every gap, construct writes a POVM that passes both sections or
-    # writes none: the joint eigenvalues it merges, and find_W's, are equal
-    # at the gate that judges the merged effect, whatever that gate is
+    # at every gap, analyze certifies exactly the frame construct writes,
+    # and that POVM passes both sections: the joint eigenvalues it merges,
+    # and find_W's, are equal at the gate that judges the merged effect,
+    # whatever that gate is
     outcomes = {}
     for gap in np.geomspace(1e-4, 1e-10, 25):
-        model_path, povm_path = tmp_path / "model.json", tmp_path / "povm.json"
-        model_path.write_text(json.dumps(_near_degenerate(gap, null)), encoding="utf-8")
-        povm_path.unlink(missing_ok=True)
-        code = main(["construct", str(model_path), "--out", str(povm_path),
-                     "--report", str(tmp_path / "report.json"), *tol])
-        report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
-        VALIDATOR.validate(report)
-        if code == 0:
-            sound = report["optimality"]["passed"] and report["saturation"]["passed"]
-            outcomes[gap] = report["povm"]["n_effects"] if sound and povm_path.exists() else "bad"
-        else:
-            error = report.get("error", {}).get("type")
-            unresolved = code == 1 and error == "DegeneracyUnresolved" and not povm_path.exists()
-            outcomes[gap] = "none" if unresolved else f"exit {code}: {error}"
-    failed = [gap for gap, out in outcomes.items() if out != "none" and not isinstance(out, int)]
-    assert failed == [], outcomes
+        code, _, _, report = _analyze_and_construct(tmp_path, _near_degenerate(gap, null), *tol)
+        outcomes[gap] = report["povm"]["n_effects"] if code == 0 else code
     # far apart, states 0 and 1 get an effect each; within roundoff, one
-    assert outcomes[1e-4] == 3 + null and outcomes[1e-10] == 2 + null
+    assert outcomes[1e-4] == 3 + null and outcomes[1e-10] == 2 + null, outcomes
 
 
 def test_analyze_on_a_near_degenerate_ratio_spectrum_is_never_an_error(tmp_path):
@@ -338,11 +349,67 @@ def test_analyze_on_a_near_degenerate_ratio_spectrum_is_never_an_error(tmp_path)
     codes = {}
     for s in np.geomspace(1e-6, 1e-10, 21):
         lpz = [0.3 * w_dag, 0.3 * np.diag([1.0, 1.0 + s, 1.0 + 2.0 * s]) @ w_dag]
-        model_path = tmp_path / "model.json"
-        model_path.write_text(json.dumps(planted_stencil([0.5, 0.3, 0.2], [[1, -1, -1], [0, 0, 0]],
-                                                         lpz)), encoding="utf-8")
-        codes[s], _ = run_to_file(tmp_path, ["analyze", str(model_path)])
+        config = planted_stencil([0.5, 0.3, 0.2], [[1, -1, -1], [0, 0, 0]], lpz)
+        codes[s], *_ = _analyze_and_construct(tmp_path, config)
     assert set(codes.values()) <= {0, 3} and codes[1e-6] == 0, codes
+
+
+@pytest.mark.parametrize("s", np.geomspace(1.4e-8, 2.5e-8, 4), ids=lambda s: f"{s:.2e}")
+def test_a_ratio_chain_that_a_third_parameter_separates_is_certified(tmp_path, s):
+    # as above with a third parameter: ratio operator 0 steps s apart
+    # (within its width, 2.7e-8) over a spread 2 s beyond it, and operator
+    # 2 tells the three columns apart, so W is certified
+    w_dag = random_unitary(np.random.default_rng(3), 3).conj().T
+    lpz = [0.3 * w_dag, 0.3 * np.diag([1.0, 1.0 + s, 1.0 + 2.0 * s]) @ w_dag,
+           0.3 * np.diag([0.5, 0.6, 0.7]) @ w_dag]
+    config = planted_stencil([0.5, 0.3, 0.2], [[1, -1, -1], [0, 0, 0], [0, 0, 0]], lpz)
+    code, analysis, _, _ = _analyze_and_construct(tmp_path, config)
+    assert code == 0 and analysis["conditions"]["c4"]["certified"]
+
+
+# a full-rank 4-level family, q = 0.4/0.3/0.2/0.1: ++ SLD block 0 puts
+# states 0, 1 and 2 at 1, 1 + g and 1 + 2 g (sum_i q_i L_ii = 0 fixes state
+# 3); at g = 9e-8 its steps lie within its width, 1.017e-7, and the chain
+# they make spreads beyond it
+_CHAIN_Q = [0.4, 0.3, 0.2, 0.1]
+
+
+def _chain(g: float) -> list[float]:
+    return [1.0, 1.0 + g, 1.0 + 2.0 * g, -(0.9 + 0.7 * g) / 0.1]
+
+
+@pytest.mark.parametrize("second, g, n_effects", [
+    pytest.param([1.0, -1.0, 2.0, -5.0], g, 4, id=f"all-apart-{g}") for g in (1e-6, 9e-8, 3e-8)] + [
+    # block 1 parts state 1 from states 0 and 2, which block 0 then parts
+    # 2 g apart; at g = 3e-8 they are one eigenvalue of both blocks
+    pytest.param([1.0, -1.0, 1.0, -3.0], g, n, id=f"middle-apart-{g}")
+    for g, n in ((1e-6, 4), (9e-8, 4), (3e-8, 3))])
+def test_a_chain_that_another_block_separates_is_constructed(tmp_path, second, g, n_effects):
+    # the chain is refined by block 1 instead of raising, in either order
+    # of the parameters, and analyze and construct agree
+    for lpp in ([_chain(g), second], [second, _chain(g)]):
+        code, analysis, _, construction = _analyze_and_construct(tmp_path,
+                                                                 planted_stencil(_CHAIN_Q, lpp))
+        assert analysis["conditions"]["classification"] == "SaturableProjective"
+        assert construction["povm"]["n_effects"] == n_effects
+
+
+@pytest.mark.parametrize("g, n_effects", [(1e-6, 4), (9e-8, None), (3e-8, 2)])
+def test_a_chain_that_no_block_separates_is_undetermined(tmp_path, g, n_effects):
+    # block 1 is flat on states 0, 1 and 2: at g = 9e-8 the gate can tell
+    # neither that they are one eigenvalue nor that they are three, so
+    # analyze says Undetermined and why, and construct builds nothing
+    lpp = [_chain(g), [2.0, 2.0, 2.0, -18.0]]
+    code, analysis, built, construction = _analyze_and_construct(tmp_path,
+                                                                 planted_stencil(_CHAIN_Q, lpp))
+    if n_effects:
+        assert construction["povm"]["n_effects"] == n_effects
+        return
+    conditions = analysis["conditions"]
+    assert (code, conditions["classification"]) == (3, "Undetermined")
+    assert all(conditions[c]["passed"] for c in ("c1", "c3")) and conditions["c4"]["certified"]
+    assert [w for w in analysis["warnings"] if "++ blocks is unresolved" in w] != []
+    assert construction["warnings"] == analysis["warnings"]
 
 
 def test_one_cond_override_moves_every_identity_gate(tmp_path):
@@ -553,6 +620,32 @@ class TestUndetermined:
 class TestUsage:
     def test_missing_subcommand(self, capsys):
         assert main([]) == 1
+
+    @pytest.mark.parametrize("argv, command", [
+        pytest.param(["simulate", "{model}", "{povm}", "--N", "abc"], "simulate", id="bad-int"),
+        pytest.param(["analyze", "{model}", "--bogus"], "analyze", id="unknown-flag"),
+        pytest.param(["analyze", "{model}", "--out", "{out}", "--bogus"], "analyze",
+                     id="unknown-flag-with-out"),
+        pytest.param(["verify", "{model}"], "verify", id="missing-positional"),
+        pytest.param([], None, id="no-subcommand"),
+        pytest.param(["inspect", "{model}"], None, id="unknown-subcommand"),
+    ])
+    def test_usage_error_gives_a_json_report(self, tmp_path, ex2_file, capsys, argv, command):
+        # the usage line stays on stderr; the report always goes to stdout
+        out = tmp_path / "report.json"
+        code = main([arg.format(model=ex2_file, povm=tmp_path / "p.json", out=out) for arg in argv])
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        VALIDATOR.validate(report)
+        assert code == report["exit_code"] == 1
+        assert (report["command"], report["error"]["type"]) == (command, "UsageError")
+        assert captured.err.startswith("usage: qcrb") and not out.exists()
+
+    def test_help_is_not_a_report(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: qcrb")
 
     def test_flag_prefix_is_not_expanded(self, ex2_file, capsys):
         # --h is no flag; it must not be taken as an abbreviation of --help

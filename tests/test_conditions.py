@@ -109,7 +109,7 @@ class TestPartialCommutativity:
         bundle = StateBundle(theta=np.zeros(2), rho=rho, drho=drho)
         dec2 = blocks.decompose(rho)
         slds = sld.compute_slds(bundle, dec2)
-        report = conditions.evaluate_conditions(slds)
+        report, _ = conditions.evaluate_conditions(slds)
         assert not report.c1.passed and not report.c3.passed
         assert report.classification == conditions.NECESSARY_FAILED
         assert linalg.fro(range_commutator(slds, 0, 1)) <= 1e-12
@@ -185,7 +185,7 @@ class TestVerifyW:
         slds, _ = engineered_family(seed)
         c4 = conditions.find_W(slds)
         checked = conditions.verify_W(slds, c4.W)
-        built = optimal_povm((slds.dec.V * slds.dec.q) @ linalg.dag(slds.dec.V), slds, c4)
+        built = optimal_povm((slds.dec.V * slds.dec.q) @ linalg.dag(slds.dec.V), slds)
         out = povm.verify_optimality(built, slds, slds.dec)
         assert checked.certified and out.passed
         assert len(out.null) == slds.dec.r_zero
@@ -368,7 +368,7 @@ class TestClassification:
         lpp = [np.zeros((2, 2))] * 2
         slds = make_slds(lpp, [lpz1, lpz2], [0.5, 0.5])
         c3 = conditions.check_condition3(slds)
-        report = conditions.evaluate_conditions(slds)
+        report, _ = conditions.evaluate_conditions(slds)
         if c3.passed:
             assert report.classification == conditions.UNDETERMINED
         else:
@@ -381,7 +381,7 @@ class TestClassification:
         y_mix = random_unitary(rng, dec.r_zero)
         regauged = dec._replace(V=dec.V @ phases, Y=dec.Y @ y_mix)
         slds2 = sld.compute_slds(bundle, regauged)
-        rep3 = conditions.evaluate_conditions(slds2)
+        rep3, _ = conditions.evaluate_conditions(slds2)
         assert rep3.classification == base.classification
         assert np.isclose(rep3.c1.residual, base.c1.residual, atol=1e-12)
         assert np.isclose(rep3.c3.residual, base.c3.residual, atol=1e-12)

@@ -12,14 +12,14 @@ from util import basis_povm, effects, optimal_povm
 @pytest.fixture(scope="module")
 def diag_setup(classical_diag):
     bundle, dec, slds, report = pipeline(classical_diag, THETA_DIAG)
-    built = optimal_povm(bundle.rho, slds, report.c4)
+    built = optimal_povm(bundle.rho, slds)
     return classical_diag, bundle, dec, slds, built
 
 
 @pytest.fixture(scope="module")
 def ex2_setup(example2):
     bundle, dec, slds, report = pipeline(example2, THETA_EX2)
-    built = optimal_povm(bundle.rho, slds, report.c4)
+    built = optimal_povm(bundle.rho, slds)
     return example2, bundle, dec, slds, built
 
 

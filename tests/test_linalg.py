@@ -234,8 +234,6 @@ class TestSimultaneousDiagonalize:
         assert np.allclose(np.abs(u[:, 0]), [0, 1, 0, 0], atol=1e-12)
         assert np.allclose(np.abs(u[[1, 3], 1:3]), 0.0, atol=1e-12)
         assert np.allclose(np.abs(u[:, 3]), [0, 0, 0, 1], atol=1e-12)
-        assert linalg.gap_clusters(np.array([0.0, 1.0, 1.0 + 1e-12, 5.0]), 1e-9) == [
-            [0], [1, 2], [3]]
 
     def test_sequential_refinement_splits_degeneracy(self):
         mats = [
@@ -255,6 +253,36 @@ class TestSimultaneousDiagonalize:
             gap = factor * gate * (1.0 + np.sqrt(6.0))
             mats = [np.diag([1.0, 1.0 + gap, 2.0])]
             assert linalg.simultaneous_diagonalize(mats, gate)[1] == ranks
+
+    def test_chain_that_a_later_operator_separates_is_resolved(self):
+        # operator 0 steps 0.9 widths apart over 2.7 widths; operator 1
+        # tells all four apart, so the chain is refined, not an error
+        gate = 1e-8
+        step = 0.9 * gate * 3.0
+        mats = [np.diag(1.0 + step * np.arange(4)), np.diag([1.0, 2.0, 3.0, 4.0])]
+        for family in (mats, mats[::-1]):
+            u, ranks = linalg.simultaneous_diagonalize(family, gate)
+            assert ranks == (1, 1, 1, 1)
+            assert np.allclose(np.abs(u), np.eye(4), atol=1e-12)
+
+    def test_a_part_of_a_chain_is_refined_again_by_every_operator(self):
+        # operator 1 parts state 1 from states 0 and 2, which lie 1.8
+        # widths apart in operator 0: one more pass of operator 0 splits
+        # them, so either order gives four groups
+        gate = 1e-8
+        step = 0.9 * gate * (1.0 + linalg.fro(np.diag([1.0, 1.0, 1.0, 5.0])))
+        mats = [np.diag([1.0, 1.0 + step, 1.0 + 2.0 * step, 5.0]), np.diag([1.0, -1.0, 1.0, -3.0])]
+        for family in (mats, mats[::-1]):
+            u, ranks = linalg.simultaneous_diagonalize(family, gate)
+            assert ranks == (1, 1, 1, 1)
+            assert sorted(np.argmax(np.abs(u), axis=0)) == [0, 1, 2, 3]
+        # with a fourth state in the chain, the part operator 1 leaves is
+        # itself a chain that no operator splits
+        mats = [np.diag([1.0, 1.0 + step, 1.0 + 2.0 * step, 1.0 + 3.0 * step, 5.0]),
+                np.diag([-1.0, 1.0, 1.0, 1.0, -3.0])]
+        for family in (mats, mats[::-1]):
+            with pytest.raises(DegeneracyUnresolved):
+                linalg.simultaneous_diagonalize(family, gate)
 
     def test_chain_wider_than_the_width_is_unresolved(self):
         # every step lies within the width, the chain spans 2.7 widths

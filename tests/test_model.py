@@ -1,5 +1,7 @@
+import cmath
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from qcrb.errors import (
     UnknownModel,
 )
 
-from conftest import THETA_EX2, THETA_QUBIT, WORKING_POINTS
+from conftest import THETA_QUBIT, WORKING_POINTS
 
 
 def _box_interior_points(mdl, count, seed):
@@ -68,6 +70,23 @@ class TestEvalBundle:
             assert abs(np.trace(d)) <= DEFAULT.trace
 
 
+def _closed_form_dv(name: str, theta, l: int) -> np.ndarray:
+    """d_l V of a built-in model's factorization at its default constants, by hand."""
+    t0, t1 = theta
+    if name == "example2":   # V = [e2, (d e^{i phi}, 0, root)], phi = theta1 + 2 theta2
+        dv = np.zeros((3, 2), dtype=complex)
+        dv[0, 1] = 1j * (1.0, 2.0)[l] * 0.6 * cmath.exp(1j * (t0 + 2.0 * t1))
+    elif name == "fixed_range":   # V = [e1, e^{i theta2} e2]
+        dv = np.zeros((3, 2), dtype=complex)
+        dv[1, 1] = 1j * cmath.exp(1j * t1) if l == 1 else 0.0
+    elif name == "classical_diag":   # V = I
+        dv = np.zeros((3, 3), dtype=complex)
+    else:   # pure_state: V = (cos theta1, e^{i theta2} sin theta1)
+        dv = np.array([[-math.sin(t0)], [cmath.exp(1j * t1) * math.cos(t0)]] if l == 0
+                      else [[0.0], [1j * cmath.exp(1j * t1) * math.sin(t0)]])
+    return dv
+
+
 class TestBuiltinInvariants:
     @pytest.mark.parametrize("name", sorted(WORKING_POINTS))
     def test_state_invariants_on_random_points(self, name):
@@ -94,7 +113,7 @@ class TestBuiltinInvariants:
         for theta in _box_interior_points(fixed_range, 10, seed=4):
             y = fixed_range.factorization(theta)[1]
             for l in range(2):
-                dv = fixed_range.dfactorization(theta, l)
+                dv = model.frame_derivative(fixed_range, theta, l)
                 assert np.max(np.abs(linalg.dag(dv) @ y)) == 0.0
 
     @pytest.mark.parametrize("name", ["example2", "fixed_range", "classical_diag", "pure_state"])
@@ -102,15 +121,8 @@ class TestBuiltinInvariants:
         mdl = model.build_model(name)
         theta = WORKING_POINTS[name]
         for l in range(mdl.p):
-            fd = model.central_difference(lambda point: mdl.factorization(point)[0], theta, l)
-            assert np.allclose(mdl.dfactorization(theta, l), fd, rtol=0.0, atol=1e-8)
-            assert np.array_equal(model.frame_derivative(mdl, theta, l), mdl.dfactorization(theta, l))
-
-    def test_frame_derivative_differences_v_without_dfactorization(self, example2):
-        bare = dataclasses.replace(example2, dfactorization=None)
-        for l in range(example2.p):
-            fd = model.central_difference(lambda point: example2.factorization(point)[0], THETA_EX2, l)
-            assert np.array_equal(model.frame_derivative(bare, THETA_EX2, l), fd)
+            dv = model.frame_derivative(mdl, theta, l)
+            assert np.allclose(dv, _closed_form_dv(name, theta, l), rtol=0.0, atol=1e-8)
 
     def test_frame_derivative_needs_a_factorization(self, qubit_xy):
         with pytest.raises(NoFactorization):

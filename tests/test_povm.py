@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from qcrb import blocks, conditions, linalg, model, povm, sld
-from qcrb.errors import (ConditionFailed, DegeneracyUnresolved, InvalidPovm, NotBlockDiagonal,
-                         ParseError)
+from qcrb.config import DEFAULT
+from qcrb.errors import DegeneracyUnresolved, InvalidPovm, NotBlockDiagonal, ParseError
 
 from conftest import THETA_EX2, THETA_QUBIT, WORKING_POINTS, pipeline
 from util import (basis_povm, effects, optimal_povm, pauli, random_projective_povm,
@@ -15,14 +15,14 @@ SATURABLE = ["example2", "fixed_range", "classical_diag"]
 def construct_for(name):
     mdl = model.build_model(name)
     bundle, dec, slds, report = pipeline(mdl, WORKING_POINTS[name])
-    built = optimal_povm(bundle.rho, slds, report.c4)
+    built = optimal_povm(bundle.rho, slds)
     return mdl, bundle, dec, slds, report, built
 
 
 class TestConstructOptimal:
     def test_example2_effects(self, ex2_pipeline, example2):
         bundle, dec, slds, report = ex2_pipeline
-        built = optimal_povm(bundle.rho, slds, report.c4)
+        built = optimal_povm(bundle.rho, slds)
         assert built.labels == ("regular", "regular", "null")
         assert built.projective
         v, y, _ = example2.factorization(THETA_EX2)
@@ -33,14 +33,14 @@ class TestConstructOptimal:
 
     def test_classical_diag_pure_regular(self, diag_pipeline):
         bundle, _, slds, report = diag_pipeline
-        built = optimal_povm(bundle.rho, slds, report.c4)
+        built = optimal_povm(bundle.rho, slds)
         assert built.labels == ("regular",) * 3
         assert built.projective
 
     def test_degenerate_blocks_give_single_range_cluster(self, ex2_pipeline):
         bundle, dec, slds, report = ex2_pipeline
         zeroed = slds._replace(Lpp=tuple(np.zeros_like(m) for m in slds.Lpp))
-        built = optimal_povm(bundle.rho, zeroed, report.c4)
+        built = optimal_povm(bundle.rho, zeroed)
         regular = [effects(built)[k] for k in built.regular_indices]
         assert len(regular) == 1
         assert np.allclose(regular[0], dec.V @ linalg.dag(dec.V), atol=1e-10)
@@ -54,16 +54,23 @@ class TestConstructOptimal:
                 assert linalg.fro(e @ e - e) <= 1e-8
 
     def test_condition1_gate(self, qubit_xy):
-        # condition 1 is the classification's to decide; the joint
-        # diagonalization cannot make non-commuting ++ blocks diagonal
+        # condition 1 is the classification's to decide, and the ++ blocks
+        # are grouped only past it: non-commuting blocks leave no frame
         _, _, slds, report = pipeline(qubit_xy, THETA_QUBIT)
+        joint = conditions.evaluate_conditions(slds)[1]
+        assert report.classification == conditions.NECESSARY_FAILED
+        assert joint == conditions.JointFrame(None)
         with pytest.raises(DegeneracyUnresolved):
-            povm.construct_optimal(slds, report.c4)
+            linalg.simultaneous_diagonalize(slds.Lpp, DEFAULT.cond)
 
     def test_uncertified_w_gate(self, ex2_pipeline):
+        # a W that fails column verification leaves no frame to construct
         _, _, slds, _ = ex2_pipeline
-        with pytest.raises(ConditionFailed):
-            povm.construct_optimal(slds, None)
+        tilted = slds._replace(Lpz=(slds.Lpz[0], 1j * slds.Lpz[1]))
+        report, joint = conditions.evaluate_conditions(tilted)
+        assert report.c1.passed and not report.c4.certified
+        assert report.classification != conditions.SATURABLE_PROJECTIVE
+        assert joint.U is None and joint.note == ""
 
 
 def _classify(mats, rho, dec):
@@ -73,8 +80,9 @@ def _classify(mats, rho, dec):
 
 class TestClassify:
     def test_constructed_labels(self, ex2_pipeline):
-        bundle, dec, slds, report = ex2_pipeline
-        frame = povm.construct_optimal(slds, report.c4)
+        bundle, dec, slds, _ = ex2_pipeline
+        report, joint = conditions.evaluate_conditions(slds)
+        frame = povm.construct_optimal(dec, report.c4.W, joint)
         labels, flags = povm.classify(frame.matrix, frame.ranks, bundle.rho, dec)
         assert labels == ["regular", "regular", "null"]
         assert flags == []
@@ -158,7 +166,7 @@ class TestVerifyOptimality:
 
     def test_example2_constants(self, ex2_pipeline):
         bundle, dec, slds, report = ex2_pipeline
-        built = optimal_povm(bundle.rho, slds, report.c4)
+        built = optimal_povm(bundle.rho, slds)
         out = povm.verify_optimality(built, slds, dec)
         reg_consts = sorted(round(float(c.constants[0]), 6) for c in out.regular)
         assert reg_consts == [round(-4.0 / 3.0, 6), 4.0]
@@ -187,7 +195,7 @@ class TestVerifyOptimality:
 class TestCanonicalize:
     def test_padded_regular_effects_split(self, fixed_pipeline):
         bundle, dec, slds, report = fixed_pipeline
-        built = optimal_povm(bundle.rho, slds, report.c4)
+        built = optimal_povm(bundle.rho, slds)
         reg = [effects(built)[k] for k in built.regular_indices]
         padded = [r + 0.5 * (dec.Y @ linalg.dag(dec.Y)) for r in reg]
         pv, _ = povm.make_povm(padded, bundle.rho, dec)
@@ -209,7 +217,7 @@ class TestCanonicalize:
 
     def test_already_canonical_unchanged(self, ex2_pipeline):
         bundle, dec, slds, report = ex2_pipeline
-        built = optimal_povm(bundle.rho, slds, report.c4)
+        built = optimal_povm(bundle.rho, slds)
         canon = povm.canonicalize(built, dec, slds)
         assert len(canon) == len(built)
         for a, b in zip(effects(canon), effects(built)):
@@ -227,7 +235,7 @@ class TestCanonicalize:
 class TestClassicalFI:
     def test_example2_equals_regular_part(self, ex2_pipeline):
         bundle, dec, slds, report = ex2_pipeline
-        built = optimal_povm(bundle.rho, slds, report.c4)
+        built = optimal_povm(bundle.rho, slds)
         f_c = povm.classical_fi(built, bundle)
         assert np.allclose(f_c, [[16.0 / 3.0, 0.0], [0.0, 0.0]], atol=1e-9)
 
@@ -256,13 +264,13 @@ class TestClassicalFI:
 class TestNullComponentSum:
     def test_example2_matches_null_part(self, ex2_pipeline):
         bundle, dec, slds, report = ex2_pipeline
-        built = optimal_povm(bundle.rho, slds, report.c4)
+        built = optimal_povm(bundle.rho, slds)
         n_sum = povm.null_component_sum(built, slds)
         assert np.allclose(n_sum, 0.6912 * np.array([[1.0, 2.0], [2.0, 4.0]]), atol=1e-9)
 
     def test_missing_null_effects_leave_gap(self, ex2_pipeline):
         bundle, dec, slds, report = ex2_pipeline
-        built = optimal_povm(bundle.rho, slds, report.c4)
+        built = optimal_povm(bundle.rho, slds)
         eff = effects(built)
         folded = [eff[0] + eff[2], eff[1]]
         pv, _ = povm.make_povm(folded, bundle.rho, dec)
@@ -300,7 +308,7 @@ class TestSaturation:
 
     def test_verdict_invariant_under_effect_permutation(self, ex2_pipeline):
         bundle, dec, slds, report = ex2_pipeline
-        built = optimal_povm(bundle.rho, slds, report.c4)
+        built = optimal_povm(bundle.rho, slds)
         rng = np.random.default_rng(9)
         perm = rng.permutation(len(built))
         shuffled, _ = povm.make_povm([effects(built)[i] for i in perm], bundle.rho, dec)
@@ -309,7 +317,7 @@ class TestSaturation:
 
     def test_verdict_invariant_under_regauge(self, ex2_pipeline, example2):
         bundle, dec, slds, report = ex2_pipeline
-        built = optimal_povm(bundle.rho, slds, report.c4)
+        built = optimal_povm(bundle.rho, slds)
         rng = np.random.default_rng(10)
         phases = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, dec.r_plus)))
         y_mix = random_unitary(rng, dec.r_zero)
@@ -356,7 +364,7 @@ class TestClosureProperties:
         )
         bundle, dec, slds, report = pipeline(mdl, np.array([0.7]))
         assert report.classification == "SaturableProjective"
-        built = optimal_povm(bundle.rho, slds, report.c4)
+        built = optimal_povm(bundle.rho, slds)
         assert povm.verify_optimality(built, slds, dec).passed
         out = povm.saturation_check(built, slds, bundle)
         assert out.passed
@@ -370,7 +378,7 @@ class TestJsonRoundTrip:
         # the file holds the frame bit for bit, so the POVM read back is the
         # one that was built, effect for effect
         bundle, dec, slds, report = ex2_pipeline
-        built = optimal_povm(bundle.rho, slds, report.c4)
+        built = optimal_povm(bundle.rho, slds)
         payload = json.loads(json.dumps(povm.povm_to_json(built)))
         assert payload["ranks"] == [1, 1, 1]
         read, _ = povm.make_povm(povm.povm_from_json(payload), bundle.rho, dec)

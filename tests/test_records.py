@@ -5,7 +5,7 @@ import pytest
 
 import qcrb
 from qcrb.blocks import BlockDecomposition, BlockView
-from qcrb.conditions import ConditionReport, Verdict, WCandidate
+from qcrb.conditions import ConditionReport, JointFrame, Verdict, WCandidate
 from qcrb.config import Tolerances
 from qcrb.estimate import SimResult
 from qcrb.linalg import HermEigen
@@ -13,9 +13,9 @@ from qcrb.model import StateBundle
 from qcrb.povm import EffectCheck, OptimalityReport, SaturationReport
 from qcrb.sld import Qfim, SldSet
 
-RECORDS = [BlockDecomposition, BlockView, Verdict, WCandidate, ConditionReport, Tolerances,
-           SimResult, HermEigen, StateBundle, EffectCheck, OptimalityReport, SaturationReport,
-           SldSet, Qfim]
+RECORDS = [BlockDecomposition, BlockView, Verdict, WCandidate, ConditionReport, JointFrame,
+           Tolerances, SimResult, HermEigen, StateBundle, EffectCheck, OptimalityReport,
+           SaturationReport, SldSet, Qfim]
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda cls: cls.__name__)

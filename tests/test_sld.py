@@ -181,7 +181,6 @@ class TestQfim:
             deriv=lambda th, l: example2.deriv(np.array([th[0], th[1] / a]), l)
             / (a if l == 1 else 1.0),
             factorization=None,
-            dfactorization=None,
         )
         theta_scaled = np.array([THETA_EX2[0], a * THETA_EX2[1]])
         bundle = model.eval_bundle(scaled, theta_scaled)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from qcrb import linalg, povm
+from qcrb import conditions, linalg, povm
 from qcrb.blocks import BlockDecomposition, BlockView
 from qcrb.errors import DimensionMismatch
 from qcrb.model import StateModel
@@ -194,9 +194,11 @@ def embed_sld(slds, l: int) -> np.ndarray:
     return embed_parts(slds.dec, opp=slds.Lpp[l], opz=slds.Lpz[l])
 
 
-def optimal_povm(rho: np.ndarray, slds, w) -> povm.Povm:
-    """The optimal POVM as ``construct`` builds it: its frame, labelled by make_povm."""
-    built, _ = povm.make_povm(povm.construct_optimal(slds, w), rho, slds.dec)
+def optimal_povm(rho: np.ndarray, slds) -> povm.Povm:
+    """The optimal POVM as ``construct`` builds it: the certified frame, labelled by make_povm."""
+    report, joint = conditions.evaluate_conditions(slds)
+    frame = povm.construct_optimal(slds.dec, report.c4.W, joint)
+    built, _ = povm.make_povm(frame, rho, slds.dec)
     return built
 
 
