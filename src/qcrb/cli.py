@@ -118,6 +118,9 @@ def _resolve_theta(model: StateModel, override) -> np.ndarray:
 
 def _simulation_inputs(args, p: int, seed: int) -> tuple[SimConfig, Optional[tuple]]:
     """The simulate options as a trial config and, with --study, (direction, magnitudes)."""
+    # 2**63 bounds what the sampler's int64 counts can hold
+    if not (1 <= args.N < 2**63 and 2 <= args.R < 2**63):
+        raise ParseError("need 1 <= N < 2**63 copies and 2 <= R < 2**63 trials")
     delta = () if args.delta is None else linalg.from_json(args.delta, (p,), "--delta").tolist()
     config = SimConfig(seed=seed, N=args.N, R=args.R, delta=tuple(delta))
     if not args.study:
@@ -213,7 +216,7 @@ def _run(args, tol: Tolerances, seed: int, warnings: list[str]) -> tuple[dict, i
     optimality = verify_optimality(povm, slds, dec, tol)
     saturation = saturation_check(povm, slds, bundle, tol)
     report["povm"] = {
-        "n_effects": len(povm),
+        "n_effects": len(povm.ranks),
         "labels": list(povm.labels),
         "projective": povm.projective,
         "probabilities": _json(outcome_table(povm, bundle)[0]),

@@ -151,8 +151,10 @@ def find_W(slds: SldSet, tol: Tolerances = DEFAULT) -> WCandidate:
     G_l = pinv(Lpz_r) Lpz_l against the largest block r.  When the G_l
     are Hermitian and commute, their joint eigenbasis, grouped at
     ``tol.cond``, supplies the remaining columns; a joint spectrum that
-    grouping cannot resolve leaves W uncertified.  The result is certified
-    only if verify_W passes.
+    grouping cannot resolve leaves W uncertified.  Each joint eigenspace
+    and the kernel is one group of :func:`linalg.fix_gauge`, so W depends
+    only on the Lpz blocks; a rotation inside a group keeps every column
+    ratio.  The result is certified only if verify_W passes.
     """
     r0 = slds.dec.r_zero
     if r0 == 0:
@@ -189,10 +191,11 @@ def find_W(slds: SldSet, tol: Tolerances = DEFAULT) -> WCandidate:
     if worst > tol.cond:
         return _uncertified(worst, "ratio operators do not commute")
     try:
-        z, _ = linalg.simultaneous_diagonalize(gs, tol.cond)
+        z, ranks = linalg.simultaneous_diagonalize(gs, tol.cond)
     except DegeneracyUnresolved as exc:
         return _uncertified(worst, f"joint spectrum of the ratio operators is unresolved: {exc}")
-    c4 = verify_W(slds, np.hstack([coimage @ z, kernel]), tol)
+    w = linalg.fix_gauge(np.hstack([coimage @ z, kernel]), ranks + (r0 - rank,))
+    c4 = verify_W(slds, w, tol)
     return c4 if c4.certified else c4._replace(note="candidate failed column verification")
 
 

@@ -4,10 +4,13 @@ All routines work on plain complex ``numpy`` arrays.  The factorizations
 come from LAPACK through ``numpy.linalg``; this module adds the gates and
 the gauge that make their output deterministic, and reads no tolerance table:
 
+* One gauge rule, :func:`fix_gauge`, for every basis of a subspace: each
+  group's columns become a basis that depends only on its projector, so
+  a written basis depends only on the measurement, not on LAPACK.
 * Hermitian eigendecomposition (``eigh``) with ascending eigenvalues and
-  each eigenvector's phase fixed so that its largest-magnitude entry is
-  real positive.  Its inputs are Hermitian by construction or gated by
-  the caller, so its hermiticity gate is the constant ``HERM_GATE``.
+  each eigenvector gauged as a one-column group.  Its inputs are
+  Hermitian by construction or gated by the caller, so its hermiticity
+  gate is the constant ``HERM_GATE``.
   LAPACK is backward stable, so an eigenvalue is accurate to about
   n*eps*||A|| in absolute terms, not relative to its own size; callers
   that cut a spectrum at a threshold must treat values within that band
@@ -88,12 +91,40 @@ def is_unitary(u: Array) -> bool:
     return u.shape == (r, r) and fro(dag(u) @ u - np.eye(r)) <= 1e-8 * (1.0 + r)
 
 
-def fix_phases(v: Array) -> Array:
+def _fix_phases(v: Array) -> Array:
     """Rotate each column so its largest-magnitude entry is real positive."""
     w = np.array(v, dtype=complex)
     pivots = w[np.argmax(np.abs(w), axis=0), np.arange(w.shape[1])]
     size = np.abs(pivots)
     return w * np.divide(pivots.conj(), size, out=np.ones_like(pivots), where=size > 1e-300)
+
+
+def fix_gauge(g, ranks) -> Array:
+    """``g``'s columns, in consecutive groups of ``ranks[k]``, in a canonical basis of each span.
+
+    A group G_k's pivot rows S are chosen greedily, ``ranks[k]`` times:
+    the row of largest norm (ties to the lower index), whose direction is
+    then projected out of every row.  G_k becomes G_k polar(G_k^dag E_S),
+    the polar factor U Vh from :func:`svd`, so its rows at S
+    (ascending) form a Hermitian positive-definite block.  For orthonormal
+    columns that depends only on the projector G_k G_k^dag.  One-column
+    groups all go through :func:`_fix_phases` at once, the same rule.
+    """
+    out = np.array(g, dtype=complex)
+    single = np.repeat(np.equal(ranks, 1), ranks)
+    out[:, single] = _fix_phases(out[:, single])
+    for start, r in zip(np.cumsum((0, *ranks)), ranks):
+        if r > 1:
+            block = out[:, start:start + r]
+            rows, pivots = block.copy(), []
+            for _ in range(r):
+                norms = np.linalg.norm(rows, axis=1)
+                pivots.append(int(np.argmax(norms)))
+                unit = rows[pivots[-1]] / norms[pivots[-1]]
+                rows -= np.outer(rows @ unit.conj(), unit)
+            u, _, vh = svd(dag(block[sorted(pivots)]))
+            out[:, start:start + r] = block @ (u @ vh)
+    return out
 
 
 class HermEigen(NamedTuple):
@@ -115,7 +146,7 @@ def herm_eigen(a) -> HermEigen:
         values, vectors = np.linalg.eigh(work)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigh did not converge: {exc}") from exc
-    return HermEigen(values, fix_phases(vectors))
+    return HermEigen(values, _fix_phases(vectors))
 
 
 def svd(a) -> tuple[Array, Array, Array]:
@@ -267,7 +298,7 @@ def simultaneous_diagonalize(family, gate: float) -> tuple[Array, tuple[int, ...
         if len(again) == len(groups) and any(chain for _, chain in again):
             raise DegeneracyUnresolved(next(chain for _, chain in again if chain))
         groups = again
-    u = fix_phases(u[:, [i for cols, _ in groups for i in cols]])
+    u = _fix_phases(u[:, [i for cols, _ in groups for i in cols]])
     for mat, width in ops:
         conj = dag(u) @ mat @ u
         if fro(conj - np.diag(np.diag(conj))) > width:

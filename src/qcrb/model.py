@@ -15,9 +15,9 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -39,8 +39,7 @@ Box = tuple[tuple[float, float], ...]
 FD_STEP = 1e-5
 
 
-@dataclass(frozen=True)
-class StateModel:
+class StateModel(NamedTuple):
     """A family rho_theta on an open parameter box."""
 
     name: str
@@ -50,7 +49,7 @@ class StateModel:
     eval_rho: Callable[[Array], Array]
     deriv: Optional[Callable[[Array, int], Array]] = None
     factorization: Optional[Callable[[Array], tuple[Array, Array, Array]]] = None
-    constants: dict = field(default_factory=dict)
+    constants: Mapping = MappingProxyType({})   # one shared default, so read-only
     default_theta: Optional[tuple[float, ...]] = None
 
 
@@ -200,16 +199,9 @@ def make_example2(d: complex = 0.6, c1: float = 1.0, c2: float = 2.0) -> StateMo
         q = np.array([theta[0], 1.0 - theta[0]])
         return v, y, q
 
-    return StateModel(
-        name="example2",
-        n_s=3,
-        p=2,
-        box=((0.0, 1.0), (0.0, 1.0)),
-        eval_rho=eval_rho,
-        deriv=deriv,
-        factorization=factorization,
-        constants={"d": d, "c1": c[0], "c2": c[1]},
-    )
+    return StateModel(name="example2", n_s=3, p=2, box=((0.0, 1.0), (0.0, 1.0)),
+                      eval_rho=eval_rho, deriv=deriv, factorization=factorization,
+                      constants={"d": d, "c1": c[0], "c2": c[1]})
 
 
 def make_fixed_range() -> StateModel:
@@ -235,15 +227,9 @@ def make_fixed_range() -> StateModel:
         y[2, 0] = 1.0
         return v, y, np.array([theta[0], 1.0 - theta[0]])
 
-    return StateModel(
-        name="fixed_range",
-        n_s=3,
-        p=2,
-        box=((0.0, 1.0), (-2.0 * math.pi, 2.0 * math.pi)),
-        eval_rho=eval_rho,
-        deriv=deriv,
-        factorization=factorization,
-    )
+    return StateModel(name="fixed_range", n_s=3, p=2,
+                      box=((0.0, 1.0), (-2.0 * math.pi, 2.0 * math.pi)),
+                      eval_rho=eval_rho, deriv=deriv, factorization=factorization)
 
 
 def make_classical_diag() -> StateModel:
@@ -265,15 +251,8 @@ def make_classical_diag() -> StateModel:
         )
 
     # box keeps theta1 + theta2 < 1 so the third weight stays positive
-    return StateModel(
-        name="classical_diag",
-        n_s=3,
-        p=2,
-        box=((0.0, 0.5), (0.0, 0.5)),
-        eval_rho=eval_rho,
-        deriv=deriv,
-        factorization=factorization,
-    )
+    return StateModel(name="classical_diag", n_s=3, p=2, box=((0.0, 0.5), (0.0, 0.5)),
+                      eval_rho=eval_rho, deriv=deriv, factorization=factorization)
 
 
 def make_qubit_xy() -> StateModel:
@@ -287,14 +266,8 @@ def make_qubit_xy() -> StateModel:
     def deriv(theta: Array, l: int) -> Array:
         return 0.5 * (sx if l == 0 else sy)
 
-    return StateModel(
-        name="qubit_xy",
-        n_s=2,
-        p=2,
-        box=((-0.6, 0.6), (-0.6, 0.6)),
-        eval_rho=eval_rho,
-        deriv=deriv,
-    )
+    return StateModel(name="qubit_xy", n_s=2, p=2, box=((-0.6, 0.6), (-0.6, 0.6)),
+                      eval_rho=eval_rho, deriv=deriv)
 
 
 def make_pure_state() -> StateModel:
@@ -326,15 +299,8 @@ def make_pure_state() -> StateModel:
         )
         return v, y, np.array([1.0])
 
-    return StateModel(
-        name="pure_state",
-        n_s=2,
-        p=2,
-        box=((0.05, 1.5), (-3.0, 3.0)),
-        eval_rho=eval_rho,
-        deriv=deriv,
-        factorization=factorization,
-    )
+    return StateModel(name="pure_state", n_s=2, p=2, box=((0.05, 1.5), (-3.0, 3.0)),
+                      eval_rho=eval_rho, deriv=deriv, factorization=factorization)
 
 
 # name -> (factory, constants a config file may bind)
@@ -417,16 +383,8 @@ def _make_stencil_model(obj: dict, tol: Tolerances) -> StateModel:
         return central_difference(lambda point: table[tuple(point)], center, l, h)
 
     box = tuple((float(c - 2.0 * h), float(c + 2.0 * h)) for c in center)
-    return StateModel(
-        name="stencil",
-        n_s=n_s,
-        p=p,
-        box=box,
-        eval_rho=lookup,
-        deriv=deriv,
-        constants={"h": h},
-        default_theta=tuple(float(c) for c in center),
-    )
+    return StateModel(name="stencil", n_s=n_s, p=p, box=box, eval_rho=lookup, deriv=deriv,
+                      constants={"h": h}, default_theta=tuple(float(c) for c in center))
 
 
 def model_from_config(obj: dict, tol: Tolerances = DEFAULT) -> StateModel:
@@ -457,7 +415,7 @@ def model_from_config(obj: dict, tol: Tolerances = DEFAULT) -> StateModel:
     theta = obj.get("theta")
     if theta is not None:
         theta = tuple(linalg.from_json(theta, (built.p,), "'theta'").tolist())
-    built = replace(built, box=box, default_theta=theta)
+    built = built._replace(box=box, default_theta=theta)
     if theta is not None and not in_box(built, np.asarray(theta)):
         raise OutOfDomain(f"config theta {list(theta)} lies outside the box")
     return built

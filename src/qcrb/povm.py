@@ -22,7 +22,6 @@ norm ||E_k X|| as ||G_k (G_k^dag X)||.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -53,17 +52,13 @@ def _groups(ranks) -> list[slice]:
     return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
 
 
-# a dataclass, not a NamedTuple: len() counts effects here, while
-# NamedTuple._make (behind _replace) needs len() to count fields
-@dataclass(frozen=True)
-class Povm:
+class Povm(NamedTuple):
+    """Effects as column factors; ``len(ranks)`` counts them, ``len()`` the fields."""
+
     G: Array                  # n_s x R column factors: effect k is G_k G_k^dag
     ranks: tuple[int, ...]    # G_k is the k-th group of ranks[k] columns
     labels: tuple[str, ...]
     projective: bool
-
-    def __len__(self) -> int:
-        return len(self.ranks)
 
     @property
     def groups(self) -> list[slice]:
@@ -201,16 +196,17 @@ def make_povm(source, rho: Array, dec: BlockDecomposition,
 
 
 def construct_optimal(dec: BlockDecomposition, w: Array, joint: JointFrame) -> Frame:
-    """The optimal projective POVM's :class:`Frame`, ``fix_phases([V U | Y W])``.
+    """The optimal projective POVM's :class:`Frame`, :func:`linalg.fix_gauge` of ``[V U | Y W]``.
 
     ``joint`` is the grouped ++ eigenbasis U that
     :func:`conditions.evaluate_conditions` certified (one effect per
     group) and ``w`` the certified W (one rank-one effect per column of Y
-    W).  Nothing is solved here; :func:`make_povm` labels and checks the
-    frame as it does one read from a file.
+    W).  Each effect's columns are gauged as one group, so the frame
+    depends only on the effects.  Nothing is solved here; :func:`make_povm`
+    labels and checks the frame as it does one read from a file.
     """
-    return Frame(linalg.fix_phases(np.hstack([dec.V @ joint.U, dec.Y @ w])),
-                 joint.ranks + (1,) * dec.r_zero)
+    ranks = joint.ranks + (1,) * dec.r_zero
+    return Frame(linalg.fix_gauge(np.hstack([dec.V @ joint.U, dec.Y @ w]), ranks), ranks)
 
 
 def canonicalize(povm: Povm, dec: BlockDecomposition, slds: SldSet,

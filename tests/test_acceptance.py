@@ -2,7 +2,6 @@
 pass/fail line so the whole gate can be audited from the test log."""
 
 import cmath
-import dataclasses
 
 import numpy as np
 from qcrb import blocks, conditions, estimate, linalg, model, povm, sld
@@ -34,7 +33,7 @@ class TestCriterion1ExamplePipeline:
 
         # independent oracle first: F from finite-difference derivatives and
         # the full-matrix trace Re tr(rho L_l L_m)
-        fd_bundle = model.eval_bundle(dataclasses.replace(example2, deriv=None), THETA_EX2)
+        fd_bundle = model.eval_bundle(example2._replace(deriv=None), THETA_EX2)
         fd_dec = blocks.decompose(fd_bundle.rho)
         fd_slds = sld.compute_slds(fd_bundle, fd_dec)
         full = [embed_sld(fd_slds, l) for l in range(2)]
@@ -54,7 +53,7 @@ class TestCriterion1ExamplePipeline:
               f"max dev {np.max(np.abs(fim.F_null - F_NULL_HAND)):.2e}")
 
         built = optimal_povm(bundle.rho, slds)
-        check("1 POVM built", len(built) == 3 and built.projective)
+        check("1 POVM built", len(built.ranks) == 3 and built.projective)
         optimality = povm.verify_optimality(built, slds, dec)
         saturation = povm.saturation_check(built, slds, bundle)
         check("1 optimality", optimality.passed)
@@ -174,7 +173,7 @@ class TestCriterion6InvarianceSuite:
             slds2 = sld.compute_slds(bundle, regauged)
             ok_gauge &= self._verdict_tuple(slds2, bundle, regauged, built) == base
 
-            perm = rng.permutation(len(built))
+            perm = rng.permutation(len(built.ranks))
             shuffled, _ = povm.make_povm([effects(built)[i] for i in perm], bundle.rho, dec)
             ok_perm &= self._verdict_tuple(slds, bundle, dec, shuffled) == base
 

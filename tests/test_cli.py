@@ -23,7 +23,7 @@ from qcrb.config import Tolerances
 from qcrb.model import build_model, stencil_payload
 
 from conftest import WORKING_POINTS
-from util import planted_stencil, random_unitary
+from util import dense_saturable_config, planted_stencil, random_unitary
 
 SCHEMA = json.loads(
     (Path(qcrb.__file__).parent / "report_schema.json").read_text(encoding="utf-8")
@@ -246,11 +246,8 @@ class TestVerify:
 
 
 def _dense_saturable(tmp_path, monkeypatch) -> str:
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
-    import families
-
     path = tmp_path / "dense_saturable.json"
-    path.write_text(json.dumps(families.dense_configs(1)["dense_saturable"]), encoding="utf-8")
+    path.write_text(json.dumps(dense_saturable_config(monkeypatch)), encoding="utf-8")
     return str(path)
 
 
@@ -584,6 +581,17 @@ class TestRankDrift:
         assert code == 1
         assert report["error"]["type"] == "RankDrift"
 
+    @pytest.mark.parametrize("theta, tol", [
+        pytest.param(["5e-9", "0.3"], [], id="weight-below-rank"),
+        pytest.param(["1e-7", "0.3"], ["--tol", "rank=1e-6"], id="weight-below-overridden-rank"),
+    ])
+    def test_a_dropped_weight_is_rank_drift(self, tmp_path, diag_file, theta, tol):
+        # classical_diag's weight theta_1 falls below tol.rank, so the rank
+        # varies with theta; the kept weights' sum is no second trace gate
+        code, report = run_to_file(tmp_path, ["analyze", diag_file, "--theta", *theta, *tol])
+        assert code == 1
+        assert report["error"]["type"] == "RankDrift"
+
 
 class TestUndetermined:
     def test_heuristic_gap_reports_undetermined(self, tmp_path):
@@ -695,6 +703,7 @@ def _identity_with(entry) -> dict:
     pytest.param({"model": "example2", "theta": ["x", 0.5]}, None, ["analyze"],
                  id="theta-not-a-number"),
     pytest.param(GOOD, {"effects": [EYE]}, ["simulate", "--N", "0"], id="no-copies"),
+    pytest.param(GOOD, {"effects": [EYE]}, ["simulate", "--R", "1"], id="one-trial"),
     pytest.param(GOOD, {"effects": [EYE]}, ["simulate", "--study", "abc"], id="study-not-numbers"),
     pytest.param(GOOD, {"effects": [EYE]}, ["simulate", "--study", ","], id="study-empty"),
     pytest.param(GOOD, _identity_with(["a", 0]), ["verify"], id="povm-entry-not-a-number"),

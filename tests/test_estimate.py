@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qcrb import estimate, model, povm, sld
-from qcrb.errors import ParseError, SingularFisher
+from qcrb.errors import SingularFisher
 from qcrb.estimate import SimConfig
 
 from conftest import THETA_DIAG, THETA_EX2, pipeline
@@ -124,12 +124,6 @@ class TestRunTrials:
         gap = result.emp_cov - qcrb_floor
         error_bar = np.sqrt(2.0 / result.R) * np.max(np.abs(result.pred_cov))
         assert np.min(np.linalg.eigvalsh(0.5 * (gap + gap.T))) >= -3.0 * error_bar
-
-    def test_invalid_config_rejected(self):
-        with pytest.raises(ParseError):
-            SimConfig(seed=0, N=0, R=10)
-        with pytest.raises(ParseError):
-            SimConfig(seed=0, N=10, R=1)
 
 
 class TestConvergenceStudy:

@@ -11,7 +11,7 @@ from qcrb.errors import (
     ParseError,
 )
 
-from util import charpoly_roots, pauli, random_hermitian, random_unitary
+from util import charpoly_roots, pauli, random_hermitian, random_unitary, rotate_groups
 
 CUT = DEFAULT.zero   # the relative singular-value cut find_W passes to pinv
 
@@ -295,6 +295,58 @@ class TestSimultaneousDiagonalize:
         # the same chain inside one operator's eigenspace of the one before it
         with pytest.raises(DegeneracyUnresolved):
             linalg.simultaneous_diagonalize(mats[::-1], gate)
+
+
+class TestFixGauge:
+    RANKS = (11, 11, 1, 5, 5)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_rotating_each_group_leaves_the_gauge(self, seed):
+        rng = np.random.default_rng(seed)
+        frame = random_unitary(rng, 33)
+        fixed = linalg.fix_gauge(frame, self.RANKS)
+        again = linalg.fix_gauge(rotate_groups(frame, self.RANKS, rng), self.RANKS)
+        assert np.max(np.abs(again - fixed)) <= 1e-12
+        # each group keeps its span: the gauge is a unitary inside each group
+        gram = linalg.dag(frame) @ fixed
+        for start, r in zip(np.cumsum((0, *self.RANKS)), self.RANKS):
+            group = slice(start, start + r)
+            assert linalg.is_unitary(gram[group, group])
+
+    def test_pivot_rows_form_a_hermitian_positive_block(self):
+        # the greedy pivots of a planted group are its rows 1 and 3
+        rng = np.random.default_rng(4)
+        g = np.zeros((5, 2), dtype=complex)
+        g[1, 0], g[3, 1] = 0.9, 0.8
+        g[[0, 2, 4]] = 0.1 * rng.standard_normal((3, 2))
+        g = np.linalg.qr(g)[0] @ random_unitary(rng, 2)
+        block = linalg.fix_gauge(g, (2,))[[1, 3]]
+        assert np.max(np.abs(block - linalg.dag(block))) <= 1e-15
+        assert np.min(np.linalg.eigvalsh(0.5 * (block + linalg.dag(block)))) > 0.1
+
+    def test_a_span_whose_largest_rows_are_dependent_comes_back_orthonormal(self):
+        # (e1 + e2)/sqrt2 and (e3 + e4)/sqrt2 tie all four rows, and rows 0
+        # and 1 alone span one direction; greedy pivoting takes rows 0 and 2
+        span = np.zeros((4, 2), dtype=complex)
+        span[[0, 1], 0] = span[[2, 3], 1] = 2 ** -0.5
+        for seed in range(5):
+            g = span @ random_unitary(np.random.default_rng(seed), 2)
+            fixed = linalg.fix_gauge(g, (2,))
+            assert np.max(np.abs(linalg.dag(fixed) @ fixed - np.eye(2))) <= 1e-15
+            assert np.max(np.abs(fixed @ linalg.dag(fixed) - span @ linalg.dag(span))) <= 1e-15
+
+    def test_one_column_groups_are_the_phase_rule_bit_for_bit(self):
+        rng = np.random.default_rng(2)
+        frame = random_unitary(rng, 9)
+        assert np.array_equal(linalg.fix_gauge(frame, (1,) * 9), linalg._fix_phases(frame))
+        ranks = (1, 3, 1, 1, 2, 1)
+        single = np.repeat(np.equal(ranks, 1), ranks)
+        mixed = linalg.fix_gauge(frame, ranks)
+        assert np.array_equal(mixed[:, single], linalg._fix_phases(frame[:, single]))
+        # herm_eigen gauges eigh's eigenvectors by that rule
+        h = random_hermitian(rng, 9)
+        expected = linalg.fix_gauge(np.linalg.eigh(h)[1], (1,) * 9)
+        assert np.array_equal(linalg.herm_eigen(h).vectors, expected)
 
 
 class TestCommNorm:

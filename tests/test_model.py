@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import json
 import math
 
@@ -42,14 +41,13 @@ class TestEvalBundle:
     def test_pure_state_fd_matches_analytic(self, pure_state):
         theta = np.array([0.6, 0.4])
         analytic = model.eval_bundle(pure_state, theta)
-        fd = model.eval_bundle(dataclasses.replace(pure_state, deriv=None), theta)
+        fd = model.eval_bundle(pure_state._replace(deriv=None), theta)
         for a, f in zip(analytic.drho, fd.drho):
             assert np.max(np.abs(a - f)) <= 1e-9
 
     def test_cross_check_catches_bad_derivative(self, example2):
-        broken = dataclasses.replace(
-            example2, deriv=lambda theta, l: example2.deriv(theta, l) + 0.1 * np.eye(3)
-        )
+        broken = example2._replace(
+            deriv=lambda theta, l: example2.deriv(theta, l) + 0.1 * np.eye(3))
         # the +0.1 I shift gives the derivative trace 0.3: the trace gate rejects it
         with pytest.raises(InvalidState, match="trace"):
             model.eval_bundle(broken, [0.25, 0.5])
@@ -62,7 +60,7 @@ class TestEvalBundle:
         theta = [1e-7, 0.5]
         model.eval_bundle(example2, theta)  # analytic path needs no margin
         with pytest.raises(OutOfDomain):
-            model.eval_bundle(dataclasses.replace(example2, deriv=None), theta)
+            model.eval_bundle(example2._replace(deriv=None), theta)
 
     def test_derivative_traceless(self, example2):
         bundle = model.eval_bundle(example2, [0.37, 0.21])
@@ -226,7 +224,7 @@ class TestStencil:
         path = tmp_path / "stencil.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
         stencil = model.load_model(path)
-        direct = model.eval_bundle(dataclasses.replace(example2, deriv=None), theta)
+        direct = model.eval_bundle(example2._replace(deriv=None), theta)
         tabulated = model.eval_bundle(stencil, theta)
         assert np.max(np.abs(direct.rho - tabulated.rho)) <= 1e-12
         for a, b in zip(direct.drho, tabulated.drho):

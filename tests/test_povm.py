@@ -6,8 +6,8 @@ from qcrb.config import DEFAULT
 from qcrb.errors import DegeneracyUnresolved, InvalidPovm, NotBlockDiagonal, ParseError
 
 from conftest import THETA_EX2, THETA_QUBIT, WORKING_POINTS, pipeline
-from util import (basis_povm, effects, optimal_povm, pauli, random_projective_povm,
-                  random_unitary)
+from util import (basis_povm, dense_saturable_config, effects, optimal_povm, pauli,
+                  planted_groups, random_projective_povm, random_unitary, rotate_groups)
 
 SATURABLE = ["example2", "fixed_range", "classical_diag"]
 
@@ -71,6 +71,46 @@ class TestConstructOptimal:
         assert report.c1.passed and not report.c4.certified
         assert report.classification != conditions.SATURABLE_PROJECTIVE
         assert joint.U is None and joint.note == ""
+
+
+def _config_bundle(monkeypatch, name):
+    config = dense_saturable_config(monkeypatch) if name == "dense_saturable" else planted_groups()
+    mdl = model.model_from_config(config)
+    return model.eval_bundle(mdl, mdl.default_theta)
+
+
+def _written_bases(bundle, spectrum):
+    """Y, c4.W and the constructed frame, from one spectrum of rho."""
+    dec = blocks.decompose(bundle.rho, spectrum=spectrum)
+    report, joint = conditions.evaluate_conditions(sld.compute_slds(bundle, dec))
+    assert report.classification == conditions.SATURABLE_PROJECTIVE
+    return dec.Y, report.c4.W, povm.construct_optimal(dec, report.c4.W, joint).matrix
+
+
+@pytest.mark.parametrize("name", ["dense_saturable", "planted"])
+def test_rotating_the_null_eigenvectors_moves_no_written_basis(monkeypatch, name):
+    # Y, and so the coordinates of W, are gauged by the null projector alone
+    bundle = _config_bundle(monkeypatch, name)
+    null = bundle.spectrum.values < DEFAULT.rank
+    assert null.sum() > 1
+    vectors = bundle.spectrum.vectors.copy()
+    vectors[:, null] = rotate_groups(vectors[:, null], (null.sum(),), np.random.default_rng(6))
+    before = _written_bases(bundle, bundle.spectrum)
+    after = _written_bases(bundle, bundle.spectrum._replace(vectors=vectors))
+    for old, new in zip(before, after):
+        assert np.max(np.abs(new - old)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["dense_saturable", "planted"])
+def test_rotating_each_joint_group_leaves_the_constructed_frame(monkeypatch, name):
+    bundle = _config_bundle(monkeypatch, name)
+    dec = blocks.decompose(bundle.rho, spectrum=bundle.spectrum)
+    report, joint = conditions.evaluate_conditions(sld.compute_slds(bundle, dec))
+    assert max(joint.ranks) > 1
+    rotated = joint._replace(U=rotate_groups(joint.U, joint.ranks, np.random.default_rng(7)))
+    frame = povm.construct_optimal(dec, report.c4.W, joint).matrix
+    again = povm.construct_optimal(dec, report.c4.W, rotated).matrix
+    assert np.max(np.abs(again - frame)) <= 1e-12
 
 
 def _classify(mats, rho, dec):
@@ -201,7 +241,7 @@ class TestCanonicalize:
         pv, _ = povm.make_povm(padded, bundle.rho, dec)
         assert povm.verify_optimality(pv, slds, dec).passed
         canon = povm.canonicalize(pv, dec, slds)
-        assert len(canon) == 4
+        assert len(canon.ranks) == 4
         assert canon.labels.count("null") == 2
         null_sum = sum(
             blocks.block_of(effects(canon)[k], dec).ozz for k in canon.null_indices
@@ -219,7 +259,7 @@ class TestCanonicalize:
         bundle, dec, slds, report = ex2_pipeline
         built = optimal_povm(bundle.rho, slds)
         canon = povm.canonicalize(built, dec, slds)
-        assert len(canon) == len(built)
+        assert len(canon.ranks) == len(built.ranks)
         for a, b in zip(effects(canon), effects(built)):
             assert np.max(np.abs(a - b)) <= 1e-12
 
@@ -310,7 +350,7 @@ class TestSaturation:
         bundle, dec, slds, report = ex2_pipeline
         built = optimal_povm(bundle.rho, slds)
         rng = np.random.default_rng(9)
-        perm = rng.permutation(len(built))
+        perm = rng.permutation(len(built.ranks))
         shuffled, _ = povm.make_povm([effects(built)[i] for i in perm], bundle.rho, dec)
         assert povm.saturation_check(shuffled, slds, bundle).passed
         assert povm.verify_optimality(shuffled, slds, dec).passed

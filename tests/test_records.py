@@ -7,15 +7,15 @@ import qcrb
 from qcrb.blocks import BlockDecomposition, BlockView
 from qcrb.conditions import ConditionReport, JointFrame, Verdict, WCandidate
 from qcrb.config import Tolerances
-from qcrb.estimate import SimResult
+from qcrb.estimate import SimConfig, SimResult
 from qcrb.linalg import HermEigen
-from qcrb.model import StateBundle
-from qcrb.povm import EffectCheck, OptimalityReport, SaturationReport
+from qcrb.model import StateBundle, StateModel
+from qcrb.povm import EffectCheck, OptimalityReport, Povm, SaturationReport
 from qcrb.sld import Qfim, SldSet
 
 RECORDS = [BlockDecomposition, BlockView, Verdict, WCandidate, ConditionReport, JointFrame,
-           Tolerances, SimResult, HermEigen, StateBundle, EffectCheck, OptimalityReport,
-           SaturationReport, SldSet, Qfim]
+           Tolerances, SimConfig, SimResult, HermEigen, StateModel, StateBundle, Povm,
+           EffectCheck, OptimalityReport, SaturationReport, SldSet, Qfim]
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda cls: cls.__name__)

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -174,8 +172,7 @@ class TestQfim:
         dec = blocks.decompose(base.rho)
         f_base = sld.qfim(sld.compute_slds(base, dec)).F
 
-        scaled = dataclasses.replace(
-            example2,
+        scaled = example2._replace(
             box=(example2.box[0], (0.0, a)),
             eval_rho=lambda th: example2.eval_rho(np.array([th[0], th[1] / a])),
             deriv=lambda th, l: example2.deriv(np.array([th[0], th[1] / a]), l)

@@ -9,6 +9,8 @@ the package itself never forms.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
 from qcrb import conditions, linalg, povm
@@ -134,6 +136,36 @@ def planted_stencil(q, lpp, lpz=None, h: float = 1e-3) -> dict:
         minus.append(linalg.matrix_to_json(rho - h * d + h * h * k))
     return {"model": "stencil", "h": h, "center": [0.5] * len(lpp),
             "rho_center": linalg.matrix_to_json(rho), "rho_plus": plus, "rho_minus": minus}
+
+
+def planted_groups() -> dict:
+    """A saturable planted stencil, r_zero = 4, with a two-column group in U and in W.
+
+    The ++ blocks are diag(1, -1, -1) and 0, so U has a group of two; the
+    +0 blocks 0.3 [diag(a_l) | 0] W0^dag have a_1 = (1, 1, 1) and
+    a_2 = (1, 1, 2), so W has a group of two, a group of one and a
+    one-column kernel.
+    """
+    w_dag = random_unitary(np.random.default_rng(11), 4).conj().T
+    lpz = [0.3 * np.hstack([np.diag(a), np.zeros((3, 1))]) @ w_dag
+           for a in ([1.0, 1.0, 1.0], [1.0, 1.0, 2.0])]
+    return planted_stencil([0.5, 0.3, 0.2], [[1, -1, -1], [0, 0, 0]], lpz)
+
+
+def dense_saturable_config(monkeypatch) -> dict:
+    """The benchmark's dense_saturable stencil (n_s = 33, joint ranks (11, 11)) at seed 1."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import families
+
+    return families.dense_configs(1)["dense_saturable"]
+
+
+def rotate_groups(u: np.ndarray, ranks, rng: np.random.Generator) -> np.ndarray:
+    """``u`` with each consecutive group of ``ranks[k]`` columns turned by a random unitary."""
+    out = np.array(u, dtype=complex)
+    for start, r in zip(np.cumsum((0, *ranks)), ranks):
+        out[:, start:start + r] = out[:, start:start + r] @ random_unitary(rng, r)
+    return out
 
 
 def random_projective_povm(rng: np.random.Generator, n: int) -> list[np.ndarray]:

@@ -11,16 +11,13 @@ stdout; and, for every config whose POVM file was written, ``verify``,
 ``simulate``, ``simulate --delta`` and ``simulate --study``.
 
 Exit codes and stderr are compared byte for byte.  Reports (on stdout or
-in files) and study CSVs are compared by value: every field that is not
-a float must be equal, and floats a, b must agree within
-``TOL (1 + |a|)``.  A POVM file, and the ``povm.frame`` of a
-``construct`` report, is compared by the effects it describes, with every
-entry within TOL: a ``frame`` and an ``effects`` file of the same POVM
-agree, and so do two frames whose columns differ by a change of basis
-inside an effect's range.  For each output that is not byte-identical
-the largest deviation is printed (relative ``|a - b| / (1 + |a|)`` for
-reports and CSVs, absolute for effect entries), then each output that
-differs; the exit code is 1 if any does.
+in files), POVM files and study CSVs are compared by value: every field
+that is not a float must be equal, and floats a, b must agree within
+``TOL (1 + |a|)``.  A written basis (a POVM frame, ``c4.W``) depends only
+on the measurement, so it is compared entry by entry like any other
+float.  For each output that is not byte-identical the largest deviation
+``|a - b| / (1 + |a|)`` is printed, then each output that differs; the
+exit code is 1 if any does.
 """
 
 import json
@@ -32,9 +29,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
-TOL = 1e-12   # roundoff of the reports and of an n_s <= 33 product F_k F_k^dag is ~1e-15
+TOL = 1e-12   # roundoff of the reports and frames of an n_s <= 33 model is ~1e-15
 
 
 def write_configs(tree: Path, work: Path) -> dict[str, int]:
@@ -81,26 +76,6 @@ def outputs(tree: Path, work: Path, counts: dict[str, int]) -> dict[str, bytes]:
     return got
 
 
-def povm_effects(obj: dict) -> list[np.ndarray]:
-    """The effect matrices of a POVM file's object, in either entry shape."""
-    def matrix(rows) -> np.ndarray:
-        parts = np.asarray(rows, dtype=float)
-        return parts[..., 0] + 1j * parts[..., 1]
-
-    if "effects" in obj:
-        return [matrix(e) for e in obj["effects"]]
-    frame, edges = matrix(obj["frame"]), np.cumsum([0, *obj["ranks"]])
-    return [frame[:, a:b] @ frame[:, a:b].conj().T for a, b in zip(edges, edges[1:])]
-
-
-def povm_deviation(before: dict, after: dict) -> float:
-    """Largest entry deviation between the effects of two POVM objects (inf if shapes differ)."""
-    old, new = povm_effects(before), povm_effects(after)
-    if [e.shape for e in old] != [e.shape for e in new]:
-        return float("inf")
-    return max(float(np.max(np.abs(a - b))) for a, b in zip(old, new))
-
-
 def deviation(old, new) -> float:
     """Largest |a - b| / (1 + |a|) over two JSON values' floats; inf if anything else differs."""
     if type(old) is not type(new):
@@ -129,18 +104,6 @@ def csv_values(text: bytes) -> list:
     return [[value(field) for field in line.split(",")] for line in text.decode().splitlines()]
 
 
-def report_deviation(old: dict, new: dict) -> float:
-    """:func:`deviation` of two reports, a ``povm.frame`` compared by its effects.
-
-    The columns inside a group of a frame are any basis of the effect's
-    range, so only the effects they describe are compared.
-    """
-    if not ("frame" in old.get("povm", {}) and "frame" in new.get("povm", {})):
-        return deviation(old, new)
-    rest = [{**r, "povm": {k: v for k, v in r["povm"].items() if k != "frame"}} for r in (old, new)]
-    return max(povm_deviation(old["povm"], new["povm"]), deviation(*rest))
-
-
 def output_deviation(key: str, before: dict[str, bytes], after: dict[str, bytes]) -> float:
     """Largest deviation between the two trees' output ``key``: 0 if byte-identical."""
     old, new = before.get(key), after.get(key)
@@ -149,11 +112,9 @@ def output_deviation(key: str, before: dict[str, bytes], after: dict[str, bytes]
     if old is None or new is None or key.endswith((".exit", ".stderr")):
         return math.inf
     try:
-        if key.endswith(".povm.json"):
-            return povm_deviation(json.loads(old), json.loads(new))
         if key.endswith(".csv"):
             return deviation(csv_values(old), csv_values(new))
-        return report_deviation(json.loads(old), json.loads(new))
+        return deviation(json.loads(old), json.loads(new))
     except ValueError:
         return math.inf
 
