@@ -2,13 +2,12 @@
 
 The support of rho induces a split of the Hilbert space into range and
 null subspaces; any operator then has four blocks (++, +0, 0+, 00) with
-respect to that split.  The range basis is rho's eigenvectors in
-descending eigenvalue order, each with its largest entry real positive,
-so that rho V = V diag(q); no output depends on V's basis inside a
-degenerate eigenspace, since every written basis of the range is gauged
-after V.  The null basis Y is :func:`linalg.fix_gauge` of the null
-eigenvectors as one group, so a W written in its coordinates depends
-only on the measurement.
+respect to that split.  The range basis is rho's eigenvectors as LAPACK
+returns them, in descending eigenvalue order, so that rho V = V diag(q);
+no output depends on V's gauge, since every written basis of the range
+is gauged after V.  The null basis Y is :func:`linalg.fix_gauge` of the
+null eigenvectors as one group, so a W written in its coordinates
+depends only on the measurement.
 """
 
 from __future__ import annotations
@@ -85,10 +84,7 @@ def decompose(rho, tol: Tolerances = DEFAULT,
 
     q = eig.values[kept][::-1]             # eigh's values ascend
     v = eig.vectors[:, kept][:, ::-1]
-    y = eig.vectors[:, ~kept]
-    # one column already carries herm_eigen's one-column rule; a second pass would move it by ~1e-17
-    if y.shape[1] > 1:
-        y = linalg.fix_gauge(y, (y.shape[1],))
+    y = linalg.fix_gauge(eig.vectors[:, ~kept], (n - v.shape[1],))
     return BlockDecomposition(r_plus=int(v.shape[1]), r_zero=int(y.shape[1]), V=v, Y=y, q=q)
 
 

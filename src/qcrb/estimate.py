@@ -6,7 +6,8 @@ seeded by ``SeedSequence(seed)`` gives the R x K count table
 ``multinomial(N, p, size=R)`` for the K outcome probabilities p at the
 (possibly displaced) parameter point, clipped at 0 and normalised.
 Runs are reproducible bit for bit from the seed, and sampling costs
-O(R K) whatever N is.  Every trial forms
+O(R K) whatever N is; a count table too large for memory is a
+ParseError that names R and K.  Every trial forms
 
     theta_hat = theta_sim + F_c^{-1} s / N,
     s_l = sum_k counts_k * d_l ln p_k   (outcomes with p_k > threshold)
@@ -24,9 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import linalg
 from .config import DEFAULT, Tolerances
-from .errors import NegativeProbability, SingularFisher
+from .errors import NegativeProbability, NoConvergence, ParseError, SingularFisher
 from .model import StateModel, eval_bundle
 from .povm import Povm, classical_fi, fisher_information, outcome_table
 
@@ -58,21 +58,21 @@ class SimResult(NamedTuple):
 def _fisher_inverse(f_c: Array, tol: Tolerances) -> Array:
     # the absolute floor rejects information matrices that are pure
     # roundoff (e.g. a constant outcome distribution) at desk scale
-    eig = linalg.herm_eigen(f_c.astype(complex))
-    lo, hi = float(eig.values[0]), float(eig.values[-1])
+    try:
+        values, vecs = np.linalg.eigh(f_c)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"eigh did not converge: {exc}") from exc
+    lo, hi = float(values[0]), float(values[-1])
     if lo <= 0.0 or hi <= 1e-18 or hi / lo > tol.fisher_cond:
-        direction = np.real(eig.vectors[:, 0])
         # canonical sign (largest-magnitude entry positive); "+ 0.0" below
         # turns the negative zeros that rounding leaves into 0.0
-        direction = direction / np.linalg.norm(direction)
-        direction = direction * np.sign(direction[np.argmax(np.abs(direction))])
+        direction = vecs[:, 0] * np.sign(vecs[np.argmax(np.abs(vecs[:, 0])), 0])
         raise SingularFisher(
             "classical Fisher matrix is singular along direction "
             f"{(np.round(direction, 6) + 0.0).tolist()}",
             direction=direction,
         )
-    vecs = np.real(eig.vectors)
-    return (vecs / eig.values) @ vecs.T
+    return (vecs / values) @ vecs.T
 
 
 def run_trials(model: StateModel, povm: Povm, theta, config: SimConfig,
@@ -95,8 +95,12 @@ def run_trials(model: StateModel, povm: Povm, theta, config: SimConfig,
     dlnp = np.zeros_like(grads)
     dlnp[kept] = grads[kept] / probs[kept, None]
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
-    counts = rng.multinomial(config.N, probs, size=config.R)
-    estimates = theta_sim + counts @ dlnp @ f_c_inv / config.N
+    try:
+        counts = rng.multinomial(config.N, probs, size=config.R)
+        estimates = theta_sim + counts @ dlnp @ f_c_inv / config.N
+    except MemoryError as exc:
+        raise ParseError(f"R = {config.R} trials of {probs.size} outcome counts "
+                         "do not fit in memory") from exc
 
     centered = estimates - estimates.mean(axis=0)
     emp_cov = (centered.T @ centered) / (config.R - 1)

@@ -1,16 +1,16 @@
-"""Dense complex linear algebra with a deterministic gauge.
+"""Dense complex linear algebra: gated LAPACK factorizations and one gauge rule.
 
 All routines work on plain complex ``numpy`` arrays.  The factorizations
-come from LAPACK through ``numpy.linalg``; this module adds the gates and
-the gauge that make their output deterministic, and reads no tolerance table:
+come from LAPACK through ``numpy.linalg``; this module adds their gates
+and the one gauge rule, and reads no tolerance table:
 
-* One gauge rule, :func:`fix_gauge`, for every basis of a subspace: each
-  group's columns become a basis that depends only on its projector, so
-  a written basis depends only on the measurement, not on LAPACK.
+* One gauge rule, :func:`fix_gauge`, for every written basis of a subspace:
+  each group's columns become a basis that depends only on its projector,
+  so a written basis depends only on the measurement, not on LAPACK.
 * Hermitian eigendecomposition (``eigh``) with ascending eigenvalues and
-  each eigenvector gauged as a one-column group.  Its inputs are
-  Hermitian by construction or gated by the caller, so its hermiticity
-  gate is the constant ``HERM_GATE``.
+  LAPACK's eigenvectors, ungauged.  Its inputs are Hermitian by
+  construction or gated by the caller, so its hermiticity gate is the
+  constant ``HERM_GATE``.
   LAPACK is backward stable, so an eigenvalue is accurate to about
   n*eps*||A|| in absolute terms, not relative to its own size; callers
   that cut a spectrum at a threshold must treat values within that band
@@ -91,14 +91,6 @@ def is_unitary(u: Array) -> bool:
     return u.shape == (r, r) and fro(dag(u) @ u - np.eye(r)) <= 1e-8 * (1.0 + r)
 
 
-def _fix_phases(v: Array) -> Array:
-    """Rotate each column so its largest-magnitude entry is real positive."""
-    w = np.array(v, dtype=complex)
-    pivots = w[np.argmax(np.abs(w), axis=0), np.arange(w.shape[1])]
-    size = np.abs(pivots)
-    return w * np.divide(pivots.conj(), size, out=np.ones_like(pivots), where=size > 1e-300)
-
-
 def fix_gauge(g, ranks) -> Array:
     """``g``'s columns, in consecutive groups of ``ranks[k]``, in a canonical basis of each span.
 
@@ -107,14 +99,12 @@ def fix_gauge(g, ranks) -> Array:
     then projected out of every row.  G_k becomes G_k polar(G_k^dag E_S),
     the polar factor U Vh from :func:`svd`, so its rows at S
     (ascending) form a Hermitian positive-definite block.  For orthonormal
-    columns that depends only on the projector G_k G_k^dag.  One-column
-    groups all go through :func:`_fix_phases` at once, the same rule.
+    columns that depends only on the projector G_k G_k^dag.  A one-column
+    group gets its largest-magnitude entry real positive; a zero-width one is skipped.
     """
     out = np.array(g, dtype=complex)
-    single = np.repeat(np.equal(ranks, 1), ranks)
-    out[:, single] = _fix_phases(out[:, single])
     for start, r in zip(np.cumsum((0, *ranks)), ranks):
-        if r > 1:
+        if r:
             block = out[:, start:start + r]
             rows, pivots = block.copy(), []
             for _ in range(r):
@@ -128,7 +118,7 @@ def fix_gauge(g, ranks) -> Array:
 
 
 class HermEigen(NamedTuple):
-    """Eigenvalues (ascending) and orthonormal eigenvector columns."""
+    """Eigenvalues (ascending) and orthonormal eigenvector columns, as LAPACK returns them."""
 
     values: Array
     vectors: Array
@@ -137,16 +127,15 @@ class HermEigen(NamedTuple):
 def herm_eigen(a) -> HermEigen:
     """Eigendecomposition of a Hermitian matrix by LAPACK (``numpy.linalg.eigh``).
 
-    Values ascend; each eigenvector's largest-magnitude entry is real
-    positive.  Raises NotHermitian above ``HERM_GATE`` and NoConvergence
-    when LAPACK reports that it did not converge.
+    Values ascend and the vectors are LAPACK's, ungauged.  Raises
+    NotHermitian above ``HERM_GATE`` and NoConvergence when LAPACK reports
+    that it did not converge.
     """
     work = require_hermitian(a)
     try:
-        values, vectors = np.linalg.eigh(work)
+        return HermEigen(*np.linalg.eigh(work))
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigh did not converge: {exc}") from exc
-    return HermEigen(values, _fix_phases(vectors))
 
 
 def svd(a) -> tuple[Array, Array, Array]:
@@ -262,11 +251,11 @@ def simultaneous_diagonalize(family, gate: float) -> tuple[Array, tuple[int, ...
     """Jointly diagonalize a commuting family of Hermitian matrices.
 
     Returns ``(U, ranks)``: the columns of the unitary U are common
-    eigenvectors, in consecutive groups of ``ranks[k]`` columns, one group
-    per joint eigenvalue tuple.  ``gate`` is the relative residual at which
-    the caller judges its result (``tol.cond`` at both callers), and it
-    alone decides equality: eigenvalues of an operator A are told apart at
-    gaps wider than its width ``gate * (1 + ||A||_F)``.
+    eigenvectors, ungauged, in consecutive groups of ``ranks[k]`` columns,
+    one group per joint eigenvalue tuple.  ``gate`` is the relative
+    residual at which the caller judges its result (``tol.cond`` at both
+    callers), and it alone decides equality: eigenvalues of an operator A
+    are told apart at gaps wider than its width ``gate * (1 + ||A||_F)``.
 
     Each operator splits, at its wide gaps, every group the operators
     before it left (a single column needs no eigensolve).  A run of steps
@@ -298,7 +287,7 @@ def simultaneous_diagonalize(family, gate: float) -> tuple[Array, tuple[int, ...
         if len(again) == len(groups) and any(chain for _, chain in again):
             raise DegeneracyUnresolved(next(chain for _, chain in again if chain))
         groups = again
-    u = _fix_phases(u[:, [i for cols, _ in groups for i in cols]])
+    u = u[:, [i for cols, _ in groups for i in cols]]
     for mat, width in ops:
         conj = dag(u) @ mat @ u
         if fro(conj - np.diag(np.diag(conj))) > width:

@@ -251,6 +251,15 @@ def _dense_saturable(tmp_path, monkeypatch) -> str:
     return str(path)
 
 
+def _model_file(tmp_path, monkeypatch, name: str) -> str:
+    """A config file for a built-in model at its working point, or for ``dense_saturable``."""
+    if name == "dense_saturable":
+        return _dense_saturable(tmp_path, monkeypatch)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"model": name, "theta": WORKING_POINTS[name].tolist()}))
+    return str(path)
+
+
 # example2 near theta_1 = 0: the regular effect of weight 1e-3 falls under an
 # overridden probability threshold, so it is labelled null and saturation fails
 _LOW_PROB = {"model": "example2", "theta": [0.001, 0.5]}, ["--tol", "prob=1e-2"]
@@ -461,17 +470,44 @@ def _agree(a, b) -> bool:
     return type(a) is type(b) and a == b
 
 
+@pytest.mark.parametrize("name", [*WORKING_POINTS, "dense_saturable"])
+def test_reports_do_not_move_with_the_phases_of_eigh(tmp_path, monkeypatch, name):
+    # eigh fixes each eigenvector only up to a phase, and the eigensolvers
+    # pass its vectors on as they come; every written basis (c4.W, the
+    # POVM frame) is gauged where it is written, so seeded random phases on
+    # eigh's vectors move no report beyond roundoff
+    model_path = _model_file(tmp_path, monkeypatch, name)
+
+    def reports() -> list:
+        runs = []
+        for command, flag in (("analyze", "--out"), ("construct", "--report")):
+            path = tmp_path / f"{command}.json"
+            code = main([command, model_path, flag, str(path)])
+            runs.append((code, json.loads(path.read_text())))
+        return runs
+
+    plain = reports()
+    eigh, rng, calls = np.linalg.eigh, np.random.default_rng(11), []
+
+    def phased(a):
+        values, vectors = eigh(a)
+        calls.append(a)
+        return values, vectors * np.exp(2j * np.pi * rng.random(vectors.shape[1]))
+
+    monkeypatch.setattr(np.linalg, "eigh", phased)
+    turned = reports()
+    assert calls
+    for (code, report), (turned_code, turned_report) in zip(plain, turned):
+        assert turned_code == code
+        assert _agree(report, turned_report)
+
+
 @pytest.mark.parametrize("name", ["example2", "dense_saturable"])
 def test_an_effects_file_verifies_as_its_frame_file(tmp_path, monkeypatch, name):
     # both file shapes are checked on one path: the constructed frame's own
     # effects give the same labels and projectivity, and the same
     # optimality and saturation sections up to roundoff
-    if name == "dense_saturable":
-        model_path = _dense_saturable(tmp_path, monkeypatch)
-    else:
-        model_path = str(tmp_path / "example2.json")
-        config = {"model": name, "theta": WORKING_POINTS[name].tolist()}
-        Path(model_path).write_text(json.dumps(config))
+    model_path = _model_file(tmp_path, monkeypatch, name)
     frame_path, effects_path = tmp_path / "frame.json", tmp_path / "effects.json"
     assert main(["construct", model_path, "--out", str(frame_path),
                  "--report", str(tmp_path / "construct.json")]) == 0
@@ -543,6 +579,15 @@ class TestSimulate:
         code, report = run_to_file(tmp_path, ["simulate", diag_file, str(povm_path),
                                               "--R", "100", "--N", "10"])
         assert code == 0, report.get("error")
+
+    def test_trials_beyond_memory_give_an_error_report(self, tmp_path, ex2_file):
+        # 10**15 x 3 int64 counts exceed the address space, so nothing is allocated
+        povm_path = self._povm(tmp_path, ex2_file)
+        code, report = run_to_file(tmp_path, ["simulate", ex2_file, povm_path, "--delta", "0",
+                                              "0.05", "--R", str(10**15), "--N", "10"])
+        assert code == 1
+        assert report["error"]["type"] == "ParseError"
+        assert f"R = {10**15} trials of 3 outcome counts" in report["error"]["message"]
 
     def test_env_seed_fallback(self, tmp_path, ex2_file, monkeypatch):
         povm_path = self._povm(tmp_path, ex2_file)
@@ -754,7 +799,7 @@ def _identity_with(entry) -> dict:
                  ["simulate", "--study", "1e-2", "--direction", "1e308", "1e308"],
                  id="direction-norm-overflows"),
     # values of 2**63 and above fail before anything is allocated; a large R
-    # that fits in int64 would allocate R x K counts
+    # that fits in int64 asks for R x K counts (TestSimulate)
     pytest.param(GOOD, {"effects": [EYE]}, ["simulate", "--N", str(2**63), "--R", "2"],
                  id="copies-out-of-range"),
     pytest.param(GOOD, {"effects": [EYE]}, ["simulate", "--N", "99999999999999999999"],
