@@ -16,9 +16,27 @@ for this problem:
 
 Conditions 1+4 are necessary and sufficient for saturation by a
 projective measurement; failure of 1 or 3 rules saturation out entirely.
-The W finder is a sound-but-incomplete heuristic: a candidate is only
-reported as certified after passing :func:`verify_W`, and "not certified"
-never claims condition 4 is violated.
+Condition 4 implies condition 3, and where one block is injective the
+converse holds.  Restrict every block to the coimage C of the stacked
+Lpz (condition 3 reads the same there) and let Lpz_r C have a trivial
+kernel.  Condition 3 on (l, r) says Lpz_l Lpz_r^dag = Lpz_r Lpz_l^dag;
+since Lpz_r^dag is onto, range(Lpz_l) lies in range(Lpz_r), so
+Lpz_l C = Lpz_r C G_l with G_l = pinv(Lpz_r C) Lpz_l C.  The same pair
+makes Lpz_r G_l Lpz_r^dag Hermitian, so G_l is Hermitian (X -> Lpz_r X
+Lpz_r^dag is injective); the pair (l, m) makes G_l G_m Hermitian, so the
+G_l commute; and their joint eigenbasis, with the common kernel of the
+Lpz, is a W.  Conversely a column w of a certifying W with C-part c != 0
+has Lpz_r w != 0, so each ratio reads G_l c = a_l c: every such W is a
+joint eigenbasis.  Hence if some G_l is singular (Lpz_l C not injective
+while Lpz_r C is), a column has exactly one vanishing partner, which
+:func:`verify_W` rejects, and no W is certified although condition 3
+holds.  :func:`find_W` builds this W against its reference block, so
+where any block is injective it decides condition 4 at the rank cut
+``tol.zero``, short of a joint spectrum it cannot group: an injective
+reference gives the W if there is one, and a singular one means there
+is none.  It is incomplete only where no block is injective on C.  A
+candidate is reported as certified only after passing :func:`verify_W`,
+and "not certified" never claims condition 4 is violated.
 
 The optimal measurement is the joint eigenbasis U of the ++ blocks plus
 W; :func:`evaluate_conditions` groups that spectrum once and certifies a
@@ -66,9 +84,9 @@ class WCandidate(NamedTuple):
 
     certified: bool
     residual: float
-    W: Optional[Array]
-    lambda_: Optional[Array]
-    zero_columns: tuple[int, ...]
+    W: Optional[Array] = None
+    lambda_: Optional[Array] = None
+    zero_columns: tuple[int, ...] = ()
     note: str = ""
 
 
@@ -138,35 +156,36 @@ def verify_W(slds: SldSet, w: Array, tol: Tolerances = DEFAULT) -> WCandidate:
                       zero_columns=tuple(np.flatnonzero(zero).tolist()))
 
 
-def _uncertified(residual: float, note: str) -> WCandidate:
-    return WCandidate(certified=False, residual=residual, W=None, lambda_=None,
-                      zero_columns=(), note=note)
-
-
 def find_W(slds: SldSet, tol: Tolerances = DEFAULT) -> WCandidate:
-    """Heuristic search for a certifying null-space unitary.
+    """Search for a certifying null-space unitary through ratio operators.
 
-    Strategy: split off the common kernel of all Lpz (those directions
-    give jointly-vanishing columns); on the complement, form
-    G_l = pinv(Lpz_r) Lpz_l against the largest block r.  When the G_l
-    are Hermitian and commute, their joint eigenbasis, grouped at
-    ``tol.cond``, supplies the remaining columns; a joint spectrum that
-    grouping cannot resolve leaves W uncertified.  Each joint eigenspace
-    and the kernel is one group of :func:`linalg.fix_gauge`, so W depends
-    only on the Lpz blocks; a rotation inside a group keeps every column
-    ratio.  The result is certified only if verify_W passes.
+    The common kernel of all Lpz is split off (those directions give
+    jointly-vanishing columns).  On its complement C, the coimage of the
+    stacked blocks, take the block r of largest Frobenius norm and form
+    the Hermitian parts of G_l = pinv(Lpz_r C) Lpz_l C.  Their joint
+    eigenbasis, grouped at ``tol.cond`` by
+    :func:`linalg.simultaneous_diagonalize`, supplies the remaining
+    columns.  Nothing else gates: a family that does not commute, or a
+    joint spectrum that grouping cannot resolve, raises there and leaves
+    W uncertified with the worst commutator defect as its residual, and
+    the candidate is certified only if :func:`verify_W` passes.  Each
+    joint eigenspace and the kernel is one group of
+    :func:`linalg.fix_gauge`, so W depends only on the Lpz blocks; a
+    rotation inside a group keeps every column ratio.
+
+    Where some block is injective on C this decides condition 4 (the
+    module docstring gives the argument).  If Lpz_r C is injective,
+    condition 3 makes every G_l Hermitian and the family commuting, and
+    its joint eigenbasis is the W, unique up to rotations inside its
+    groups.  If Lpz_r C is singular but another block is injective, a
+    column of every candidate vanishes under Lpz_r alone, so no W passes
+    verify_W.  Where no block is injective, an uncertified result says
+    nothing about condition 4.
     """
     r0 = slds.dec.r_zero
     if r0 == 0:
-        empty = np.zeros((0, 0), dtype=complex)
-        return WCandidate(
-            W=empty,
-            lambda_=np.full((slds.p, slds.p, 0), np.nan),
-            zero_columns=(),
-            certified=True,
-            residual=0.0,
-            note="no null space",
-        )
+        return WCandidate(certified=True, residual=0.0, W=np.zeros((0, 0), dtype=complex),
+                          lambda_=np.full((slds.p, slds.p, 0), np.nan), note="no null space")
 
     norms = [linalg.fro(lpz) for lpz in slds.Lpz]
     if max(norms, default=0.0) <= tol.zero:
@@ -177,23 +196,13 @@ def find_W(slds: SldSet, tol: Tolerances = DEFAULT) -> WCandidate:
     rank = int(np.sum(svals > tol.zero * svals[0]))
     coimage, kernel = linalg.dag(vh[:rank]), linalg.dag(vh[rank:])
 
-    ref = int(np.argmax(norms))
-    base = slds.Lpz[ref] @ coimage
-    base_pinv = linalg.pinv(base, tol.zero)
-    gs = []
-    for l in range(slds.p):
-        g = base_pinv @ (slds.Lpz[l] @ coimage)
-        if linalg.herm_defect(g) > tol.cond:
-            return _uncertified(linalg.herm_defect(g),
-                                f"ratio operator for parameter {l} is not Hermitian")
-        gs.append(0.5 * (g + linalg.dag(g)))
-    worst = _worst_pair(gs, linalg.comm_norm)
-    if worst > tol.cond:
-        return _uncertified(worst, "ratio operators do not commute")
+    base_pinv = linalg.pinv(slds.Lpz[int(np.argmax(norms))] @ coimage, tol.zero)
+    gs = [0.5 * (g + linalg.dag(g)) for g in (base_pinv @ (lpz @ coimage) for lpz in slds.Lpz)]
     try:
         z, ranks = linalg.simultaneous_diagonalize(gs, tol.cond)
     except DegeneracyUnresolved as exc:
-        return _uncertified(worst, f"joint spectrum of the ratio operators is unresolved: {exc}")
+        return WCandidate(certified=False, residual=_worst_pair(gs, linalg.comm_norm),
+                          note=f"joint spectrum of the ratio operators is unresolved: {exc}")
     w = linalg.fix_gauge(np.hstack([coimage @ z, kernel]), ranks + (r0 - rank,))
     c4 = verify_W(slds, w, tol)
     return c4 if c4.certified else c4._replace(note="candidate failed column verification")

@@ -418,6 +418,44 @@ def test_a_chain_that_no_block_separates_is_undetermined(tmp_path, g, n_effects)
     assert construction["warnings"] == analysis["warnings"]
 
 
+def _injective_family(r_plus: int, r_zero: int, p: int, tilt: float) -> dict:
+    """Lpz_l = 0.3 B (W0 diag(a_l) W0^dag + tilt i K [l = 1]), a_0 = 1, with B injective.
+
+    B is a random (non-orthogonal) r_plus x r_zero matrix, r_plus >= r_zero,
+    and |a_l| is in [0.5, 2]; K is Hermitian.  At tilt 0 condition 3 holds
+    and block 0 is injective, so condition 4 holds too (the conditions
+    module's finding); a tilt leaves the ratio operator of parameter 1
+    not Hermitian, and condition 3 fails.  The ++ blocks are diagonal,
+    sum_i q_i lpp_l[i] = 0.
+    """
+    rng = np.random.default_rng(100 * r_plus + 10 * r_zero + p)
+    b = rng.standard_normal((r_plus, r_zero)) + 1j * rng.standard_normal((r_plus, r_zero))
+    w0 = random_unitary(rng, r_zero)
+    k = rng.standard_normal((r_zero, r_zero)) + 1j * rng.standard_normal((r_zero, r_zero))
+    ratios = [np.eye(r_zero)] + [
+        w0 @ np.diag(rng.uniform(0.5, 2.0, r_zero) * rng.choice([-1.0, 1.0], r_zero))
+        @ w0.conj().T for _ in range(p - 1)]
+    ratios[1] = ratios[1] + tilt * 0.5j * (k + k.conj().T)
+    q = np.arange(r_plus, 0, -1) / (r_plus * (r_plus + 1) / 2)
+    lpp = [x - q @ x for x in rng.standard_normal((p, r_plus))]
+    return planted_stencil(q, lpp, [0.3 * b @ g for g in ratios])
+
+
+@pytest.mark.parametrize("r_plus, r_zero, p", [(2, 2, 2), (3, 2, 2), (3, 3, 3), (5, 3, 2)])
+def test_an_injective_block_lets_condition3_decide_condition4(tmp_path, r_plus, r_zero, p):
+    # the c3 family is saturable, and its POVM verifies; the tilted twin
+    # fails c3 and is a negative verdict, not Undetermined
+    shape = (r_plus, r_zero, p)
+    code, analysis, _, _ = _analyze_and_construct(tmp_path, _injective_family(*shape, 0.0))
+    assert (code, analysis["conditions"]["classification"]) == (0, "SaturableProjective")
+    verified, _ = run_to_file(tmp_path, ["verify", str(tmp_path / "model.json"),
+                                         str(tmp_path / "povm.json")])
+    assert verified == 0
+    code, analysis, _, _ = _analyze_and_construct(tmp_path, _injective_family(*shape, 1e-3))
+    assert (code, analysis["conditions"]["classification"]) == (2, "NecessaryFailed")
+    assert not analysis["conditions"]["c3"]["passed"]
+
+
 def test_one_cond_override_moves_every_identity_gate(tmp_path):
     # Lpz_l = C diag(a_l) W^dag, C of unit non-orthogonal columns, whose
     # second column is 1e-2 small and carries a 1e-9 complex ratio: c3
@@ -641,8 +679,9 @@ class TestRankDrift:
 class TestUndetermined:
     def test_heuristic_gap_reports_undetermined(self, tmp_path):
         # pure state on C^3 whose +0 blocks are (1,0) and (0,1): a
-        # certifying W exists, but the pinv-ratio heuristic cannot find it
-        # and the honest outcome is Undetermined (exit 3)
+        # certifying W exists, but neither block is injective on the
+        # two-dimensional coimage, so find_W's ratio operators cannot find
+        # it and the honest outcome is Undetermined (exit 3)
         h = 1e-5
         rho = np.zeros((3, 3), dtype=complex)
         rho[0, 0] = 1.0

@@ -174,7 +174,37 @@ class TestFindW:
     def test_uncertified_when_ratio_not_real(self, pure_state):
         _, _, slds, report = pipeline(pure_state, np.array([0.6, 0.4]))
         assert not report.c4.certified
-        assert report.c4.note != ""
+        assert report.c4.note == "candidate failed column verification"
+
+    @pytest.mark.parametrize("r_plus, r_zero, p", [(1, 1, 2), (2, 2, 2), (3, 2, 3), (2, 3, 2),
+                                                   (3, 3, 3)])
+    def test_certifies_no_family_that_fails_condition3(self, r_plus, r_zero, p):
+        # find_W has no gate of its own: the Hermitian parts of its ratio
+        # operators go to the joint eigensolver whatever their defect, and
+        # verify_W alone must reject every candidate where c3 fails
+        rng = np.random.default_rng(700 + 10 * r_plus + r_zero + 100 * p)
+        q = np.full(r_plus, 1.0 / r_plus)
+        shape = (r_plus, r_zero)
+        for _ in range(60):
+            lpz = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(p)]
+            slds = make_slds([np.zeros((r_plus, r_plus))] * p, lpz, q)
+            assert not conditions.check_condition3(slds).passed
+            assert not conditions.find_W(slds).certified
+
+    def test_no_w_when_an_injective_block_sits_beside_a_singular_one(self):
+        # Lpz = [B, 10 B G] with B injective and G Hermitian of rank
+        # r_zero - 1: c3 holds, yet every certifying W would be G's
+        # eigenbasis, whose kernel column vanishes under Lpz_2 only, and a
+        # column with exactly one vanishing partner fails verify_W.  This
+        # changes when ROADMAP item 2 settles the rule for such columns.
+        rng = np.random.default_rng(41)
+        b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        u = random_unitary(rng, 3)
+        g = u @ np.diag([0.7, -1.3, 0.0]) @ linalg.dag(u)
+        slds = make_slds([np.zeros((3, 3))] * 2, [b, 10.0 * b @ g], [0.5, 0.3, 0.2])
+        assert conditions.check_condition3(slds).passed
+        assert not conditions.find_W(slds).certified
+        assert not conditions.verify_W(slds, u).certified
 
 
 class TestVerifyW:

@@ -4,14 +4,16 @@ Usage: python tools/same_outputs.py PARENT_TREE CHANGE_TREE
 
 The benchmark's seeded configs (``bench/families.py`` of PARENT_TREE: the
 five built-in models and the two dense stencil families, seeds 1 and 7)
-are written once.  Each tree then runs the same commands in the same
-working directory, as cold ``python -m qcrb.cli`` processes with one
-BLAS thread: ``analyze``; ``construct`` with ``--out``/``--report`` and to
-stdout; and, for every config whose POVM file was written, ``verify``,
-``simulate``, ``simulate --delta`` and ``simulate --study``, then
-``verify`` and ``simulate --delta`` on the effects-form copy of that file
-(E_k = F_k F_k^dag for each group F_k of its frame), which exercises the
-effects path, ``validate_effects``.  The copy is made from the POVM file
+and two planted stencils built with PARENT_TREE's ``tests/util`` (one
+with a two-column W group and a kernel column, one with p = 3 and a
+non-orthogonal +0 factor) are written once.  Each tree then runs the
+same commands in the same working directory, as cold ``python -m
+qcrb.cli`` processes with one BLAS thread: ``analyze``; ``construct``
+with ``--out``/``--report`` and to stdout; and, for every config whose
+POVM file was written, ``verify``, ``simulate``, ``simulate --delta``
+and ``simulate --study``, then ``verify`` and ``simulate --delta`` on
+the effects-form copy of that file (E_k = F_k F_k^dag for each group F_k
+of its frame), which exercises the effects path, ``validate_effects``.  The copy is made from the POVM file
 PARENT_TREE writes, so both trees read the same effects file.
 
 Exit codes and stderr are compared byte for byte.  Reports (on stdout or
@@ -38,17 +40,35 @@ import numpy as np
 TOL = 1e-12   # roundoff of the reports and frames of an n_s <= 33 model is ~1e-15
 
 
-def write_configs(tree: Path, work: Path) -> dict[str, int]:
-    """Write ``<name>-<seed>.json`` for each config; return each name's parameter count."""
-    sys.path[:0] = [str(tree / "src"), str(tree / "bench")]
-    import families
+def planted_configs(util) -> dict[str, dict]:
+    """Two planted stencils that reach find_W's ratio-operator grouping, kernel and p = 3 paths.
 
-    counts = {}
+    ``planted-groups`` is ``util.planted_groups()``; ``planted-p3`` has
+    +0 blocks 0.3 B W0 diag(a_l) W0^dag with a non-orthogonal B (3 x 2)
+    and three parameters, at q = (0.5, 0.3, 0.2).
+    """
+    rng = np.random.default_rng(5)
+    b = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    w0 = util.random_unitary(rng, 2)
+    lpz = [0.3 * b @ np.diag(a) @ w0.conj().T for a in ([1.0, 1.0], [1.0, -1.5], [0.5, 2.0])]
+    lpp = [[1.0, 1.0, -4.0], [2.0, -1.0, -3.5], [0.0, 0.0, 0.0]]
+    return {"planted-groups": util.planted_groups(),
+            "planted-p3": util.planted_stencil([0.5, 0.3, 0.2], lpp, lpz)}
+
+
+def write_configs(tree: Path, work: Path) -> dict[str, int]:
+    """Write ``<name>.json`` for each config; return each name's parameter count."""
+    sys.path[:0] = [str(tree / "src"), str(tree / "bench"), str(tree / "tests")]
+    import families
+    import util
+
+    configs = {}
     for seed in (1, 7):
-        configs = {**families.builtin_configs(seed), **families.dense_configs(seed)}
-        families.write_configs({f"{k}-{seed}": v for k, v in configs.items()}, work)
-        counts.update({f"{k}-{seed}": len(v.get("theta") or v["center"]) for k, v in configs.items()})
-    return counts
+        seeded = {**families.builtin_configs(seed), **families.dense_configs(seed)}
+        configs.update({f"{k}-{seed}": v for k, v in seeded.items()})
+    configs.update(planted_configs(util))
+    families.write_configs(configs, work)
+    return {k: len(v.get("theta") or v["center"]) for k, v in configs.items()}
 
 
 def write_effects(povm: Path, path: Path) -> None:
