@@ -1,8 +1,11 @@
-"""Range/null decomposition of a density matrix and 2x2 block views.
+"""Range/null decomposition of a density matrix.
 
 The support of rho induces a split of the Hilbert space into range and
 null subspaces; any operator then has four blocks (++, +0, 0+, 00) with
-respect to that split.  The range basis is rho's eigenvectors as LAPACK
+respect to that split, and :func:`sld.compute_slds` is the one place a
+derivative is split into them.  The split is read off the spectrum that
+:func:`model.validate_state` returned for rho's gate, so rho is
+eigensolved once.  The range basis is rho's eigenvectors as LAPACK
 returns them, in descending eigenvalue order, so that rho V = V diag(q);
 no output depends on V's gauge, since every written basis of the range
 is gauged after V.  The null basis Y is :func:`linalg.fix_gauge` of the
@@ -18,8 +21,7 @@ import numpy as np
 
 from . import linalg
 from .config import DEFAULT, Tolerances
-from .errors import DimensionMismatch, IllDeterminedRank, InvalidState
-from .model import validate_state
+from .errors import IllDeterminedRank, InvalidState
 
 Array = np.ndarray
 
@@ -31,21 +33,9 @@ class BlockDecomposition(NamedTuple):
     Y: Array          # n_s x r_zero orthonormal null basis
     q: Array          # r_plus positive eigenvalues, descending
 
-    @property
-    def n_s(self) -> int:
-        return self.V.shape[0]
 
-
-class BlockView(NamedTuple):
-    opp: Array
-    opz: Array
-    ozp: Array
-    ozz: Array
-
-
-def decompose(rho, tol: Tolerances = DEFAULT,
-              spectrum: linalg.HermEigen | None = None) -> BlockDecomposition:
-    """Split rho into range and null subspaces.
+def decompose(eig: linalg.HermEigen, tol: Tolerances = DEFAULT) -> BlockDecomposition:
+    """Split rho into range and null subspaces, given its gated spectrum.
 
     Eigenvalues >= ``tol.rank`` form the range.  The rank is numerically
     ambiguous, and IllDeterminedRank is raised, when an eigenvalue lies
@@ -54,15 +44,10 @@ def decompose(rho, tol: Tolerances = DEFAULT,
     kept)/(largest dropped) is below ``tol.gap`` while the largest dropped
     value is at least 1e-14.
 
-    A bare rho goes through :func:`model.validate_state`, the one gate for
-    hermiticity, unit trace and positivity.  ``spectrum`` is the
-    eigendecomposition that gate returned when the caller already holds
-    one (``StateBundle.spectrum``); it is trusted and rho is not read.
+    ``eig`` is the eigendecomposition that :func:`model.validate_state`,
+    the one gate for hermiticity, unit trace and positivity, returned
+    (``StateBundle.spectrum``).
     """
-    eig = spectrum
-    if eig is None:
-        rho = linalg.as_matrix(rho)
-        eig = validate_state(rho, rho.shape[0], tol)
     n = eig.values.size
     kept = eig.values >= tol.rank
     if not np.any(kept):
@@ -86,24 +71,3 @@ def decompose(rho, tol: Tolerances = DEFAULT,
     v = eig.vectors[:, kept][:, ::-1]
     y = linalg.fix_gauge(eig.vectors[:, ~kept], (n - v.shape[1],))
     return BlockDecomposition(r_plus=int(v.shape[1]), r_zero=int(y.shape[1]), V=v, Y=y, q=q)
-
-
-def block_of(op, dec: BlockDecomposition) -> BlockView:
-    """Project an operator onto the four range/null blocks."""
-    op = linalg.as_matrix(op)
-    n = dec.n_s
-    if op.shape != (n, n):
-        raise DimensionMismatch(f"operator has shape {op.shape}, expected {(n, n)}")
-    vd = linalg.dag(dec.V)
-    yd = linalg.dag(dec.Y)
-    return BlockView(
-        opp=vd @ op @ dec.V,
-        opz=vd @ op @ dec.Y,
-        ozp=yd @ op @ dec.V,
-        ozz=yd @ op @ dec.Y,
-    )
-
-
-def null_block_residual(drho, dec: BlockDecomposition) -> float:
-    """Frobenius mass of the null-null block of a state derivative."""
-    return linalg.fro(block_of(drho, dec).ozz)

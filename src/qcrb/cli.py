@@ -26,7 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__, blocks, linalg
+from . import __version__, linalg
+from .blocks import decompose
 from .conditions import SATURABLE_PROJECTIVE, UNDETERMINED, evaluate_conditions
 from .config import DEFAULT, Tolerances, parse_overrides
 from .errors import ConditionFailed, ParseError, QcrbError, SingularFisher, UsageError
@@ -116,13 +117,13 @@ def _resolve_theta(model: StateModel, override) -> np.ndarray:
     raise ParseError("no theta: pass --theta or put a 'theta' entry in the model file")
 
 
-def _simulation_inputs(args, p: int, seed: int) -> tuple[SimConfig, Optional[tuple]]:
+def _simulation_inputs(args, p: int) -> tuple[SimConfig, Optional[tuple]]:
     """The simulate options as a trial config and, with --study, (direction, magnitudes)."""
     # 2**63 bounds what the sampler's int64 counts can hold
     if not (1 <= args.N < 2**63 and 2 <= args.R < 2**63):
         raise ParseError("need 1 <= N < 2**63 copies and 2 <= R < 2**63 trials")
     delta = () if args.delta is None else linalg.from_json(args.delta, (p,), "--delta").tolist()
-    config = SimConfig(seed=seed, N=args.N, R=args.R, delta=tuple(delta))
+    config = SimConfig(seed=args.seed, N=args.N, R=args.R, delta=tuple(delta))
     if not args.study:
         return config, None
     try:
@@ -139,7 +140,8 @@ def _simulation_inputs(args, p: int, seed: int) -> tuple[SimConfig, Optional[tup
     return config, (direction / norm, magnitudes)
 
 
-def _analysis_sections(model, theta, bundle, dec, fim, conditions) -> dict:
+def _analysis_sections(model, theta, slds, fim, conditions) -> dict:
+    dec = slds.dec
     return {
         "decomposition": {
             "r_plus": dec.r_plus,
@@ -147,7 +149,7 @@ def _analysis_sections(model, theta, bundle, dec, fim, conditions) -> dict:
             "q": _json(dec.q),
             "q_factorization_order": _json(_factorization_order(model, theta, dec)),
             "inverse_weight_condition": float(1.0 / dec.q[-1]),
-            "null_block_residuals": [blocks.null_block_residual(d, dec) for d in bundle.drho],
+            "null_block_residuals": list(slds.null_mass),
         },
         "qfim": _json(fim),
         "conditions": _json(conditions),
@@ -174,7 +176,7 @@ def _write(path: str, text: str) -> None:
         raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
-def _run(args, tol: Tolerances, seed: int, warnings: list[str]) -> tuple[dict, int]:
+def _run(args, tol: Tolerances, warnings: list[str]) -> tuple[dict, int]:
     """The one pipeline behind every subcommand; returns the report sections and exit code.
 
     load -> theta -> state bundle -> decomposition -> SLDs, QFIM and
@@ -185,9 +187,9 @@ def _run(args, tol: Tolerances, seed: int, warnings: list[str]) -> tuple[dict, i
     model = load_model(args.model, tol)
     theta = _resolve_theta(model, args.theta)
     if args.command == "simulate":
-        config, study = _simulation_inputs(args, model.p, seed)
+        config, study = _simulation_inputs(args, model.p)
     bundle = eval_bundle(model, theta, tol=tol)
-    dec = blocks.decompose(bundle.rho, tol, bundle.spectrum)
+    dec = decompose(bundle.spectrum, tol)
     report: dict = {"model": _model_json(model), "theta": _json(theta)}
     if args.command != "simulate":
         slds = compute_slds(bundle, dec, tol)
@@ -195,7 +197,7 @@ def _run(args, tol: Tolerances, seed: int, warnings: list[str]) -> tuple[dict, i
         conditions, joint = evaluate_conditions(slds, tol)
         if joint.note:
             warnings.append(joint.note)
-        report.update(_analysis_sections(model, theta, bundle, dec, fim, conditions))
+        report.update(_analysis_sections(model, theta, slds, fim, conditions))
         if args.command == "analyze":
             return report, _VERDICT_EXIT.get(conditions.classification, EXIT_FAILED)
 
@@ -245,8 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--theta", type=float, nargs="+", help="working point (overrides the file)")
         p.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",
                        help="tolerance override (repeatable)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="simulate's sampling seed (falls back to QCRB_SEED, then 0)")
+        p.add_argument("--seed", type=int, default=0, help="simulate's sampling seed")
 
     p_analyze = sub.add_parser("analyze", help="decomposition, SLDs, QFIM and condition checks")
     common(p_analyze)
@@ -274,18 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_seed(args) -> int:
-    """The seed: --seed, else QCRB_SEED, else 0; checked on every subcommand."""
-    text = os.environ.get("QCRB_SEED", "0") if args.seed is None else args.seed
-    try:
-        seed = int(text)
-    except ValueError:
-        seed = -1
-    if seed < 0:
-        raise ParseError(f"seed must be a non-negative integer, got {text!r}")
-    return seed
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     report: dict = {
@@ -301,8 +290,9 @@ def main(argv=None) -> int:
         out_path = args.report if args.command == "construct" else args.out
         tol = DEFAULT._replace(**parse_overrides(args.tol))
         report["tolerances"] = tol._asdict()
-        seed = _check_seed(args)
-        sections, code = _run(args, tol, seed, report["warnings"])
+        if args.seed < 0:   # checked on every subcommand, though only simulate samples
+            raise ParseError(f"seed must be a non-negative integer, got {args.seed!r}")
+        sections, code = _run(args, tol, report["warnings"])
         report.update(sections)
     except QcrbError as exc:
         code = _ERROR_EXIT.get(type(exc), EXIT_ERROR)

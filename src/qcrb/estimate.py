@@ -37,8 +37,8 @@ class SimConfig(NamedTuple):
     """Trial settings; ``cli`` gates N and R where they come in from outside."""
 
     seed: int
-    N: int = 1000
-    R: int = 2000
+    N: int
+    R: int
     delta: tuple[float, ...] = ()
 
 

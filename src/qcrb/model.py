@@ -7,7 +7,8 @@ positive weights with rho = V diag(q) V^dag).  Built-in models cover the
 situations exercised by the test-suite; user models are loaded from JSON
 config files, either as registry instances with bound constants or as
 "stencil" tables that tabulate rho at a center point and its 2p
-central-difference neighbours.
+central-difference neighbours.  A stencil model answers only at its
+center: the neighbours are read once, at load, for the difference.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 from . import linalg
 from .config import DEFAULT, Tolerances
 from .errors import (
+    DimensionMismatch,
     InvalidState,
     NoFactorization,
     OutOfDomain,
@@ -127,7 +129,8 @@ def eval_bundle(model: StateModel, theta, tol: Tolerances = DEFAULT) -> StateBun
 
     The derivatives are the model's ``deriv`` when it has one, else
     :func:`central_difference` at ``FD_STEP`` (theta must then sit at
-    least ``FD_STEP`` inside the box).
+    least ``FD_STEP`` inside the box).  Each must have rho's shape, be
+    Hermitian at ``tol.state`` and have trace within ``tol.trace``.
     """
     theta = _require_in_box(model, theta, FD_STEP if model.deriv is None else 0.0)
 
@@ -135,10 +138,13 @@ def eval_bundle(model: StateModel, theta, tol: Tolerances = DEFAULT) -> StateBun
     spectrum = validate_state(rho, model.n_s, tol)
 
     if model.deriv is None:
-        drho = [central_difference(model.eval_rho, theta, l) for l in range(model.p)]
+        drho = [linalg.as_matrix(central_difference(model.eval_rho, theta, l))
+                for l in range(model.p)]
     else:
         drho = [linalg.as_matrix(model.deriv(theta, l)) for l in range(model.p)]
     for l, d in enumerate(drho):
+        if d.shape != rho.shape:
+            raise DimensionMismatch(f"derivative {l} has shape {d.shape}, expected {rho.shape}")
         if linalg.herm_defect(d) > tol.state:
             raise InvalidState(f"derivative {l} is not Hermitian")
         if abs(complex(np.trace(d))) > tol.trace:
@@ -352,38 +358,35 @@ def _make_stencil_model(obj: dict, tol: Tolerances) -> StateModel:
     p = center.size
     if not isinstance(plus, list) or not isinstance(minus, list) or len(plus) != p or len(minus) != p:
         raise StencilIncomplete(f"stencil needs {p} forward and {p} backward points")
-    # the centre is gated where eval_bundle reads it; only the neighbours,
-    # which it reads through deriv without a gate, are checked here
+    # the centre is gated where eval_bundle reads it; the neighbours are
+    # gated here and read once, for the derivatives
     n_s = rho_center.shape[0]
-    table: dict[tuple[float, ...], Array] = {tuple(center): rho_center}
+    drho = []
     for l in range(p):
-        step = np.zeros(p)
-        step[l] = h
         hi = linalg.matrix_from_json(plus[l], f"stencil 'rho_plus' entry {l}")
         lo = linalg.matrix_from_json(minus[l], f"stencil 'rho_minus' entry {l}")
         validate_state(hi, n_s, tol)
         validate_state(lo, n_s, tol)
-        table[tuple(center + step)] = hi
-        table[tuple(center - step)] = lo
+        drho.append(central_difference(lambda point: hi if point[l] > center[l] else lo,
+                                       center, l, h))
 
-    # the one rule for "theta is this tabulated point", read by lookup and deriv
-    def at(point: tuple[float, ...], theta: Array) -> bool:
-        gap = max(abs(a - float(t)) for a, t in zip(point, theta))
-        return gap <= 1e-12 * (1.0 + max(map(abs, point)))
+    # the one rule for "theta is the centre", read by eval_rho and deriv;
+    # the neighbours serve the difference only
+    def at_center(theta: Array) -> None:
+        gap = max(abs(float(c) - float(t)) for c, t in zip(center, theta))
+        if gap > 1e-12 * (1.0 + max(map(abs, center))):
+            raise OutOfDomain(f"stencil model tabulated only at its center and {2 * p} neighbours")
 
-    def lookup(theta: Array) -> Array:
-        for point, rho in table.items():
-            if at(point, theta):
-                return rho.copy()
-        raise OutOfDomain(f"stencil model tabulated only at its center and {2 * p} neighbours")
+    def eval_rho(theta: Array) -> Array:
+        at_center(theta)
+        return rho_center.copy()
 
     def deriv(theta: Array, l: int) -> Array:
-        if not at(tuple(center), theta):
-            raise OutOfDomain("stencil derivatives are available only at the center")
-        return central_difference(lambda point: table[tuple(point)], center, l, h)
+        at_center(theta)
+        return drho[l].copy()
 
     box = tuple((float(c - 2.0 * h), float(c + 2.0 * h)) for c in center)
-    return StateModel(name="stencil", n_s=n_s, p=p, box=box, eval_rho=lookup, deriv=deriv,
+    return StateModel(name="stencil", n_s=n_s, p=p, box=box, eval_rho=eval_rho, deriv=deriv,
                       constants={"h": h}, default_theta=tuple(float(c) for c in center))
 
 

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import blocks, linalg
+from . import linalg
 from .blocks import BlockDecomposition
 from .config import DEFAULT, Tolerances
 from .errors import RankDrift
@@ -35,6 +35,7 @@ class SldSet(NamedTuple):
     Lpp: tuple[Array, ...]   # p Hermitian r+ x r+ blocks
     Lpz: tuple[Array, ...]   # p r+ x r0 blocks
     dec: BlockDecomposition
+    null_mass: tuple[float, ...]   # per-derivative Frobenius mass of its 00 block
 
     @property
     def p(self) -> int:
@@ -50,24 +51,29 @@ class Qfim(NamedTuple):
 def compute_slds(bundle: StateBundle, dec: BlockDecomposition, tol: Tolerances = DEFAULT) -> SldSet:
     """Solve the block SLD equations for every parameter.
 
-    Raises RankDrift when a derivative has null-null mass above
+    The one place a derivative is split into range/null blocks.  Raises
+    RankDrift when a derivative has null-null mass above
     ``tol.nullblock`` (the family's rank is not locally constant).
     """
     lpp: list[Array] = []
     lpz: list[Array] = []
-    q = dec.q
+    null_mass: list[float] = []
+    v, y, q = dec.V, dec.Y, dec.q
+    vd, yd = linalg.dag(v), linalg.dag(y)
     denom = q[:, None] + q[None, :]
     for l, drho in enumerate(bundle.drho):
-        bv = blocks.block_of(drho, dec)
-        zz_mass = linalg.fro(bv.ozz)
+        zz_mass = linalg.fro(yd @ drho @ y)
         if zz_mass > tol.nullblock * (1.0 + linalg.fro(drho)):
             raise RankDrift(
                 f"derivative {l} has null-null mass {zz_mass:.3e}; rank varies with theta"
             )
-        app = 0.5 * (bv.opp + linalg.dag(bv.opp))
+        left = vd @ drho
+        dpp = left @ v
+        app = 0.5 * (dpp + linalg.dag(dpp))
         lpp.append(2.0 * app / denom)
-        lpz.append(2.0 * (bv.opz / q[:, None]))
-    return SldSet(Lpp=tuple(lpp), Lpz=tuple(lpz), dec=dec)
+        lpz.append(2.0 * ((left @ y) / q[:, None]))
+        null_mass.append(zz_mass)
+    return SldSet(Lpp=tuple(lpp), Lpz=tuple(lpz), dec=dec, null_mass=tuple(null_mass))
 
 
 def sld_offdiag_from_factorization(model: StateModel, theta) -> list[Array]:

@@ -46,7 +46,7 @@ def pure_state():
 def pipeline(mdl, theta):
     """bundle, decomposition, SLD set, condition report at one point."""
     bundle = model.eval_bundle(mdl, theta)
-    dec = blocks.decompose(bundle.rho)
+    dec = blocks.decompose(bundle.spectrum)
     slds = sld.compute_slds(bundle, dec)
     report, _ = conditions.evaluate_conditions(slds)
     return bundle, dec, slds, report

@@ -8,8 +8,8 @@ from qcrb import blocks, conditions, estimate, linalg, model, povm, sld
 from qcrb.estimate import SimConfig
 
 from conftest import THETA_DIAG, THETA_EX2, THETA_FIXED, THETA_QUBIT, pipeline
-from util import (aligned_offdiag, effects, embed_sld, optimal_povm, pauli, random_unitary,
-                  rank2_path_model, sylvester_sld)
+from util import (aligned_offdiag, block_of, effects, embed_sld, optimal_povm, pauli,
+                  random_unitary, rank2_path_model, sylvester_sld)
 
 F_REG_HAND = np.array([[16.0 / 3.0, 0.0], [0.0, 0.0]])
 F_NULL_HAND = 0.6912 * np.array([[1.0, 2.0], [2.0, 4.0]])
@@ -34,7 +34,7 @@ class TestCriterion1ExamplePipeline:
         # independent oracle first: F from finite-difference derivatives and
         # the full-matrix trace Re tr(rho L_l L_m)
         fd_bundle = model.eval_bundle(example2._replace(deriv=None), THETA_EX2)
-        fd_dec = blocks.decompose(fd_bundle.rho)
+        fd_dec = blocks.decompose(fd_bundle.spectrum)
         fd_slds = sld.compute_slds(fd_bundle, fd_dec)
         full = [embed_sld(fd_slds, l) for l in range(2)]
         oracle = np.array(
@@ -130,7 +130,7 @@ class TestCriterion5OracleEquivalence:
         for seed in range(50):
             mdl = rank2_path_model(seed)
             bundle = model.eval_bundle(mdl, theta)
-            dec = blocks.decompose(bundle.rho)
+            dec = blocks.decompose(bundle.spectrum)
             slds = sld.compute_slds(bundle, dec)
             for l in range(2):
                 ours = embed_sld(slds, l)
@@ -217,7 +217,7 @@ class TestCriterion7CanonicalStructure:
             sat_after = povm.saturation_check(canon, slds, bundle).passed
             all_stable &= out_c.passed == out.passed and sat_after == sat_before
             null_sum = sum(
-                (blocks.block_of(effects(canon)[k], dec).ozz for k in canon.null_indices),
+                (block_of(effects(canon)[k], dec).ozz for k in canon.null_indices),
                 np.zeros((dec.r_zero, dec.r_zero), dtype=complex),
             )
             all_null_sums &= linalg.fro(null_sum - np.eye(dec.r_zero)) <= 1e-8

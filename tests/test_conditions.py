@@ -8,7 +8,7 @@ from qcrb.errors import NoFactorization, NotUnitary
 from qcrb.model import StateBundle
 
 from conftest import THETA_EX2, THETA_FIXED, pipeline
-from util import embed_parts, embed_sld, optimal_povm, pauli, random_unitary
+from util import decompose_rho, embed_parts, embed_sld, optimal_povm, pauli, random_unitary
 
 
 def engineered_family(seed):
@@ -36,6 +36,7 @@ def make_slds(lpp_list, lpz_list, q):
         Lpp=tuple(np.asarray(m, dtype=complex) for m in lpp_list),
         Lpz=tuple(np.asarray(m, dtype=complex) for m in lpz_list),
         dec=dec,
+        null_mass=(0.0,) * len(lpp_list),
     )
 
 
@@ -107,7 +108,7 @@ class TestPartialCommutativity:
             for l in range(2)
         )
         bundle = StateBundle(theta=np.zeros(2), rho=rho, drho=drho)
-        dec2 = blocks.decompose(rho)
+        dec2 = decompose_rho(rho)
         slds = sld.compute_slds(bundle, dec2)
         report, _ = conditions.evaluate_conditions(slds)
         assert not report.c1.passed and not report.c3.passed

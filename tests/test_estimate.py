@@ -118,7 +118,7 @@ class TestRunTrials:
         bundle = model.eval_bundle(mdl, THETA_EX2 + np.asarray(delta))
         from qcrb import blocks
 
-        dec = blocks.decompose(bundle.rho)
+        dec = blocks.decompose(bundle.spectrum)
         fim = sld.qfim(sld.compute_slds(bundle, dec))
         qcrb_floor = np.linalg.inv(fim.F) / result.N
         gap = result.emp_cov - qcrb_floor

@@ -9,6 +9,7 @@ from qcrb import linalg, model
 from qcrb.config import DEFAULT
 from qcrb.errors import (
     InvalidState,
+    QcrbError,
     NoFactorization,
     OutOfDomain,
     ParseError,
@@ -17,6 +18,7 @@ from qcrb.errors import (
 )
 
 from conftest import THETA_QUBIT, WORKING_POINTS
+from util import dense_saturable_config
 
 
 def _box_interior_points(mdl, count, seed):
@@ -61,6 +63,12 @@ class TestEvalBundle:
         model.eval_bundle(example2, theta)  # analytic path needs no margin
         with pytest.raises(OutOfDomain):
             model.eval_bundle(example2._replace(deriv=None), theta)
+
+    def test_derivative_of_the_wrong_shape_is_rejected(self, example2):
+        # a derivative one row and column too large is a package error, not numpy's ValueError
+        broken = example2._replace(deriv=lambda theta, l: np.zeros((4, 4), dtype=complex))
+        with pytest.raises(QcrbError, match="shape"):
+            model.eval_bundle(broken, [0.25, 0.5])
 
     def test_derivative_traceless(self, example2):
         bundle = model.eval_bundle(example2, [0.37, 0.21])
@@ -237,6 +245,27 @@ class TestStencil:
         stencil = model.load_model(path)
         with pytest.raises(OutOfDomain):
             model.eval_bundle(stencil, [0.26, 0.5])
+
+    def test_derivative_is_the_tabulated_difference(self, monkeypatch):
+        config = dense_saturable_config(monkeypatch)
+        stencil = model.model_from_config(config)
+        h = config["h"]
+        for l in range(stencil.p):
+            plus = linalg.matrix_from_json(config["rho_plus"][l])
+            minus = linalg.matrix_from_json(config["rho_minus"][l])
+            assert np.array_equal(stencil.deriv(np.asarray(config["center"]), l),
+                                  (plus - minus) / (2 * h))
+
+    def test_neighbours_are_not_evaluation_points(self, tmp_path, example2):
+        payload = model.stencil_payload(example2, [0.25, 0.5], 1e-5)
+        path = tmp_path / "stencil.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        stencil = model.load_model(path)
+        for neighbour in ([0.25 + 1e-5, 0.5], [0.25, 0.5 - 1e-5]):
+            with pytest.raises(OutOfDomain):
+                stencil.eval_rho(np.array(neighbour))
+            with pytest.raises(OutOfDomain):
+                stencil.deriv(np.array(neighbour), 0)
 
     def test_state_and_derivative_share_one_centre_rule(self, tmp_path, example2):
         payload = model.stencil_payload(example2, [0.25, 0.5], 1e-5)

@@ -6,7 +6,7 @@ from qcrb.config import DEFAULT
 from qcrb.errors import DegeneracyUnresolved, InvalidPovm, NotBlockDiagonal, ParseError
 
 from conftest import THETA_EX2, THETA_QUBIT, WORKING_POINTS, pipeline
-from util import (basis_povm, dense_saturable_config, effects, optimal_povm, pauli,
+from util import (basis_povm, block_of, dense_saturable_config, effects, optimal_povm, pauli,
                   planted_groups, random_projective_povm, random_unitary, rotate_groups)
 
 SATURABLE = ["example2", "fixed_range", "classical_diag"]
@@ -81,7 +81,7 @@ def _config_bundle(monkeypatch, name):
 
 def _written_bases(bundle, spectrum):
     """Y, c4.W and the constructed frame, from one spectrum of rho."""
-    dec = blocks.decompose(bundle.rho, spectrum=spectrum)
+    dec = blocks.decompose(spectrum)
     report, joint = conditions.evaluate_conditions(sld.compute_slds(bundle, dec))
     assert report.classification == conditions.SATURABLE_PROJECTIVE
     return dec.Y, report.c4.W, povm.construct_optimal(dec, report.c4.W, joint).matrix
@@ -104,7 +104,7 @@ def test_rotating_the_null_eigenvectors_moves_no_written_basis(monkeypatch, name
 @pytest.mark.parametrize("name", ["dense_saturable", "planted"])
 def test_rotating_each_joint_group_leaves_the_constructed_frame(monkeypatch, name):
     bundle = _config_bundle(monkeypatch, name)
-    dec = blocks.decompose(bundle.rho, spectrum=bundle.spectrum)
+    dec = blocks.decompose(bundle.spectrum)
     report, joint = conditions.evaluate_conditions(sld.compute_slds(bundle, dec))
     assert max(joint.ranks) > 1
     rotated = joint._replace(U=rotate_groups(joint.U, joint.ranks, np.random.default_rng(7)))
@@ -244,7 +244,7 @@ class TestCanonicalize:
         assert len(canon.ranks) == 4
         assert canon.labels.count("null") == 2
         null_sum = sum(
-            blocks.block_of(effects(canon)[k], dec).ozz for k in canon.null_indices
+            block_of(effects(canon)[k], dec).ozz for k in canon.null_indices
         )
         assert np.allclose(null_sum, np.eye(1), atol=1e-8)
         # outcome probabilities of the regular effects are preserved

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 import qcrb
-from qcrb.blocks import BlockDecomposition, BlockView
+from qcrb.blocks import BlockDecomposition
 from qcrb.conditions import ConditionReport, JointFrame, Verdict, WCandidate
 from qcrb.config import Tolerances
 from qcrb.estimate import SimConfig, SimResult
@@ -13,7 +13,7 @@ from qcrb.model import StateBundle, StateModel
 from qcrb.povm import EffectCheck, OptimalityReport, Povm, SaturationReport
 from qcrb.sld import Qfim, SldSet
 
-RECORDS = [BlockDecomposition, BlockView, Verdict, WCandidate, ConditionReport, JointFrame,
+RECORDS = [BlockDecomposition, Verdict, WCandidate, ConditionReport, JointFrame,
            Tolerances, SimConfig, SimResult, HermEigen, StateModel, StateBundle, Povm,
            EffectCheck, OptimalityReport, SaturationReport, SldSet, Qfim]
 

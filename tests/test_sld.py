@@ -5,7 +5,8 @@ from qcrb import blocks, linalg, model, sld
 from qcrb.errors import NoFactorization, RankDrift
 
 from conftest import THETA_DIAG, THETA_EX2, THETA_PURE, WORKING_POINTS, pipeline
-from util import aligned_offdiag, embed_parts, embed_sld, rank2_path_model, sylvester_sld
+from util import (aligned_offdiag, block_of, embed_parts, embed_sld, rank2_path_model,
+                  sylvester_sld)
 
 
 def _factorization_frames(mdl, theta):
@@ -44,7 +45,7 @@ class TestComputeSlds:
         bundle, dec, slds, _ = ex2_pipeline
         q = np.diag(dec.q).astype(complex)
         for l, drho in enumerate(bundle.drho):
-            bv = blocks.block_of(drho, dec)
+            bv = block_of(drho, dec)
             res_pp = linalg.fro(0.5 * (slds.Lpp[l] @ q + q @ slds.Lpp[l]) - bv.opp)
             res_pz = linalg.fro(0.5 * q @ slds.Lpz[l] - bv.opz)
             gate = 1e-9 * (1.0 + linalg.fro(drho))
@@ -85,7 +86,7 @@ class TestRandomFamilies:
         mdl = rank2_path_model(seed)
         theta = np.array([0.1, -0.2])
         bundle = model.eval_bundle(mdl, theta)
-        dec = blocks.decompose(bundle.rho)
+        dec = blocks.decompose(bundle.spectrum)
         slds = sld.compute_slds(bundle, dec)
         for l in range(2):
             ours = embed_sld(slds, l)
@@ -97,7 +98,7 @@ class TestRandomFamilies:
         mdl = rank2_path_model(100 + seed)
         theta = np.array([0.05, 0.15])
         bundle = model.eval_bundle(mdl, theta)
-        dec = blocks.decompose(bundle.rho)
+        dec = blocks.decompose(bundle.spectrum)
         slds = sld.compute_slds(bundle, dec)
         v_f, y_f, _ = mdl.factorization(theta)
         aligned = aligned_offdiag(slds, v_f, y_f)
@@ -169,7 +170,7 @@ class TestQfim:
         # reparameterize theta2 -> a * theta2: row/column 2 of F shrinks by 1/a
         a = 2.5
         base = model.eval_bundle(example2, THETA_EX2)
-        dec = blocks.decompose(base.rho)
+        dec = blocks.decompose(base.spectrum)
         f_base = sld.qfim(sld.compute_slds(base, dec)).F
 
         scaled = example2._replace(
@@ -181,7 +182,7 @@ class TestQfim:
         )
         theta_scaled = np.array([THETA_EX2[0], a * THETA_EX2[1]])
         bundle = model.eval_bundle(scaled, theta_scaled)
-        dec_s = blocks.decompose(bundle.rho)
+        dec_s = blocks.decompose(bundle.spectrum)
         f_scaled = sld.qfim(sld.compute_slds(bundle, dec_s)).F
         expected = f_base.copy()
         expected[1, :] /= a

@@ -4,19 +4,24 @@ Oracles are independent constructions (dense Sylvester solves, explicit
 series, characteristic-polynomial roots) that call numpy.linalg directly
 and share no code with the package's own gauge-fixed routines.  The
 full-space views (embedded blocks and SLDs, dense POVM effects) are what
-the package itself never forms.
+the package itself never forms; the four blocks of any operator
+(``block_of``) and the decomposition of a bare rho (``decompose_rho``)
+are reference views of what it forms only for state derivatives, inside
+``sld.compute_slds``, and from the state gate's spectrum.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from qcrb import conditions, linalg, povm
-from qcrb.blocks import BlockDecomposition, BlockView
+from qcrb import blocks, conditions, linalg, povm
+from qcrb.blocks import BlockDecomposition
+from qcrb.config import DEFAULT
 from qcrb.errors import DimensionMismatch
-from qcrb.model import StateModel
+from qcrb.model import StateModel, validate_state
 
 
 def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
@@ -194,6 +199,26 @@ def pauli(which: str) -> np.ndarray:
         "y": np.array([[0.0, -1j], [1j, 0.0]], dtype=complex),
         "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
     }[which]
+
+
+def decompose_rho(rho, tol=DEFAULT) -> BlockDecomposition:
+    """The decomposition of a bare rho: its state gate's spectrum, split by ``blocks.decompose``."""
+    rho = linalg.as_matrix(rho)
+    return blocks.decompose(validate_state(rho, rho.shape[0], tol), tol)
+
+
+class BlockView(NamedTuple):
+    opp: np.ndarray
+    opz: np.ndarray
+    ozp: np.ndarray
+    ozz: np.ndarray
+
+
+def block_of(op, dec: BlockDecomposition) -> BlockView:
+    """The four range/null blocks of a full operator."""
+    v, y = dec.V, dec.Y
+    return BlockView(opp=linalg.dag(v) @ op @ v, opz=linalg.dag(v) @ op @ y,
+                     ozp=linalg.dag(y) @ op @ v, ozz=linalg.dag(y) @ op @ y)
 
 
 def embed(bv: BlockView, dec: BlockDecomposition) -> np.ndarray:
