@@ -30,11 +30,10 @@ has Lpz_r w != 0, so each ratio reads G_l c = a_l c: every such W is a
 joint eigenbasis.  Hence if some G_l is singular (Lpz_l C not injective
 while Lpz_r C is), a column has exactly one vanishing partner, which
 :func:`verify_W` rejects, and no W is certified although condition 3
-holds.  :func:`find_W` builds this W against its reference block, so
-where any block is injective it decides condition 4 at the rank cut
-``tol.zero``, short of a joint spectrum it cannot group: an injective
-reference gives the W if there is one, and a singular one means there
-is none.  It is incomplete only where no block is injective on C.  A
+holds.  :func:`find_W` builds this W against an injective reference
+block whenever there is one, so it then decides condition 4 at the rank
+cut ``tol.zero``, short of a joint spectrum it cannot group.  It is
+incomplete only where no block is injective on C.  A
 candidate is reported as certified only after passing :func:`verify_W`,
 and "not certified" never claims condition 4 is violated.
 
@@ -161,8 +160,11 @@ def find_W(slds: SldSet, tol: Tolerances = DEFAULT) -> WCandidate:
 
     The common kernel of all Lpz is split off (those directions give
     jointly-vanishing columns).  On its complement C, the coimage of the
-    stacked blocks, take the block r of largest Frobenius norm and form
-    the Hermitian parts of G_l = pinv(Lpz_r C) Lpz_l C.  Their joint
+    stacked blocks, take as reference r the block of largest Frobenius
+    norm among those injective on C (full column rank at the cut
+    ``tol.zero * s_max`` that :func:`linalg.pinv` applies), or among all
+    blocks when none is, and form the Hermitian parts of
+    G_l = pinv(Lpz_r C) Lpz_l C.  Their joint
     eigenbasis, grouped at ``tol.cond`` by
     :func:`linalg.simultaneous_diagonalize`, supplies the remaining
     columns.  Nothing else gates: a family that does not commute, or a
@@ -174,13 +176,14 @@ def find_W(slds: SldSet, tol: Tolerances = DEFAULT) -> WCandidate:
     rotation inside a group keeps every column ratio.
 
     Where some block is injective on C this decides condition 4 (the
-    module docstring gives the argument).  If Lpz_r C is injective,
+    module docstring gives the argument): Lpz_r C is then injective,
     condition 3 makes every G_l Hermitian and the family commuting, and
     its joint eigenbasis is the W, unique up to rotations inside its
-    groups.  If Lpz_r C is singular but another block is injective, a
-    column of every candidate vanishes under Lpz_r alone, so no W passes
-    verify_W.  Where no block is injective, an uncertified result says
-    nothing about condition 4.
+    groups.  If another block is singular on C, some G_l is, and every
+    candidate has a column that vanishes under Lpz_l alone, so no W
+    passes verify_W and the note says the candidate failed, however the
+    blocks are scaled.  Where no block is injective, an uncertified
+    result says nothing about condition 4.
     """
     r0 = slds.dec.r_zero
     if r0 == 0:
@@ -196,8 +199,12 @@ def find_W(slds: SldSet, tol: Tolerances = DEFAULT) -> WCandidate:
     rank = int(np.sum(svals > tol.zero * svals[0]))
     coimage, kernel = linalg.dag(vh[:rank]), linalg.dag(vh[rank:])
 
-    base_pinv = linalg.pinv(slds.Lpz[int(np.argmax(norms))] @ coimage, tol.zero)
-    gs = [0.5 * (g + linalg.dag(g)) for g in (base_pinv @ (lpz @ coimage) for lpz in slds.Lpz)]
+    blocks = [lpz @ coimage for lpz in slds.Lpz]
+    sv = [linalg.svd(block)[1] for block in blocks]
+    injective = [l for l, s in enumerate(sv) if len(s) == rank and s[-1] > tol.zero * s[0]]
+    ref = max(injective or range(slds.p), key=norms.__getitem__)
+    base_pinv = linalg.pinv(blocks[ref], tol.zero)
+    gs = [0.5 * (g + linalg.dag(g)) for g in (base_pinv @ block for block in blocks)]
     try:
         z, ranks = linalg.simultaneous_diagonalize(gs, tol.cond)
     except DegeneracyUnresolved as exc:

@@ -18,11 +18,12 @@ and the one gauge rule, and reads no tolerance table:
 * SVD (``svd``) and the Moore-Penrose pseudoinverse (``pinv``) with
   relative singular-value truncation at a cut the caller passes: plain
   ``numpy.linalg`` calls that map a LAPACK failure to NoConvergence.
-* Joint diagonalization of a commuting Hermitian family, one operator at
-  a time inside the degenerate eigenspaces the operators before it left,
-  until no operator splits a group.  Eigenvalues count as equal at the
-  gate the caller judges its result by, so the grouping depends only on
-  the family and that gate, not on the order of its members.
+* Joint diagonalization of a commuting Hermitian family as a fixpoint:
+  every group of columns is split by every operator where its eigenvalues
+  step wider than that operator's width, pass after pass, until a pass
+  splits nothing.  Eigenvalues count as equal at the gate the caller
+  judges its result by, so the grouping depends only on the family and
+  that gate, not on the order of its members.
 
 Matrices serialize to JSON as arrays of rows, each entry a two-element
 ``[re, im]`` array; 64-bit floats round-trip exactly.
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,7 +68,7 @@ def dag(a: Array) -> Array:
 
 def fro(a: Array) -> float:
     """Frobenius norm."""
-    return float(math.sqrt(float((np.abs(a) ** 2).sum())))
+    return float(np.linalg.norm(a))
 
 
 def herm_defect(a: Array) -> float:
@@ -213,38 +214,14 @@ def ratio_table(vecs: list[Array], zero: float, gate: float) -> tuple[Array, flo
     return table, worst, imag_worst, ok
 
 
-def _runs(cols: list[int], values, width: float, chain: Optional[str]) -> list:
-    """Split ``cols`` into runs where the ascending ``values`` step wider than ``width``.
+def _split(block: Array, mat: Array, width: float) -> tuple[list[Array], float]:
+    """Rotate ``block`` onto ``mat``'s eigenbasis on its span; split where values step past ``width``.
 
-    Returns (columns, chain) groups.  A run may spread wider than the width,
-    as a chain of steps each within it.  A group's chain, None once its
-    eigenvalues are known to be equal, names the chain it is, or is part of.
+    Returns the parts and the spread of the eigenvalues.
     """
-    parts = []
-    for run in np.split(np.arange(len(values)), np.flatnonzero(np.diff(values) > width) + 1):
-        spread = values[run[-1]] - values[run[0]]
-        if spread > width:
-            why = f"a chain of eigenvalue gaps within {width:.3e} spreads {spread:.3e}"
-        else:
-            why = chain if len(run) > 1 else None
-        parts.append(([cols[i] for i in run], why))
-    return parts
-
-
-def _refine(u: Array, parts: list, ops) -> list:
-    """Split each group of ``parts`` by each (matrix, width) of ``ops``, rotating u's columns."""
-    for mat, width in ops:
-        refined = []
-        for cols, chain in parts:
-            if len(cols) == 1:
-                refined.append((cols, None))
-                continue
-            block = u[:, cols]
-            eig = herm_eigen(dag(block) @ mat @ block)
-            u[:, cols] = block @ eig.vectors
-            refined += _runs(cols, eig.values, width, chain)
-        parts = refined
-    return parts
+    eig = herm_eigen(dag(block) @ mat @ block)
+    cuts = np.flatnonzero(np.diff(eig.values) > width) + 1
+    return np.split(block @ eig.vectors, cuts, axis=1), eig.values[-1] - eig.values[0]
 
 
 def simultaneous_diagonalize(family, gate: float) -> tuple[Array, tuple[int, ...]]:
@@ -257,19 +234,20 @@ def simultaneous_diagonalize(family, gate: float) -> tuple[Array, tuple[int, ...
     callers), and it alone decides equality: eigenvalues of an operator A
     are told apart at gaps wider than its width ``gate * (1 + ||A||_F)``.
 
-    Each operator splits, at its wide gaps, every group the operators
-    before it left (a single column needs no eigensolve).  A run of steps
-    within the width that spreads wider than it, a chain, is refined by the
-    operators after it, and each part of it with more than one column by
-    the whole family again, until no operator splits a group; so the groups
-    do not depend on the order of the family.  A group that still spreads
-    wider than some operator's width raises DegeneracyUnresolved, so every
-    group's residual, at most half its spread, stays inside the gate.
+    The groups are a fixpoint.  Starting from one group of all columns,
+    each pass rotates every group with more than one column onto each
+    operator's eigenbasis in turn and splits it at that operator's wide
+    gaps; passes repeat until one splits nothing.  Every group then has
+    no wide gap in any operator, whatever order the family came in.
     Groups ascend in operator 0, then operator 1, and so on, so roundoff
-    within a width never decides the order.  Commutation is not gated
-    separately: a family that does not commute leaves some member
-    off-diagonal beyond its width, and that raises DegeneracyUnresolved.
-    Members are gated at ``HERM_GATE`` (:func:`require_hermitian`).
+    within a width never decides the order.  A group whose eigenvalues
+    in that last pass still spread wider than some operator's width (a
+    chain of steps each within it) raises DegeneracyUnresolved, so every
+    group's residual, at most half its spread, stays inside the gate.
+    Commutation is not gated separately: a family that does not commute
+    leaves some member off-diagonal beyond its width, and that raises
+    DegeneracyUnresolved too.  Members are gated at ``HERM_GATE``
+    (:func:`require_hermitian`).
     """
     mats = [require_hermitian(m) for m in family]
     if not mats:
@@ -278,21 +256,22 @@ def simultaneous_diagonalize(family, gate: float) -> tuple[Array, tuple[int, ...
         raise DimensionMismatch("family members differ in dimension")
     ops = [(mat, gate * (1.0 + fro(mat))) for mat in mats]
 
-    eig = herm_eigen(mats[0])
-    u = eig.vectors
-    groups = _refine(u, _runs(list(range(len(u))), eig.values, ops[0][1], None), ops[1:])
-    while any(chain for _, chain in groups):
-        again = [part for cols, chain in groups
-                 for part in (_refine(u, [(cols, None)], ops) if chain else [(cols, None)])]
-        if len(again) == len(groups) and any(chain for _, chain in again):
-            raise DegeneracyUnresolved(next(chain for _, chain in again if chain))
-        groups = again
-    u = u[:, [i for cols, _ in groups for i in cols]]
+    groups, count = [np.eye(len(mats[0]), dtype=complex)], 0
+    while len(groups) > count:
+        count, chains = len(groups), []
+        for mat, width in ops:
+            split = [_split(g, mat, width) if g.shape[1] > 1 else ([g], 0.0) for g in groups]
+            groups = [part for parts, _ in split for part in parts]
+            chains += [f"a chain of eigenvalue gaps within {width:.3e} spreads {spread:.3e}"
+                       for _, spread in split if spread > width]
+    if chains:
+        raise DegeneracyUnresolved(chains[0])
+    u = np.hstack(groups)
     for mat, width in ops:
         conj = dag(u) @ mat @ u
         if fro(conj - np.diag(np.diag(conj))) > width:
             raise DegeneracyUnresolved("could not split degenerate joint eigenspaces")
-    return u, tuple(len(cols) for cols, _ in groups)
+    return u, tuple(g.shape[1] for g in groups)
 
 
 def matrix_to_json(a) -> list:

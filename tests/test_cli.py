@@ -667,7 +667,7 @@ class TestRankDrift:
 
 
 class TestUndetermined:
-    def test_heuristic_gap_reports_undetermined(self, tmp_path):
+    def test_no_injective_block_reports_undetermined(self, tmp_path):
         # pure state on C^3 whose +0 blocks are (1,0) and (0,1): a
         # certifying W exists, but neither block is injective on the
         # two-dimensional coimage, so find_W's ratio operators cannot find

@@ -198,14 +198,18 @@ class TestFindW:
         # eigenbasis, whose kernel column vanishes under Lpz_2 only, and a
         # column with exactly one vanishing partner fails verify_W.  This
         # changes when ROADMAP item 2 settles the rule for such columns.
+        # The injective block is the reference at either scaling, so the
+        # note names the failed candidate, not an unresolved spectrum.
         rng = np.random.default_rng(41)
         b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         u = random_unitary(rng, 3)
         g = u @ np.diag([0.7, -1.3, 0.0]) @ linalg.dag(u)
-        slds = make_slds([np.zeros((3, 3))] * 2, [b, 10.0 * b @ g], [0.5, 0.3, 0.2])
-        assert conditions.check_condition3(slds).passed
-        assert not conditions.find_W(slds).certified
-        assert not conditions.verify_W(slds, u).certified
+        for lpz in ([b, 10.0 * b @ g], [10.0 * b, b @ g]):
+            slds = make_slds([np.zeros((3, 3))] * 2, lpz, [0.5, 0.3, 0.2])
+            assert conditions.check_condition3(slds).passed
+            c4 = conditions.find_W(slds)
+            assert not c4.certified and c4.note == "candidate failed column verification"
+            assert not conditions.verify_W(slds, u).certified
 
 
 class TestVerifyW:

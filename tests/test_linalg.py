@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -295,6 +297,57 @@ class TestSimultaneousDiagonalize:
         # the same chain inside one operator's eigenspace of the one before it
         with pytest.raises(DegeneracyUnresolved):
             linalg.simultaneous_diagonalize(mats[::-1], gate)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_a_chain_under_a_flat_later_operator_is_unresolved(self, seed):
+        # in a random basis operator 1 is flat on operator 0's chain (steps
+        # of 0.55 widths over 1.1) up to roundoff, so its eigensolve turns
+        # that group arbitrarily and operator 0's diagonal on it may fit in
+        # the width: the chain is judged by its eigenvalues, in either order
+        gate = 1e-8
+        u0 = random_unitary(np.random.default_rng(seed), 5)
+        d0 = np.array([1.0, 1.0, 1.0, 3.0, -2.0])
+        d0[:3] += np.array([0.0, 0.55, 1.1]) * gate * (1.0 + np.linalg.norm(d0))
+        mats = [(u0 * d) @ linalg.dag(u0) for d in (d0, np.array([2.0, 2.0, 2.0, 0.0, 1.0]))]
+        for family in (mats, mats[::-1]):
+            with pytest.raises(DegeneracyUnresolved, match="chain"):
+                linalg.simultaneous_diagonalize(family, gate)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_groups_do_not_depend_on_the_order_of_the_family(self, seed):
+        # two or three members share a basis of permuted unit vectors with
+        # phases in {1, i, -1, -i}, so every eigensolve is exact and only the
+        # grouping could depend on the order; small integer spectra plant
+        # shared degeneracies, and each member has a run of steps 0.9
+        # widths apart, which merges (two states) or is a chain (three or four)
+        rng = np.random.default_rng(seed)
+        n, gate = int(rng.integers(3, 9)), 1e-8
+        basis = np.eye(n)[rng.permutation(n)] * 1j ** rng.integers(0, 4, n)
+        family = []
+        for _ in range(int(rng.integers(2, 4))):
+            d = rng.integers(-2, 3, n).astype(float)
+            run = rng.choice(n, int(rng.integers(2, min(n, 4) + 1)), replace=False)
+            d[run] = d[run[0]]
+            d[run] += 0.9 * gate * (1.0 + np.linalg.norm(d)) * np.arange(run.size)
+            family.append((basis * d) @ linalg.dag(basis))
+        outcomes = []
+        for order in itertools.permutations(family):
+            try:
+                u, ranks = linalg.simultaneous_diagonalize(order, gate)
+            except DegeneracyUnresolved:
+                outcomes.append(None)
+                continue
+            edges = np.cumsum((0, *ranks))
+            outcomes.append((sorted(ranks), [u[:, a:b] @ linalg.dag(u[:, a:b])
+                                             for a, b in zip(edges, edges[1:])]))
+        first = outcomes[0]
+        if first is None:
+            assert outcomes == [None] * len(outcomes)
+            return
+        for ranks, projectors in outcomes:
+            assert ranks == first[0]
+            for proj in projectors:
+                assert min(np.max(np.abs(proj - ref)) for ref in first[1]) <= 1e-12
 
 
 class TestFixGauge:

@@ -2,19 +2,22 @@
 
 Usage: python tools/same_outputs.py PARENT_TREE CHANGE_TREE
 
-The benchmark's seeded configs (``bench/families.py`` of PARENT_TREE: the
-five built-in models and the two dense stencil families, seeds 1 and 7)
-and two planted stencils built with PARENT_TREE's ``tests/util`` (one
-with a two-column W group and a kernel column, one with p = 3 and a
-non-orthogonal +0 factor) are written once.  Each tree then runs the
-same commands in the same working directory, as cold ``python -m
-qcrb.cli`` processes with one BLAS thread: ``analyze``; ``construct``
-with ``--out``/``--report`` and to stdout; and, for every config whose
-POVM file was written, ``verify``, ``simulate``, ``simulate --delta``
-and ``simulate --study``, then ``verify`` and ``simulate --delta`` on
-the effects-form copy of that file (E_k = F_k F_k^dag for each group F_k
-of its frame), which exercises the effects path, ``validate_effects``.  The copy is made from the POVM file
-PARENT_TREE writes, so both trees read the same effects file.
+The benchmark's seeded configs (``bench/families.py`` of PARENT_TREE:
+the five built-in models and the two dense stencil families, seeds 1 and
+7) and four planted stencils built with PARENT_TREE's ``tests/util``
+(one with a two-column W group and a kernel column, one with p = 3 and a
+non-orthogonal +0 factor, and two whose ++ block 0 is a chain of
+eigenvalue steps, which block 1 separates in one and not in the other)
+are written once.  Each tree then runs the same commands in the same
+working directory, as cold ``python -m qcrb.cli`` processes with one
+BLAS thread: ``analyze``; ``construct`` with ``--out``/``--report`` and
+to stdout; and, for every config whose POVM file was written,
+``verify``, ``simulate``, ``simulate --delta`` and ``simulate --study``,
+then ``verify`` and ``simulate --delta`` on the effects-form copy of
+that file (E_k = F_k F_k^dag for each group F_k of its frame), which
+exercises the effects path, ``validate_effects``.  The copy is made from
+the POVM file PARENT_TREE writes, so both trees read the same effects
+file.
 
 Exit codes and stderr are compared byte for byte.  Reports (on stdout or
 in files), POVM files and study CSVs are compared by value: every field
@@ -41,19 +44,29 @@ TOL = 1e-12   # roundoff of the reports and frames of an n_s <= 33 model is ~1e-
 
 
 def planted_configs(util) -> dict[str, dict]:
-    """Two planted stencils that reach find_W's ratio-operator grouping, kernel and p = 3 paths.
+    """Planted stencils that reach find_W's grouping, kernel and p = 3 paths and a ++ chain.
 
     ``planted-groups`` is ``util.planted_groups()``; ``planted-p3`` has
     +0 blocks 0.3 B W0 diag(a_l) W0^dag with a non-orthogonal B (3 x 2)
-    and three parameters, at q = (0.5, 0.3, 0.2).
+    and three parameters, at q = (0.5, 0.3, 0.2).  The two chain configs
+    are full rank at q = (0.4, 0.3, 0.2, 0.1), with ++ block 0 the chain
+    of ``tests/test_cli.py::_chain`` at g = 9e-8: states 0, 1 and 2 at 1,
+    1 + g and 1 + 2 g, steps within its width that spread beyond it.  In
+    ``planted-chain`` block 1 parts state 1 from states 0 and 2, which
+    block 0 then parts; in ``planted-chain-flat`` block 1 is flat on all
+    three, so the ++ spectrum is unresolved and the model Undetermined.
     """
     rng = np.random.default_rng(5)
     b = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
     w0 = util.random_unitary(rng, 2)
     lpz = [0.3 * b @ np.diag(a) @ w0.conj().T for a in ([1.0, 1.0], [1.0, -1.5], [0.5, 2.0])]
     lpp = [[1.0, 1.0, -4.0], [2.0, -1.0, -3.5], [0.0, 0.0, 0.0]]
+    g, chain_q = 9e-8, [0.4, 0.3, 0.2, 0.1]
+    chain = [1.0, 1.0 + g, 1.0 + 2.0 * g, -(0.9 + 0.7 * g) / 0.1]
     return {"planted-groups": util.planted_groups(),
-            "planted-p3": util.planted_stencil([0.5, 0.3, 0.2], lpp, lpz)}
+            "planted-p3": util.planted_stencil([0.5, 0.3, 0.2], lpp, lpz),
+            "planted-chain": util.planted_stencil(chain_q, [chain, [1.0, -1.0, 1.0, -3.0]]),
+            "planted-chain-flat": util.planted_stencil(chain_q, [chain, [2.0, 2.0, 2.0, -18.0]])}
 
 
 def write_configs(tree: Path, work: Path) -> dict[str, int]:
