@@ -215,7 +215,7 @@ def _run(args, tol: Tolerances, warnings: list[str]) -> tuple[dict, int]:
         report.update(_simulation_sections(model, povm, theta, bundle, dec, config, study, args, tol))
         return report, EXIT_OK
 
-    optimality = verify_optimality(povm, slds, dec, tol)
+    optimality = verify_optimality(povm, slds, tol)
     saturation = saturation_check(povm, slds, bundle, tol)
     report["povm"] = {
         "n_effects": len(povm.ranks),

@@ -78,9 +78,7 @@ def _fisher_inverse(f_c: Array, tol: Tolerances) -> Array:
 def run_trials(model: StateModel, povm: Povm, theta, config: SimConfig,
                tol: Tolerances = DEFAULT) -> SimResult:
     """Repeated-trial comparison of empirical covariance with F_c^{-1}/N."""
-    theta = np.asarray(theta, dtype=float)
-    delta = np.asarray(config.delta if config.delta else np.zeros_like(theta), dtype=float)
-    theta_sim = theta + delta
+    theta_sim = np.asarray(theta, dtype=float) + np.asarray(config.delta or 0.0, dtype=float)
     bundle = eval_bundle(model, theta_sim, tol=tol)
     raw, grads = outcome_table(povm, bundle)
     if np.min(raw) < -tol.povm:
@@ -89,7 +87,7 @@ def run_trials(model: StateModel, povm: Povm, theta, config: SimConfig,
     probs = np.clip(raw, 0.0, None)
     probs = probs / probs.sum()
     kept = probs > tol.prob
-    f_c_inv = _fisher_inverse(fisher_information(raw, grads, tol), tol)
+    f_c_inv = _fisher_inverse(fisher_information(probs, grads, tol), tol)
     pred_cov = f_c_inv / config.N
 
     dlnp = np.zeros_like(grads)
@@ -122,11 +120,11 @@ def fc_convergence_study(model: StateModel, povm: Povm, theta, deltas, f_theta,
                          tol: Tolerances = DEFAULT) -> list[dict]:
     """Deviation of the displaced classical information from the QFIM.
 
-    For each displacement vector delta, evaluates the full classical
-    Fisher matrix at theta + delta (every outcome with positive
-    probability contributes) and tabulates the max-norm deviation from
-    ``f_theta``, the QFIM F(theta).  For an optimal POVM the deviation
-    shrinks as delta -> 0, recovering the null contribution in the limit.
+    For each displacement vector delta, evaluates the classical Fisher
+    matrix at theta + delta over the outcomes above ``tol.prob`` and
+    tabulates the max-norm deviation from ``f_theta``, the QFIM F(theta).
+    For an optimal POVM it shrinks as delta -> 0 until the null outcomes,
+    of probability ~ delta^2, fall under ``tol.prob`` and F_null drops out.
     """
     theta = np.asarray(theta, dtype=float)
     rows = []

@@ -32,7 +32,7 @@ from .conditions import JointFrame
 from .config import DEFAULT, Tolerances
 from .errors import InvalidPovm, NotBlockDiagonal, ParseError
 from .model import StateBundle
-from .sld import SldSet, qfim
+from .sld import SldSet, null_information, qfim
 
 Array = np.ndarray
 
@@ -209,8 +209,7 @@ def construct_optimal(dec: BlockDecomposition, w: Array, joint: JointFrame) -> F
     return Frame(linalg.fix_gauge(np.hstack([dec.V @ joint.U, dec.Y @ w]), ranks), ranks)
 
 
-def canonicalize(povm: Povm, dec: BlockDecomposition, slds: SldSet,
-                 tol: Tolerances = DEFAULT) -> Povm:
+def canonicalize(povm: Povm, dec: BlockDecomposition, tol: Tolerances = DEFAULT) -> Povm:
     """Strip 00-block mass off regular effects into separate null effects.
 
     A regular effect with a 00 block is split into the effects factored
@@ -237,8 +236,7 @@ def canonicalize(povm: Povm, dec: BlockDecomposition, slds: SldSet,
     return Povm(g, ranks, labels, _is_projective(g, ranks, tol))
 
 
-def verify_optimality(povm: Povm, slds: SldSet, dec: BlockDecomposition,
-                      tol: Tolerances = DEFAULT) -> OptimalityReport:
+def verify_optimality(povm: Povm, slds: SldSet, tol: Tolerances = DEFAULT) -> OptimalityReport:
     """Extract the per-effect constants and residuals of the optimality identities.
 
     Regular effects: E L_l P_+ = c_l E P_+ with c_l real, for every l.
@@ -247,7 +245,7 @@ def verify_optimality(povm: Povm, slds: SldSet, dec: BlockDecomposition,
     With A = V^dag G and B = Y^dag G, E_k P_+ V = G_k A_k^dag, E_k L_l P_+ V
     = G_k (A_k^dag Lpp_l + B_k^dag Lpz_l^dag) and E_00 = B_k B_k^dag.
     """
-    p = slds.p
+    p, dec = slds.p, slds.dec
     g = povm.G
     a, b = linalg.dag(dec.V) @ g, linalg.dag(dec.Y) @ g
     # G^dag L_l V, and ||L_l P_+|| = ||L_l V||
@@ -322,19 +320,15 @@ def classical_fi(povm: Povm, bundle: StateBundle, tol: Tolerances = DEFAULT) -> 
     return fisher_information(*outcome_table(povm, bundle), tol)
 
 
-def null_component_sum(povm: Povm, slds: SldSet, tol: Tolerances = DEFAULT) -> Array:
+def null_component_sum(povm: Povm, slds: SldSet) -> Array:
     """Limiting information carried by the null effects.
 
-    N[l, m] = sum over null effects of Re tr(diag(q) Lpz_l E_00 Lpz_m^dag);
-    equal to the null QFIM component when the null 00 blocks sum to the
-    identity on the null space.  With E_00 = B_k B_k^dag, B = Y^dag G, the
-    sum is Re tr(diag(q) C_l C_m^dag) over C_l = Lpz_l B on the null columns.
+    N[l, m] = sum over null effects of Re tr(diag(q) Lpz_l E_00 Lpz_m^dag),
+    :func:`sld.null_information` at B = Y^dag G_null (E_00 = B_k B_k^dag).
+    N equals F_null, the same form at B = I, exactly when the null 00
+    blocks sum to the identity on the null space.
     """
-    dec = slds.dec
-    b_null = linalg.dag(dec.Y) @ povm.G[:, povm.null_mask]
-    c = np.stack([lpz @ b_null for lpz in slds.Lpz])
-    out = np.real(np.einsum("i,lij,mij->lm", dec.q, c, c.conj()))
-    return 0.5 * (out + out.T)
+    return null_information(slds, linalg.dag(slds.dec.Y) @ povm.G[:, povm.null_mask])
 
 
 def saturation_check(povm: Povm, slds: SldSet, bundle: StateBundle,
@@ -343,11 +337,12 @@ def saturation_check(povm: Povm, slds: SldSet, bundle: StateBundle,
 
     Passes when the classical Fisher matrix matches the regular component
     and the null-effect sum matches the null component, both in max norm
-    relative to 1 + ||F||_max.
+    relative to 1 + ||F||_max.  The null-effect sum is F_null exactly
+    when the null 00 blocks sum to the identity on the null space.
     """
     fim = qfim(slds)
     f_c = classical_fi(povm, bundle, tol)
-    n_sum = null_component_sum(povm, slds, tol)
+    n_sum = null_component_sum(povm, slds)
     scale = tol.sat * (1.0 + float(np.max(np.abs(fim.F))))
     res_reg = float(np.max(np.abs(f_c - fim.F_reg)))
     res_null = float(np.max(np.abs(n_sum - fim.F_null)))

@@ -9,9 +9,9 @@ entrywise:
     L_+0      = 2 diag(1/q) drho_+0
 
 The quantum Fisher information matrix splits into a regular part (from
-the ++ blocks) and a null part (from the +0 blocks); both are computed
-here along with the off-diagonal route that uses only the derivative of
-a model-supplied range frame.
+the ++ blocks) and a null part (:func:`null_information` of the +0
+blocks); both are computed here along with the off-diagonal route that
+uses only the derivative of a model-supplied range frame.
 """
 
 from __future__ import annotations
@@ -88,21 +88,26 @@ def sld_offdiag_from_factorization(model: StateModel, theta) -> list[Array]:
     return [2.0 * linalg.dag(frame_derivative(model, theta, l)) @ y for l in range(model.p)]
 
 
+def null_information(slds: SldSet, b: Array) -> Array:
+    """Re tr(diag(q) C_l C_m^dag) over C_l = Lpz_l b, symmetrized.
+
+    F_null at b = I; the null effects' limiting information at b = Y^dag G_null.
+    """
+    c = np.stack(slds.Lpz) @ b
+    out = np.real(np.einsum("i,lij,mij->lm", slds.dec.q, c, c.conj()))
+    return 0.5 * (out + out.T)
+
+
 def qfim(slds: SldSet) -> Qfim:
     """QFIM with its regular/null split.
 
-    F_reg[l, m] = tr(diag(q) {Lpp_l, Lpp_m}) / 2 and
-    F_null[l, m] = tr(diag(q) (Lpz_l Lpz_m^dag + Lpz_m Lpz_l^dag)) / 2;
-    the free 00 blocks never enter.
+    F_reg[l, m] = Re sum_i q_i (Lpp_l Lpp_m)_ii and F_null is
+    :func:`null_information` at B = I; the free 00 blocks never enter.
+    At B = Y^dag G_null it equals F_null exactly when the null 00 blocks of
+    a POVM sum to the identity on the null space (B B^dag = I).
     """
-    p = slds.p
-    q = slds.dec.q
-    f_reg = np.zeros((p, p))
-    f_null = np.zeros((p, p))
-    for l in range(p):
-        for m in range(l, p):
-            anti = slds.Lpp[l] @ slds.Lpp[m] + slds.Lpp[m] @ slds.Lpp[l]
-            f_reg[l, m] = f_reg[m, l] = 0.5 * float(np.real(np.sum(q * np.diagonal(anti))))
-            cross = slds.Lpz[l] @ linalg.dag(slds.Lpz[m]) + slds.Lpz[m] @ linalg.dag(slds.Lpz[l])
-            f_null[l, m] = f_null[m, l] = 0.5 * float(np.real(np.sum(q * np.diagonal(cross))))
+    lpp = np.stack(slds.Lpp)
+    f_reg = np.real(np.einsum("i,lij,mji->lm", slds.dec.q, lpp, lpp))
+    f_reg = 0.5 * (f_reg + f_reg.T)
+    f_null = null_information(slds, np.eye(slds.dec.r_zero))
     return Qfim(F=f_reg + f_null, F_reg=f_reg, F_null=f_null)

@@ -54,7 +54,7 @@ class TestCriterion1ExamplePipeline:
 
         built = optimal_povm(bundle.rho, slds)
         check("1 POVM built", len(built.ranks) == 3 and built.projective)
-        optimality = povm.verify_optimality(built, slds, dec)
+        optimality = povm.verify_optimality(built, slds)
         saturation = povm.saturation_check(built, slds, bundle)
         check("1 optimality", optimality.passed)
         check("1 saturation", saturation.passed,
@@ -146,10 +146,10 @@ class TestCriterion5OracleEquivalence:
 
 
 class TestCriterion6InvarianceSuite:
-    def _verdict_tuple(self, slds, bundle, dec, base_povm):
+    def _verdict_tuple(self, slds, bundle, base_povm):
         report, _ = conditions.evaluate_conditions(slds)
         sat = povm.saturation_check(base_povm, slds, bundle)
-        opt = povm.verify_optimality(base_povm, slds, dec)
+        opt = povm.verify_optimality(base_povm, slds)
         return (
             report.c1.passed,
             report.c3.passed,
@@ -162,7 +162,7 @@ class TestCriterion6InvarianceSuite:
     def test_invariances(self, example2):
         bundle, dec, slds, report = pipeline(example2, THETA_EX2)
         built = optimal_povm(bundle.rho, slds)
-        base = self._verdict_tuple(slds, bundle, dec, built)
+        base = self._verdict_tuple(slds, bundle, built)
 
         rng = np.random.default_rng(606)
         ok_gauge = ok_perm = True
@@ -171,11 +171,11 @@ class TestCriterion6InvarianceSuite:
             y_mix = random_unitary(rng, dec.r_zero)
             regauged = dec._replace(V=dec.V @ phases, Y=dec.Y @ y_mix)
             slds2 = sld.compute_slds(bundle, regauged)
-            ok_gauge &= self._verdict_tuple(slds2, bundle, regauged, built) == base
+            ok_gauge &= self._verdict_tuple(slds2, bundle, built) == base
 
             perm = rng.permutation(len(built.ranks))
             shuffled, _ = povm.make_povm([effects(built)[i] for i in perm], bundle.rho, dec)
-            ok_perm &= self._verdict_tuple(slds, bundle, dec, shuffled) == base
+            ok_perm &= self._verdict_tuple(slds, bundle, shuffled) == base
 
         check("6b decomposition re-gauge", ok_gauge)
         check("6c effect permutation", ok_perm)
@@ -207,12 +207,12 @@ class TestCriterion7CanonicalStructure:
         all_stable = True
         all_null_sums = True
         for name, bundle, dec, slds, pv in cases:
-            out = povm.verify_optimality(pv, slds, dec)
+            out = povm.verify_optimality(pv, slds)
             if not out.passed:
                 continue
             all_blockdiag &= all(x <= 1e-8 for x in out.block_offdiag)
-            canon = povm.canonicalize(pv, dec, slds)
-            out_c = povm.verify_optimality(canon, slds, dec)
+            canon = povm.canonicalize(pv, dec)
+            out_c = povm.verify_optimality(canon, slds)
             sat_before = povm.saturation_check(pv, slds, bundle).passed
             sat_after = povm.saturation_check(canon, slds, bundle).passed
             all_stable &= out_c.passed == out.passed and sat_after == sat_before

@@ -540,6 +540,43 @@ def test_reports_do_not_move_with_the_phases_of_eigh(tmp_path, monkeypatch, name
         assert _agree(report, turned_report)
 
 
+@pytest.mark.parametrize("seed", [1, 7, 11])
+def test_a_global_unitary_moves_no_verdict(tmp_path, monkeypatch, seed):
+    # rho -> W rho W^dag for one fixed unitary W changes no invariant the
+    # report states: on the stencils of the benchmark's seeded points of the
+    # five built-ins and on both dense families, analyze keeps its exit
+    # code and classification, and F agrees within 1e-7 relative
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import families
+
+    configs = {name: stencil_payload(build_model(name), cfg["theta"], families.STENCIL_H)
+               for name, cfg in families.builtin_configs(seed).items()}
+    configs.update(families.dense_configs(seed))
+    rng = np.random.default_rng(seed)
+    moved = []
+    for name, payload in configs.items():
+        w = random_unitary(rng, len(payload["rho_center"]))
+
+        def turn(obj):
+            return qlinalg.matrix_to_json(w @ qlinalg.matrix_from_json(obj) @ w.conj().T)
+
+        turned = {**payload, "rho_center": turn(payload["rho_center"]),
+                  "rho_plus": [turn(m) for m in payload["rho_plus"]],
+                  "rho_minus": [turn(m) for m in payload["rho_minus"]]}
+        runs = []
+        for config in (payload, turned):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(config))
+            code, report = run_to_file(tmp_path, ["analyze", str(path)])
+            runs.append((code, report["conditions"]["classification"],
+                         np.array(report["qfim"]["F"])))
+        (code, verdict, f), (turned_code, turned_verdict, turned_f) = runs
+        close = np.max(np.abs(turned_f - f)) <= 1e-7 * np.max(np.abs(f))
+        if not close or (turned_code, turned_verdict) != (code, verdict):
+            moved.append(name)
+    assert moved == []
+
+
 @pytest.mark.parametrize("name", ["example2", "dense_saturable"])
 def test_an_effects_file_verifies_as_its_frame_file(tmp_path, monkeypatch, name):
     # both file shapes are checked on one path: the constructed frame's own

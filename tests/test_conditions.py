@@ -221,7 +221,7 @@ class TestVerifyW:
         c4 = conditions.find_W(slds)
         checked = conditions.verify_W(slds, c4.W)
         built = optimal_povm((slds.dec.V * slds.dec.q) @ linalg.dag(slds.dec.V), slds)
-        out = povm.verify_optimality(built, slds, slds.dec)
+        out = povm.verify_optimality(built, slds)
         assert checked.certified and out.passed
         assert len(out.null) == slds.dec.r_zero
         for s, check in enumerate(out.null):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qcrb import estimate, model, povm, sld
+from qcrb.config import DEFAULT
 from qcrb.errors import SingularFisher
 from qcrb.estimate import SimConfig
 
@@ -156,6 +157,18 @@ class TestConvergenceStudy:
         rows = estimate.fc_convergence_study(mdl, pv, THETA_EX2, deltas, fim.F)
         floor = 0.5 * np.max(np.abs(fim.F_null))
         assert all(r["max_abs_dev"] >= floor for r in rows)
+
+    def test_a_null_outcome_under_the_probability_threshold_drops_f_null(self, ex2_setup):
+        # the study sums only outcomes above tol.prob: at delta = 1e-5 along
+        # the uniform direction example2's null outcome has probability
+        # 7.8e-11, so the row reads the whole null part of the QFIM
+        mdl, _, _, slds, built = ex2_setup
+        fim = sld.qfim(slds)
+        delta = 1e-5 * np.ones(2) / np.sqrt(2.0)
+        probs, _ = povm.outcome_table(built, model.eval_bundle(mdl, THETA_EX2 + delta))
+        assert 0.0 < probs[built.null_indices[0]] < DEFAULT.prob
+        [row] = estimate.fc_convergence_study(mdl, built, THETA_EX2, [delta], fim.F)
+        assert abs(row["max_abs_dev"] - np.max(np.abs(fim.F_null))) <= 1e-6
 
     def test_csv_format(self, ex2_setup):
         mdl, _, _, slds, built = ex2_setup

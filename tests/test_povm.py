@@ -199,7 +199,7 @@ class TestVerifyOptimality:
     @pytest.mark.parametrize("name", SATURABLE)
     def test_constructed_povm_passes(self, name):
         _, bundle, dec, slds, report, built = construct_for(name)
-        out = povm.verify_optimality(built, slds, dec)
+        out = povm.verify_optimality(built, slds)
         assert out.passed
         assert all(x <= 1e-8 for x in out.block_offdiag)
         assert out.null_sum_residual <= 1e-8
@@ -207,7 +207,7 @@ class TestVerifyOptimality:
     def test_example2_constants(self, ex2_pipeline):
         bundle, dec, slds, report = ex2_pipeline
         built = optimal_povm(bundle.rho, slds)
-        out = povm.verify_optimality(built, slds, dec)
+        out = povm.verify_optimality(built, slds)
         reg_consts = sorted(round(float(c.constants[0]), 6) for c in out.regular)
         assert reg_consts == [round(-4.0 / 3.0, 6), 4.0]
         assert all(np.allclose(c.constants[1], 0.0, atol=1e-9) for c in out.regular)
@@ -218,7 +218,7 @@ class TestVerifyOptimality:
     def test_identity_povm_fails(self, ex2_pipeline):
         bundle, dec, slds, _ = ex2_pipeline
         ident, _ = povm.make_povm([np.eye(3)], bundle.rho, dec)
-        out = povm.verify_optimality(ident, slds, dec)
+        out = povm.verify_optimality(ident, slds)
         assert not out.passed
         assert out.regular[0].residual > 1e-2
 
@@ -228,7 +228,7 @@ class TestVerifyOptimality:
             eig = np.linalg.eigh(pauli(axis))[1]
             effects = [np.outer(eig[:, j], eig[:, j].conj()) for j in range(2)]
             pv, _ = povm.make_povm(effects, bundle.rho, dec)
-            out = povm.verify_optimality(pv, slds, dec)
+            out = povm.verify_optimality(pv, slds)
             assert not out.passed
 
 
@@ -239,8 +239,8 @@ class TestCanonicalize:
         reg = [effects(built)[k] for k in built.regular_indices]
         padded = [r + 0.5 * (dec.Y @ linalg.dag(dec.Y)) for r in reg]
         pv, _ = povm.make_povm(padded, bundle.rho, dec)
-        assert povm.verify_optimality(pv, slds, dec).passed
-        canon = povm.canonicalize(pv, dec, slds)
+        assert povm.verify_optimality(pv, slds).passed
+        canon = povm.canonicalize(pv, dec)
         assert len(canon.ranks) == 4
         assert canon.labels.count("null") == 2
         null_sum = sum(
@@ -253,12 +253,12 @@ class TestCanonicalize:
             np.real(np.trace(bundle.rho @ effects(canon)[k])) for k in canon.regular_indices
         ]
         assert np.allclose(sorted(probs_before), sorted(probs_after), atol=1e-12)
-        assert povm.verify_optimality(canon, slds, dec).passed
+        assert povm.verify_optimality(canon, slds).passed
 
     def test_already_canonical_unchanged(self, ex2_pipeline):
         bundle, dec, slds, report = ex2_pipeline
         built = optimal_povm(bundle.rho, slds)
-        canon = povm.canonicalize(built, dec, slds)
+        canon = povm.canonicalize(built, dec)
         assert len(canon.ranks) == len(built.ranks)
         for a, b in zip(effects(canon), effects(built)):
             assert np.max(np.abs(a - b)) <= 1e-12
@@ -269,7 +269,7 @@ class TestCanonicalize:
         effect = np.outer(mix, mix.conj())
         pv, _ = povm.make_povm([effect, np.eye(3) - effect], bundle.rho, dec)
         with pytest.raises(NotBlockDiagonal):
-            povm.canonicalize(pv, dec, slds)
+            povm.canonicalize(pv, dec)
 
 
 class TestClassicalFI:
@@ -353,7 +353,7 @@ class TestSaturation:
         perm = rng.permutation(len(built.ranks))
         shuffled, _ = povm.make_povm([effects(built)[i] for i in perm], bundle.rho, dec)
         assert povm.saturation_check(shuffled, slds, bundle).passed
-        assert povm.verify_optimality(shuffled, slds, dec).passed
+        assert povm.verify_optimality(shuffled, slds).passed
 
     def test_verdict_invariant_under_regauge(self, ex2_pipeline, example2):
         bundle, dec, slds, report = ex2_pipeline
@@ -364,7 +364,7 @@ class TestSaturation:
         regauged = dec._replace(V=dec.V @ phases, Y=dec.Y @ y_mix)
         slds2 = sld.compute_slds(bundle, regauged)
         assert povm.saturation_check(built, slds2, bundle).passed
-        assert povm.verify_optimality(built, slds2, regauged).passed
+        assert povm.verify_optimality(built, slds2).passed
 
 
 class TestClosureProperties:
@@ -374,7 +374,7 @@ class TestClosureProperties:
         for name in SATURABLE:
             _, bundle, dec, slds, report, built = construct_for(name)
             if (
-                povm.verify_optimality(built, slds, dec).passed
+                povm.verify_optimality(built, slds).passed
                 and povm.saturation_check(built, slds, bundle).passed
             ):
                 assert report.c1.passed and report.c3.passed
@@ -405,7 +405,7 @@ class TestClosureProperties:
         bundle, dec, slds, report = pipeline(mdl, np.array([0.7]))
         assert report.classification == "SaturableProjective"
         built = optimal_povm(bundle.rho, slds)
-        assert povm.verify_optimality(built, slds, dec).passed
+        assert povm.verify_optimality(built, slds).passed
         out = povm.saturation_check(built, slds, bundle)
         assert out.passed
         assert np.isclose(sld.qfim(slds).F[0, 0], 4.0, atol=1e-9)

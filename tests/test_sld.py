@@ -5,8 +5,8 @@ from qcrb import blocks, linalg, model, sld
 from qcrb.errors import NoFactorization, RankDrift
 
 from conftest import THETA_DIAG, THETA_EX2, THETA_PURE, WORKING_POINTS, pipeline
-from util import (aligned_offdiag, block_of, embed_parts, embed_sld, rank2_path_model,
-                  sylvester_sld)
+from util import (aligned_offdiag, block_of, decompose_rho, embed_parts, embed_sld,
+                  random_hermitian, random_unitary, rank2_path_model, sylvester_sld)
 
 
 def _factorization_frames(mdl, theta):
@@ -92,6 +92,37 @@ class TestRandomFamilies:
             ours = embed_sld(slds, l)
             oracle = sylvester_sld(bundle.rho, bundle.drho[l])
             assert np.max(np.abs(ours - oracle)) <= 1e-8
+
+    @pytest.mark.parametrize("n_s", range(2, 9))
+    def test_random_states_match_the_dense_oracle(self, n_s):
+        # rho = U diag(q, 0) U^dag with every rank r_plus <= n_s and weights
+        # of at least 0.05 before normalising; each derivative has a zero 00
+        # block and a traceless ++ block, so it is tangent to the rank
+        worst_sld = worst_fim = 0.0
+        for seed in range(40):
+            rng = np.random.default_rng([n_s, seed])
+            r_plus, p = int(rng.integers(1, n_s + 1)), int(rng.integers(1, 4))
+            u = random_unitary(rng, n_s)
+            q = np.zeros(n_s)
+            q[:r_plus] = rng.uniform(0.05, 1.0, r_plus)
+            rho = (u * (q / q.sum())) @ u.conj().T
+            drho = []
+            for _ in range(p):
+                d = random_hermitian(rng, n_s)
+                d[r_plus:, r_plus:] = 0.0
+                d[:r_plus, :r_plus] -= np.trace(d[:r_plus, :r_plus]).real / r_plus * np.eye(r_plus)
+                drho.append(u @ d @ u.conj().T)
+            bundle = model.StateBundle(theta=np.zeros(p), rho=rho, drho=tuple(drho))
+            slds = sld.compute_slds(bundle, decompose_rho(rho))
+            oracle = [sylvester_sld(rho, d) for d in drho]
+            for l in range(p):
+                dev = np.max(np.abs(embed_sld(slds, l) - oracle[l]))
+                worst_sld = max(worst_sld, dev / np.max(np.abs(oracle[l])))
+            f_oracle = np.array([[0.5 * np.real(np.trace(rho @ (a @ b + b @ a))) for b in oracle]
+                                 for a in oracle])
+            dev = np.max(np.abs(sld.qfim(slds).F - f_oracle))
+            worst_fim = max(worst_fim, dev / np.max(np.abs(f_oracle)))
+        assert worst_sld <= 1e-11 and worst_fim <= 1e-11
 
     @pytest.mark.parametrize("seed", range(10))
     def test_two_paths_agree_on_random_families(self, seed):

@@ -13,11 +13,13 @@ working directory, as cold ``python -m qcrb.cli`` processes with one
 BLAS thread: ``analyze``; ``construct`` with ``--out``/``--report`` and
 to stdout; and, for every config whose POVM file was written,
 ``verify``, ``simulate``, ``simulate --delta`` and ``simulate --study``,
-then ``verify`` and ``simulate --delta`` on the effects-form copy of
-that file (E_k = F_k F_k^dag for each group F_k of its frame), which
-exercises the effects path, ``validate_effects``.  The copy is made from
-the POVM file PARENT_TREE writes, so both trees read the same effects
-file.
+then ``verify`` and ``simulate --delta`` on two effects-form copies of
+that file: the effects E_k = F_k F_k^dag for each group F_k of its
+frame, which exercise the effects path, ``validate_effects``, and a
+split copy in which each E_k becomes two effects 0.5 E_k, a POVM that
+is not projective and has repeated null effects.  The copies are made
+from the POVM file PARENT_TREE writes, so both trees read the same
+effects files.
 
 Exit codes and stderr are compared byte for byte.  Reports (on stdout or
 in files), POVM files and study CSVs are compared by value: every field
@@ -84,21 +86,25 @@ def write_configs(tree: Path, work: Path) -> dict[str, int]:
     return {k: len(v.get("theta") or v["center"]) for k, v in configs.items()}
 
 
-def write_effects(povm: Path, path: Path) -> None:
-    """Write the frame file ``povm``'s effects G_k G_k^dag as an effects-form POVM file."""
+def write_effects(povm: Path, path: Path, split: bool) -> None:
+    """Write the frame file ``povm``'s effects G_k G_k^dag as an effects-form POVM file.
+
+    With ``split`` each effect E_k is written as two effects 0.5 E_k.
+    """
     payload = json.loads(povm.read_text())
     parts = np.array(payload["frame"])
     frame = parts[..., 0] + 1j * parts[..., 1]
     edges = np.cumsum([0, *payload["ranks"]])
     effects = [frame[:, a:b] @ frame[:, a:b].conj().T for a, b in zip(edges, edges[1:])]
+    if split:
+        effects = [0.5 * e for e in effects for _ in range(2)]
     path.write_text(json.dumps({"effects": [np.stack((e.real, e.imag), -1).tolist()
                                             for e in effects]}))
 
 
 def outputs(tree: Path, work: Path, counts: dict[str, int]) -> dict[str, bytes]:
-    env = {k: v for k, v in os.environ.items() if k != "QCRB_SEED"}
-    env.update(PYTHONPATH=str(tree / "src"), OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OMP_NUM_THREADS": "1",
+           "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     out, got = work / "out", {}
     shutil.rmtree(out, ignore_errors=True)
     out.mkdir()
@@ -123,13 +129,14 @@ def outputs(tree: Path, work: Path, counts: dict[str, int]) -> dict[str, bytes]:
             "--out", f"out/{name}.delta.json")
         run(f"{name}.study", "simulate", cfg, povm, "--study", "1e-1,1e-2,1e-3",
             "--csv", f"out/{name}.csv", "--out", f"out/{name}.study.json")
-        effects = f"{name}.effects.json"   # outside out/: the first tree's copy is kept
-        if not (work / effects).exists():
-            write_effects(work / povm, work / effects)
-        run(f"{name}.effects-verify", "verify", cfg, effects,
-            "--out", f"out/{name}.effects-verify.json")
-        run(f"{name}.effects-delta", "simulate", cfg, effects, "--delta", *["0"] * (p - 1),
-            "0.05", "--out", f"out/{name}.effects-delta.json")
+        for form in ("effects", "split"):
+            effects = f"{name}.{form}.json"   # outside out/: the first tree's copy is kept
+            if not (work / effects).exists():
+                write_effects(work / povm, work / effects, split=form == "split")
+            run(f"{name}.{form}-verify", "verify", cfg, effects,
+                "--out", f"out/{name}.{form}-verify.json")
+            run(f"{name}.{form}-delta", "simulate", cfg, effects, "--delta", *["0"] * (p - 1),
+                "0.05", "--out", f"out/{name}.{form}-delta.json")
     got.update({f"file {path.name}": path.read_bytes() for path in sorted(out.iterdir())})
     return got
 
