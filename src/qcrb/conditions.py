@@ -131,9 +131,10 @@ def verify_W(slds: SldSet, w: Array, tol: Tolerances = DEFAULT) -> WCandidate:
 
     Each column s goes through :func:`linalg.ratio_table` at ``tol.zero``
     and ``tol.cond``: a pair whose columns both vanish is unconstrained,
-    one with exactly one vanishing fails, otherwise the ratio must be real
-    and the relative residual small.  Returns W as a candidate, certified when
-    every column passes, with the lam table (p x p x r0, NaN where
+    one with exactly one vanishing fails, otherwise the residual of the
+    real fit, the sine of the real angle between the columns, must be
+    small.  Returns W as a candidate, certified when every column passes,
+    with the worst residual, the lam table (p x p x r0, NaN where
     unconstrained, 1 on the diagonal) and the columns s at which every
     Lpz_l W vanishes (norm at most ``tol.zero``).
     """
@@ -148,8 +149,8 @@ def verify_W(slds: SldSet, w: Array, tol: Tolerances = DEFAULT) -> WCandidate:
     lam = np.full((slds.p, slds.p, r0), np.nan)
     worst, passed = 0.0, True
     for s in range(r0):
-        lam[:, :, s], resid, imag, ok = linalg.ratio_table(list(cols[:, :, s]), tol.zero, tol.cond)
-        worst, passed = max(worst, resid, imag), passed and ok
+        lam[:, :, s], resid, ok = linalg.ratio_table(list(cols[:, :, s]), tol.zero, tol.cond)
+        worst, passed = max(worst, resid), passed and ok
     zero = np.all(np.linalg.norm(cols, axis=1) <= tol.zero, axis=0)
     return WCandidate(certified=passed, residual=worst, W=w, lambda_=lam,
                       zero_columns=tuple(np.flatnonzero(zero).tolist()))

@@ -28,7 +28,7 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 from .errors import NegativeProbability, NoConvergence, ParseError, SingularFisher
 from .model import StateModel, eval_bundle
-from .povm import Povm, classical_fi, fisher_information, outcome_table
+from .povm import Povm, fisher_information, outcome_table
 
 Array = np.ndarray
 
@@ -124,18 +124,21 @@ def fc_convergence_study(model: StateModel, povm: Povm, theta, deltas, f_theta,
     matrix at theta + delta over the outcomes above ``tol.prob`` and
     tabulates the max-norm deviation from ``f_theta``, the QFIM F(theta).
     For an optimal POVM it shrinks as delta -> 0 until the null outcomes,
-    of probability ~ delta^2, fall under ``tol.prob`` and F_null drops out.
+    of probability ~ delta^2, fall under ``tol.prob`` and F_null drops out;
+    each row's ``excluded_outcome_mass``, the probability of the outcomes
+    left out, tells that plateau from a failure to converge.
     """
     theta = np.asarray(theta, dtype=float)
     rows = []
     for delta in deltas:
         delta = np.asarray(delta, dtype=float)
-        bundle = eval_bundle(model, theta + delta, tol=tol)
-        f_c = classical_fi(povm, bundle, tol)
+        probs, grads = outcome_table(povm, eval_bundle(model, theta + delta, tol=tol))
+        f_c = fisher_information(probs, grads, tol)
         rows.append(
             {
                 "delta": float(np.linalg.norm(delta)),
                 "max_abs_dev": float(np.max(np.abs(f_c - f_theta))),
+                "excluded_outcome_mass": float(np.clip(probs[probs <= tol.prob], 0.0, None).sum()),
             }
         )
     return rows

@@ -170,15 +170,20 @@ def comm_norm(a, b) -> float:
     return fro(a @ b - b @ a)
 
 
-def real_ratio(u: Array, v: Array, zero: float,
-               gate: float) -> tuple[float, float, float, bool] | None:
+def real_ratio(u: Array, v: Array, zero: float, gate: float) -> tuple[float, float, bool] | None:
     """Fit ``u ~ c v`` with a real constant c, for the real-proportionality tests.
 
     Returns None when both u and v are zero (norm <= ``zero``): the pair is
-    unconstrained.  Otherwise returns ``(c, residual, imag, ok)`` with
-    c = Re<v,u>/|v|^2, residual = |u - c v| / max(|u|, |v|), imag =
-    |Im<v,u>|/|v|^2, and ok when both are within ``gate``.  When exactly one
-    of them is zero, c is NaN, the residual is 1 and the pair fails.
+    unconstrained.  Otherwise returns ``(c, residual, ok)`` with
+    c = Re<v,u>/|v|^2, residual = |u - c v| / max(|u|, |v|), and ok when
+    the residual is within ``gate``.  When exactly one of them is zero, c
+    is NaN, the residual is 1 and the pair fails.
+
+    The residual alone judges realness.  As real vectors, c v is u's
+    projection onto v and Im<v,u> / |v| its component along i v, which is
+    orthogonal to v; so in the order |u| >= |v|, where the residual is the
+    sine of the real angle, Cauchy-Schwarz gives |Im<v,u>| / (|u| |v|) <=
+    residual, and u = i v has c = 0 and residual 1.
 
     The two orders of a pair agree: with c' the constant of ``v ~ c' u``,
     1 - c c' = |u - c v|^2/|u|^2 = |v - c' u|^2/|v|^2, so when both fits
@@ -188,30 +193,29 @@ def real_ratio(u: Array, v: Array, zero: float,
     if max(nu, nv) <= zero:
         return None
     if min(nu, nv) <= zero:
-        return math.nan, 1.0, 0.0, False
-    raw = complex(np.vdot(v, u)) / (nv * nv)
-    resid = fro(u - raw.real * v) / max(nu, nv)
-    return raw.real, resid, abs(raw.imag), resid <= gate and abs(raw.imag) <= gate
+        return math.nan, 1.0, False
+    c = float(np.vdot(v, u).real) / (nv * nv)
+    resid = fro(u - c * v) / max(nu, nv)
+    return c, resid, resid <= gate
 
 
-def ratio_table(vecs: list[Array], zero: float, gate: float) -> tuple[Array, float, float, bool]:
+def ratio_table(vecs: list[Array], zero: float, gate: float) -> tuple[Array, float, bool]:
     """:func:`real_ratio` over every ordered pair (l, m) of ``vecs``.
 
     Returns the p x p table of constants c_lm (1 on the diagonal, NaN where
-    the pair is unconstrained), the worst residual, the worst imaginary
-    defect, and whether every pair passed.
+    the pair is unconstrained), the worst residual, and whether every pair
+    passed.
     """
     p = len(vecs)
     table = np.full((p, p), np.nan)
     np.fill_diagonal(table, 1.0)
-    worst = imag_worst = 0.0
-    ok = True
+    worst, ok = 0.0, True
     for l, m in itertools.permutations(range(p), 2):
         fit = real_ratio(vecs[l], vecs[m], zero, gate)
         if fit is not None:
-            table[l, m], resid, imag, pair_ok = fit
-            worst, imag_worst, ok = max(worst, resid), max(imag_worst, imag), ok and pair_ok
-    return table, worst, imag_worst, ok
+            table[l, m], resid, pair_ok = fit
+            worst, ok = max(worst, resid), ok and pair_ok
+    return table, worst, ok
 
 
 def _split(block: Array, mat: Array, width: float) -> tuple[list[Array], float]:

@@ -5,9 +5,9 @@ An effect is *regular* at rho when tr(rho E) exceeds the probability
 threshold and *null* otherwise.  A measurement saturates the QCRB exactly
 when every regular effect reproduces each SLD on the range up to a real
 constant and every null effect relates the +0 blocks of each SLD pair by
-a real constant — those constants are extracted here by least squares
-with explicit realness gates, and the resulting classical information is
-compared against the regular/null split of the QFIM.
+a real constant — those constants are extracted here by real least
+squares, whose residual alone gates them, and the resulting classical
+information is compared against the regular/null split of the QFIM.
 
 A :class:`Povm` is held as column factors: effect k is G_k G_k^dag, G_k
 the k-th group of ``ranks[k]`` columns of one n_s x R matrix G.  The
@@ -83,7 +83,6 @@ class EffectCheck(NamedTuple):
     label: str
     constants: Array          # p vector (regular) or p x p table (null)
     residual: float
-    imag_defect: float
     ok: bool
 
 
@@ -244,6 +243,10 @@ def verify_optimality(povm: Povm, slds: SldSet, tol: Tolerances = DEFAULT) -> Op
     for every ordered pair, by :func:`linalg.ratio_table` at ``tol.cond``.
     With A = V^dag G and B = Y^dag G, E_k P_+ V = G_k A_k^dag, E_k L_l P_+ V
     = G_k (A_k^dag Lpp_l + B_k^dag Lpz_l^dag) and E_00 = B_k B_k^dag.
+    A regular effect's residual |E L_l P_+ - c_l E P_+| / (|E P_+| (1 +
+    ||L_l||)), at the real least-squares c_l, alone judges it: the ratio's
+    imaginary part is the component along i E P_+, so |Im c_l| <=
+    residual (1 + ||L_l||).
     """
     p, dec = slds.p, slds.dec
     g = povm.G
@@ -260,29 +263,20 @@ def verify_optimality(povm: Povm, slds: SldSet, tol: Tolerances = DEFAULT) -> Op
     for k in povm.regular_indices:
         s = groups[k]
         base = g[:, s] @ linalg.dag(a[:, s])
-        base_sq = linalg.fro(base) ** 2
-        consts = np.zeros(p)
-        worst = imag_worst = 0.0
-        ok = base_sq > 0.0
-        for l in range(p):
-            target = g[:, s] @ l_range[l][s]
-            raw = complex(np.vdot(base, target)) / base_sq
-            consts[l] = raw.real
-            resid = linalg.fro(target - raw.real * base) / (linalg.fro(base) * (1.0 + l_norm[l]))
-            worst = max(worst, resid)
-            imag_worst = max(imag_worst, abs(raw.imag))
-            if resid > tol.cond or abs(raw.imag) > tol.cond:
-                ok = False
+        targets = [g[:, s] @ l_range[l][s] for l in range(p)]
+        consts = np.array([np.vdot(base, t).real for t in targets]) / linalg.fro(base) ** 2
+        worst = max(linalg.fro(t - c * base) / (linalg.fro(base) * (1.0 + n))
+                    for t, c, n in zip(targets, consts, l_norm))
         regular_checks.append(EffectCheck(index=k, label=REGULAR, constants=consts,
-                                          residual=worst, imag_defect=imag_worst, ok=ok))
+                                          residual=worst, ok=worst <= tol.cond))
         offdiag.append(linalg.fro(a[:, s] @ linalg.dag(b[:, s])))
 
     for k in povm.null_indices:
         e00 = b[:, groups[k]] @ linalg.dag(b[:, groups[k]])
-        consts, worst, imag_worst, ok = linalg.ratio_table(
+        consts, worst, ok = linalg.ratio_table(
             [e00 @ linalg.dag(lpz) for lpz in slds.Lpz], tol.zero, tol.cond)
         null_checks.append(EffectCheck(index=k, label=NULL, constants=consts,
-                                       residual=worst, imag_defect=imag_worst, ok=ok))
+                                       residual=worst, ok=ok))
 
     b_null = b[:, povm.null_mask]
     return OptimalityReport(
@@ -315,11 +309,6 @@ def fisher_information(probs: Array, grads: Array, tol: Tolerances = DEFAULT) ->
     return (g[:, :, None] * g[:, None, :] / probs[kept, None, None]).sum(axis=0)
 
 
-def classical_fi(povm: Povm, bundle: StateBundle, tol: Tolerances = DEFAULT) -> Array:
-    """Classical Fisher information of the outcome distribution of ``povm`` at ``bundle``."""
-    return fisher_information(*outcome_table(povm, bundle), tol)
-
-
 def null_component_sum(povm: Povm, slds: SldSet) -> Array:
     """Limiting information carried by the null effects.
 
@@ -341,7 +330,7 @@ def saturation_check(povm: Povm, slds: SldSet, bundle: StateBundle,
     when the null 00 blocks sum to the identity on the null space.
     """
     fim = qfim(slds)
-    f_c = classical_fi(povm, bundle, tol)
+    f_c = fisher_information(*outcome_table(povm, bundle), tol)
     n_sum = null_component_sum(povm, slds)
     scale = tol.sat * (1.0 + float(np.max(np.abs(fim.F))))
     res_reg = float(np.max(np.abs(f_c - fim.F_reg)))

@@ -23,7 +23,7 @@ from qcrb.config import Tolerances
 from qcrb.model import build_model, stencil_payload
 
 from conftest import WORKING_POINTS
-from util import dense_saturable_config, planted_stencil, random_unitary
+from util import dense_saturable_config, planted_stencil, random_unitary, scaled_planted
 
 SCHEMA = json.loads(
     (Path(qcrb.__file__).parent / "report_schema.json").read_text(encoding="utf-8")
@@ -454,6 +454,39 @@ def test_an_injective_block_lets_condition3_decide_condition4(tmp_path, r_plus, 
     code, analysis, _, _ = _analyze_and_construct(tmp_path, _injective_family(*shape, 1e-3))
     assert (code, analysis["conditions"]["classification"]) == (2, "NecessaryFailed")
     assert not analysis["conditions"]["c3"]["passed"]
+
+
+def _verify_written(tmp_path) -> int:
+    code, _ = run_to_file(tmp_path, ["verify", str(tmp_path / "model.json"),
+                                     str(tmp_path / "povm.json")])
+    return code
+
+
+@pytest.mark.parametrize("shape, seed", [((2, 2, 2), 113), ((3, 3, 2), 126),
+                                         ((2, 2, 3), 116), ((2, 2, 3), 121)])
+def test_a_rescaled_parameter_keeps_analyze_and_construct_together(tmp_path, shape, seed):
+    # theta_0 rescaled by 1e-6: a null effect's rows for parameters 0 and
+    # 1 differ in length by about 1e6, so the imaginary part of their
+    # ratio, in the ratio's units, is up to 1e6 times the real-angle
+    # residual, and a gate on it failed effects whose residual passed;
+    # with the residual the one judge, construct writes and verify accepts
+    # the frame analyze certifies
+    code, analysis, built, _ = _analyze_and_construct(tmp_path, scaled_planted(shape, seed, 1e-6))
+    assert (code, analysis["conditions"]["classification"]) == (0, "SaturableProjective")
+    assert built == 0 and _verify_written(tmp_path) == 0
+
+
+def test_analyze_0_implies_construct_0_over_scaled_planted_families(tmp_path):
+    # whenever analyze certifies a family, construct writes a POVM that
+    # passes both sections (_analyze_and_construct) and verify accepts it
+    codes = []
+    for k in (1e-6, 1.0, 1e4):
+        for shape in ((2, 2, 2), (3, 3, 2), (3, 2, 2), (2, 2, 3)):
+            for seed in (100, 101):
+                code, *_ = _analyze_and_construct(tmp_path, scaled_planted(shape, seed, k))
+                assert code != 0 or _verify_written(tmp_path) == 0, (k, shape, seed)
+                codes.append(code)
+    assert codes.count(0) >= 20, codes
 
 
 def test_one_cond_override_moves_every_identity_gate(tmp_path):

@@ -8,7 +8,8 @@ from qcrb.errors import NoFactorization, NotUnitary
 from qcrb.model import StateBundle
 
 from conftest import THETA_EX2, THETA_FIXED, pipeline
-from util import decompose_rho, embed_parts, embed_sld, optimal_povm, pauli, random_unitary
+from util import (basis_povm, decompose_rho, embed_parts, embed_sld, optimal_povm, pauli,
+                  random_unitary)
 
 
 def engineered_family(seed):
@@ -241,9 +242,19 @@ class TestVerifyW:
         assert np.isclose(checked.lambda_[0, 1, 0], 0.5, atol=1e-9)
 
     def test_imaginary_ratio_fails(self):
+        # Lpz_2 w = i Lpz_1 w: verify_W rejects the column and
+        # verify_optimality the null effect on it, each at residual 1
         v = np.array([[1.0], [2.0]], dtype=complex)
         slds = make_slds([np.zeros((2, 2))] * 2, [v, 1j * v], [0.5, 0.5])
-        assert not conditions.verify_W(slds, np.array([[1.0]])).certified
+        checked = conditions.verify_W(slds, np.array([[1.0]]))
+        assert not checked.certified and abs(checked.residual - 1.0) <= 1e-15
+        rho = np.diag([0.5, 0.5, 0.0]).astype(complex)
+        basis, _ = povm.make_povm(basis_povm(3), rho, slds.dec)
+        out = povm.verify_optimality(basis, slds)
+        assert [c.ok for c in out.regular] == [True, True] and not out.passed
+        [null] = out.null
+        assert not null.ok and abs(null.residual - 1.0) <= 1e-15
+        assert np.allclose(null.constants, np.eye(2), rtol=0.0, atol=1e-15)
 
     def test_single_vanishing_partner_fails(self):
         v = np.array([[1.0], [0.0]], dtype=complex)

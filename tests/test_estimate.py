@@ -167,8 +167,12 @@ class TestConvergenceStudy:
         delta = 1e-5 * np.ones(2) / np.sqrt(2.0)
         probs, _ = povm.outcome_table(built, model.eval_bundle(mdl, THETA_EX2 + delta))
         assert 0.0 < probs[built.null_indices[0]] < DEFAULT.prob
-        [row] = estimate.fc_convergence_study(mdl, built, THETA_EX2, [delta], fim.F)
+        [row, far] = estimate.fc_convergence_study(mdl, built, THETA_EX2, [delta, 1e4 * delta],
+                                                   fim.F)
         assert abs(row["max_abs_dev"] - np.max(np.abs(fim.F_null))) <= 1e-6
+        # the row says which outcomes it left out, as a simulation does
+        assert row["excluded_outcome_mass"] == probs[built.null_indices[0]] > 0.0
+        assert far["excluded_outcome_mass"] == 0.0
 
     def test_csv_format(self, ex2_setup):
         mdl, _, _, slds, built = ex2_setup

@@ -439,12 +439,34 @@ class TestRealRatio:
             v = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
             w = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
             u = rng.normal() * v + 2.0 * gate * rng.uniform() * linalg.fro(v) * w / linalg.fro(w)
-            c_lm, _, _, ok_lm = linalg.real_ratio(u, v, DEFAULT.zero, gate)
-            c_ml, _, _, ok_ml = linalg.real_ratio(v, u, DEFAULT.zero, gate)
+            c_lm, _, ok_lm = linalg.real_ratio(u, v, DEFAULT.zero, gate)
+            c_ml, _, ok_ml = linalg.real_ratio(v, u, DEFAULT.zero, gate)
             if ok_lm and ok_ml:
                 checked += 1
                 assert abs(c_lm * c_ml - 1.0) <= gate ** 2 + 1e-14
         assert 50 <= checked < 500
+
+    @pytest.mark.parametrize("gate", [1e-8, 1e-2, 0.5])
+    def test_a_complex_ratio_fails_with_residual_one(self, gate):
+        # as real vectors i v is orthogonal to v, so the real fit is c = 0
+        # and leaves all of u: the residual alone rejects an imaginary ratio
+        rng = np.random.default_rng(29)
+        v = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+        for u, w in ((1j * v, v), (v, 1j * v)):
+            c, resid, ok = linalg.real_ratio(u, w, DEFAULT.zero, gate)
+            assert abs(c) <= 1e-15 and abs(resid - 1.0) <= 1e-15 and not ok
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_the_residual_bounds_the_imaginary_part_of_the_ratio(self, seed):
+        # Cauchy-Schwarz: |Im<v,u>| / (|u| |v|) <= residual in the order |u| >= |v|
+        rng = np.random.default_rng(300 + seed)
+        v = rng.normal(size=(4, 1)) + 1j * rng.normal(size=(4, 1))
+        u = rng.normal() * v + 10.0 ** rng.uniform(-9, 0) * rng.normal(size=(4, 1)) * 1j
+        if linalg.fro(u) < linalg.fro(v):
+            u, v = v, u
+        _, resid, _ = linalg.real_ratio(u, v, DEFAULT.zero, 1e-8)
+        imag = abs(np.vdot(v, u).imag) / (linalg.fro(u) * linalg.fro(v))
+        assert imag <= resid * (1.0 + 1e-12)
 
 
 class TestSerialization:

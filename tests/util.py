@@ -143,6 +143,29 @@ def planted_stencil(q, lpp, lpz=None, h: float = 1e-3) -> dict:
             "rho_center": linalg.matrix_to_json(rho), "rho_plus": plus, "rho_minus": minus}
 
 
+def scaled_planted(shape, seed: int, k: float) -> dict:
+    """A saturable planted stencil of ``shape`` (r_plus, r_zero, p) in which theta_0 is rescaled.
+
+    Drawn from ``default_rng(seed)``: q uniform in [0.2, 1), normalised;
+    each lpp_l standard normal less its q-weighted mean; C complex normal
+    with unit columns, W a random unitary and a standard normal p x r_zero,
+    so Lpz_l = C diag(a_l) W^dag.  Parameter 0's blocks are then multiplied
+    by k, the change of units theta_0 -> theta_0 / k, and the stencil step
+    is min(1e-3, 1e-3 / k).
+    """
+    r_plus, r_zero, p = shape
+    rng = np.random.default_rng(seed)
+    q = rng.uniform(0.2, 1.0, r_plus)
+    q = q / q.sum()
+    lpp = [x - q @ x for x in rng.standard_normal((p, r_plus))]
+    c = rng.standard_normal((r_plus, r_zero)) + 1j * rng.standard_normal((r_plus, r_zero))
+    c = c / np.linalg.norm(c, axis=0)
+    w_dag = random_unitary(rng, r_zero).conj().T
+    lpz = [c @ np.diag(a) @ w_dag for a in rng.standard_normal((p, r_zero))]
+    lpp[0], lpz[0] = k * lpp[0], k * lpz[0]
+    return planted_stencil(q, lpp, lpz, h=min(1e-3, 1e-3 / k))
+
+
 def planted_groups() -> dict:
     """A saturable planted stencil, r_zero = 4, with a two-column group in U and in W.
 
