@@ -101,7 +101,10 @@ def _model_json(model: StateModel) -> dict:
 
 
 def _factorization_order(model: StateModel, theta, dec) -> Optional[np.ndarray]:
-    """Map the descending eigenvalues back to the model's own weight order."""
+    """The model factorization's weights at theta, in its own order (not ``dec.q``'s), or None.
+
+    None for a model without one (stencils, ``qubit_xy``) or a count other than ``dec.r_plus``.
+    """
     try:
         _, _, q_model = factorization_at(model, np.asarray(theta, dtype=float))
     except QcrbError:   # NoFactorization included

@@ -5,9 +5,9 @@ below.  They are all overridable (CLI ``--tol name=value``) and every
 report echoes the table that was actually used, so numerical decisions
 stay auditable.  Unless stated otherwise a tolerance is applied
 relative to ``1 + ||.||_F`` of the operands.  No CLI run reads the
-difference step ``model.FD_STEP`` or condition 2's PDE gate, and
-``linalg.HERM_GATE`` guards only eigensolve inputs that are Hermitian by
-construction or gated by a value below, so none of the three is here.
+difference step ``model.FD_STEP`` or condition 2's PDE gate, so neither
+is here; callers make every eigensolve input exactly Hermitian, so
+:mod:`linalg` holds no hermiticity gate.
 Every exact identity (commutators, effect constants, null-column ratios,
 projectivity) is judged at ``cond``, and joint eigenvalues count as equal
 at that same gate, so grouping and judging cannot disagree.

@@ -9,10 +9,6 @@ class DimensionMismatch(QcrbError):
     """Operands have incompatible shapes."""
 
 
-class NotHermitian(QcrbError):
-    """Matrix fails the hermiticity gate."""
-
-
 class NoConvergence(QcrbError):
     """LAPACK reported that a factorization did not converge."""
 

@@ -1,20 +1,20 @@
-"""Dense complex linear algebra: gated LAPACK factorizations and one gauge rule.
+"""Dense complex linear algebra: LAPACK factorizations and one gauge rule.
 
-All routines work on plain complex ``numpy`` arrays.  The factorizations
-come from LAPACK through ``numpy.linalg``; this module adds their gates
-and the one gauge rule, and reads no tolerance table:
+All routines work on plain complex ``numpy`` arrays that the package
+built.  The factorizations come from LAPACK through ``numpy.linalg``;
+this module maps a LAPACK failure to NoConvergence, adds the one gauge
+rule, gates nothing else and reads no tolerance table.  Outside input
+is gated where it enters (:func:`as_matrix`, :func:`from_json`).
 
 * One gauge rule, :func:`fix_gauge`, for every written basis of a subspace:
   each group's columns become a basis that depends only on its projector,
   so a written basis depends only on the measurement, not on LAPACK.
-* Hermitian eigendecomposition (``eigh``) with ascending eigenvalues and
-  LAPACK's eigenvectors, ungauged.  Its inputs are Hermitian by
-  construction or gated by the caller, so its hermiticity gate is the
-  constant ``HERM_GATE``.
-  LAPACK is backward stable, so an eigenvalue is accurate to about
-  n*eps*||A|| in absolute terms, not relative to its own size; callers
-  that cut a spectrum at a threshold must treat values within that band
-  of it as ambiguous.
+* Hermitian eigendecomposition (``eigh``) of a matrix its caller made
+  exactly Hermitian, with ascending eigenvalues and LAPACK's
+  eigenvectors, ungauged.  LAPACK is backward stable, so an eigenvalue
+  is accurate to about n*eps*||A|| in absolute terms, not relative to
+  its own size; callers that cut a spectrum at a threshold must treat
+  values within that band of it as ambiguous.
 * SVD (``svd``) and the Moore-Penrose pseudoinverse (``pinv``) with
   relative singular-value truncation at a cut the caller passes: plain
   ``numpy.linalg`` calls that map a LAPACK failure to NoConvergence.
@@ -42,14 +42,10 @@ from .errors import (
     DimensionMismatch,
     InvalidState,
     NoConvergence,
-    NotHermitian,
     ParseError,
 )
 
 Array = np.ndarray
-
-# relative hermiticity defect above which an eigensolve's input is rejected
-HERM_GATE = 1e-10
 
 
 def as_matrix(a) -> Array:
@@ -74,16 +70,6 @@ def fro(a: Array) -> float:
 def herm_defect(a: Array) -> float:
     """Relative deviation from hermiticity, ||A - A^dag|| / (1 + ||A||)."""
     return fro(a - dag(a)) / (1.0 + fro(a))
-
-
-def require_hermitian(a: Array) -> Array:
-    """The Hermitian part of a square matrix whose defect is within ``HERM_GATE``."""
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got {a.shape}")
-    if herm_defect(a) > HERM_GATE:
-        raise NotHermitian(f"hermiticity defect {herm_defect(a):.3e} exceeds {HERM_GATE:.3e}")
-    return 0.5 * (a + dag(a))
 
 
 def is_unitary(u: Array) -> bool:
@@ -125,48 +111,41 @@ class HermEigen(NamedTuple):
     vectors: Array
 
 
-def herm_eigen(a) -> HermEigen:
-    """Eigendecomposition of a Hermitian matrix by LAPACK (``numpy.linalg.eigh``).
+def herm_eigen(a: Array) -> HermEigen:
+    """Eigendecomposition of an exactly Hermitian matrix by LAPACK (``numpy.linalg.eigh``).
 
-    Values ascend and the vectors are LAPACK's, ungauged.  Raises
-    NotHermitian above ``HERM_GATE`` and NoConvergence when LAPACK reports
-    that it did not converge.
+    Values ascend and the vectors are LAPACK's, ungauged.  ``eigh`` reads
+    one triangle, so the caller makes ``a`` exactly Hermitian.  Raises
+    NoConvergence when LAPACK reports that it did not converge.
     """
-    work = require_hermitian(a)
     try:
-        return HermEigen(*np.linalg.eigh(work))
+        return HermEigen(*np.linalg.eigh(a))
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigh did not converge: {exc}") from exc
 
 
-def svd(a) -> tuple[Array, Array, Array]:
+def svd(a: Array) -> tuple[Array, Array, Array]:
     """``numpy.linalg.svd``: (U, s, Vh) with s descending and the full bases."""
     try:
-        return np.linalg.svd(as_matrix(a))
+        return np.linalg.svd(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"svd did not converge: {exc}") from exc
 
 
-def pinv(a, sv_cut: float) -> Array:
+def pinv(a: Array, sv_cut: float) -> Array:
     """``numpy.linalg.pinv``: singular values at or below ``sv_cut * s_max`` count as zero.
 
     The zero matrix maps to the zero matrix.
     """
-    if not sv_cut > 0.0:
-        raise ValueError("sv_cut must be positive")
     try:
         # positional: numpy 2 names this cut rtol, numpy 1 (still supported) rcond
-        return np.linalg.pinv(as_matrix(a), sv_cut)
+        return np.linalg.pinv(a, sv_cut)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"pinv did not converge: {exc}") from exc
 
 
-def comm_norm(a, b) -> float:
+def comm_norm(a: Array, b: Array) -> float:
     """Frobenius norm of the commutator AB - BA."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[0] != a.shape[1] or a.shape != b.shape:
-        raise DimensionMismatch(f"incompatible shapes {a.shape} and {b.shape}")
     return fro(a @ b - b @ a)
 
 
@@ -221,15 +200,17 @@ def ratio_table(vecs: list[Array], zero: float, gate: float) -> tuple[Array, flo
 def _split(block: Array, mat: Array, width: float) -> tuple[list[Array], float]:
     """Rotate ``block`` onto ``mat``'s eigenbasis on its span; split where values step past ``width``.
 
-    Returns the parts and the spread of the eigenvalues.
+    Returns the parts and the spread of the eigenvalues.  B^dag M B is
+    Hermitian only to roundoff, so it is symmetrized first.
     """
-    eig = herm_eigen(dag(block) @ mat @ block)
+    m = dag(block) @ mat @ block
+    eig = herm_eigen(0.5 * (m + dag(m)))
     cuts = np.flatnonzero(np.diff(eig.values) > width) + 1
     return np.split(block @ eig.vectors, cuts, axis=1), eig.values[-1] - eig.values[0]
 
 
 def simultaneous_diagonalize(family, gate: float) -> tuple[Array, tuple[int, ...]]:
-    """Jointly diagonalize a commuting family of Hermitian matrices.
+    """Jointly diagonalize a non-empty commuting family of exactly Hermitian n x n matrices.
 
     Returns ``(U, ranks)``: the columns of the unitary U are common
     eigenvectors, ungauged, in consecutive groups of ``ranks[k]`` columns,
@@ -250,17 +231,11 @@ def simultaneous_diagonalize(family, gate: float) -> tuple[Array, tuple[int, ...
     group's residual, at most half its spread, stays inside the gate.
     Commutation is not gated separately: a family that does not commute
     leaves some member off-diagonal beyond its width, and that raises
-    DegeneracyUnresolved too.  Members are gated at ``HERM_GATE``
-    (:func:`require_hermitian`).
+    DegeneracyUnresolved too.
     """
-    mats = [require_hermitian(m) for m in family]
-    if not mats:
-        raise DimensionMismatch("need at least one matrix")
-    if any(mat.shape != mats[0].shape for mat in mats):
-        raise DimensionMismatch("family members differ in dimension")
-    ops = [(mat, gate * (1.0 + fro(mat))) for mat in mats]
+    ops = [(mat, gate * (1.0 + fro(mat))) for mat in family]
 
-    groups, count = [np.eye(len(mats[0]), dtype=complex)], 0
+    groups, count = [np.eye(len(family[0]), dtype=complex)], 0
     while len(groups) > count:
         count, chains = len(groups), []
         for mat, width in ops:

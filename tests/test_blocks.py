@@ -40,9 +40,15 @@ class TestDecompose:
         assert np.min(dec.q) > DEFAULT.rank
 
     def test_ill_determined_rank(self):
-        # spectrum straddles the threshold with no usable gap
+        # the 1.0e-8 eigenvalue sits on tol.rank, within the eigensolver's error band
         rho = _state_with_spectrum([0.5, 0.5 - 2.05e-8, 1.05e-8, 1.0e-8], seed=2)
-        with pytest.raises(IllDeterminedRank):
+        with pytest.raises(IllDeterminedRank, match="rank threshold"):
+            decompose_rho(rho)
+
+    def test_small_spectral_gap_is_ambiguous(self):
+        # clear of the band, but kept 1e-6 over dropped 1e-9 is a gap of 1e3 < tol.gap
+        rho = np.diag([0.5, 0.5 - 1e-6 - 1e-9, 1e-6, 1e-9])
+        with pytest.raises(IllDeterminedRank, match="spectral gap ratio"):
             decompose_rho(rho)
 
     def test_eigenvalue_on_the_threshold_is_ambiguous(self):

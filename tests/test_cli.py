@@ -610,6 +610,15 @@ def test_a_global_unitary_moves_no_verdict(tmp_path, monkeypatch, seed):
     assert moved == []
 
 
+def _write_effects_of(frame_path: Path, effects_path: Path) -> None:
+    """Write the effects F_k F_k^dag of a frame file's groups F_k as an effects file."""
+    payload = json.loads(frame_path.read_text())
+    frame = qlinalg.matrix_from_json(payload["frame"])
+    edges = np.cumsum([0, *payload["ranks"]])
+    effects = [frame[:, a:b] @ frame[:, a:b].conj().T for a, b in zip(edges, edges[1:])]
+    effects_path.write_text(json.dumps({"effects": [qlinalg.matrix_to_json(e) for e in effects]}))
+
+
 @pytest.mark.parametrize("name", ["example2", "dense_saturable"])
 def test_an_effects_file_verifies_as_its_frame_file(tmp_path, monkeypatch, name):
     # both file shapes are checked on one path: the constructed frame's own
@@ -619,11 +628,7 @@ def test_an_effects_file_verifies_as_its_frame_file(tmp_path, monkeypatch, name)
     frame_path, effects_path = tmp_path / "frame.json", tmp_path / "effects.json"
     assert main(["construct", model_path, "--out", str(frame_path),
                  "--report", str(tmp_path / "construct.json")]) == 0
-    payload = json.loads(frame_path.read_text())
-    frame = np.array(payload["frame"])[..., 0] + 1j * np.array(payload["frame"])[..., 1]
-    edges = np.cumsum([0, *payload["ranks"]])
-    effects = [frame[:, a:b] @ frame[:, a:b].conj().T for a, b in zip(edges, edges[1:])]
-    effects_path.write_text(json.dumps({"effects": [qlinalg.matrix_to_json(e) for e in effects]}))
+    _write_effects_of(frame_path, effects_path)
     (frame_code, by_frame), (effects_code, by_effects) = (
         run_to_file(tmp_path, ["verify", model_path, str(path)])
         for path in (frame_path, effects_path))
@@ -632,6 +637,48 @@ def test_an_effects_file_verifies_as_its_frame_file(tmp_path, monkeypatch, name)
         assert by_effects["povm"][key] == by_frame["povm"][key]
     for section in ("optimality", "saturation"):
         assert _agree(by_frame[section], by_effects[section])
+
+
+def test_every_eigensolve_input_is_exactly_hermitian(tmp_path, monkeypatch):
+    # linalg gates nothing it is handed: every matrix herm_eigen receives,
+    # and every member of a family simultaneous_diagonalize receives, equals
+    # its conjugate transpose bit for bit, through analyze, construct and
+    # verify on the five built-ins, both dense families and an effects file
+    herm_eigen, joint = qlinalg.herm_eigen, qlinalg.simultaneous_diagonalize
+    calls, inexact = {"herm_eigen": 0, "simultaneous_diagonalize": 0}, []
+
+    def check(name, mats):
+        calls[name] += 1
+        inexact.extend(name for m in mats if not np.array_equal(m, m.conj().T))
+
+    def checked_eigen(a):
+        check("herm_eigen", [a])
+        return herm_eigen(a)
+
+    def checked_joint(family, gate):
+        check("simultaneous_diagonalize", family)
+        return joint(family, gate)
+
+    monkeypatch.setattr(qlinalg, "herm_eigen", checked_eigen)
+    monkeypatch.setattr(qlinalg, "simultaneous_diagonalize", checked_joint)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import families
+
+    configs = {name: {"model": name, "theta": theta.tolist()}
+               for name, theta in WORKING_POINTS.items()}
+    configs.update(families.dense_configs(1))
+    report = str(tmp_path / "report.json")
+    for name, config in configs.items():
+        model_path, povm_path = tmp_path / f"{name}.json", tmp_path / f"{name}-povm.json"
+        model_path.write_text(json.dumps(config))
+        assert main(["analyze", str(model_path), "--out", report]) != 1
+        if main(["construct", str(model_path), "--out", str(povm_path), "--report", report]) == 0:
+            assert main(["verify", str(model_path), str(povm_path), "--out", report]) == 0
+    effects_path = tmp_path / "effects.json"
+    _write_effects_of(tmp_path / "example2-povm.json", effects_path)
+    assert main(["verify", str(tmp_path / "example2.json"), str(effects_path),
+                 "--out", report]) == 0
+    assert inexact == [] and min(calls.values()) > 0, (inexact, calls)
 
 
 class TestSimulate:
@@ -832,14 +879,15 @@ class TestUsage:
 
 GOOD = {"model": "example2", "theta": [0.25, 0.5]}
 EYE = [[[1.0, 0.0] if i == j else [0.0, 0.0] for j in range(3)] for i in range(3)]
+EYE2 = [row[:2] for row in EYE[:2]]
 HALF = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
 STENCIL = {"model": "stencil", "h": 1e-3, "center": [0.2], "rho_center": HALF,
            "rho_plus": [HALF], "rho_minus": [HALF]}
 
 
-def _identity_with(entry) -> dict:
+def _identity_with(entry, at=(0, 0)) -> dict:
     effect = [list(row) for row in EYE]
-    effect[0][0] = entry
+    effect[at[0]][at[1]] = entry
     return {"effects": [effect]}
 
 
@@ -877,6 +925,8 @@ def _identity_with(entry) -> dict:
     pytest.param(GOOD, None, ["analyze", "--tol", "gap=1"], id="gap-not-above-one"),
     pytest.param(GOOD, None, ["analyze", "--seed", "-1"], id="negative-seed"),
     pytest.param({**STENCIL, "h": math.nan}, None, ["analyze"], id="stencil-h-not-finite"),
+    pytest.param({**STENCIL, "h": 0}, None, ["analyze"], id="stencil-h-zero"),
+    pytest.param({"model": "example2"}, None, ["analyze"], id="no-theta"),
     pytest.param({**STENCIL, "center": [math.inf]}, None, ["analyze"],
                  id="stencil-center-not-finite"),
     pytest.param({**STENCIL, "center": [], "rho_plus": [], "rho_minus": []}, None, ["analyze"],
@@ -929,25 +979,49 @@ def _ex2_frame_file(**change) -> dict:
     return {"frame": qlinalg.matrix_to_json(u), "ranks": [1, 2], **change}
 
 
-@pytest.mark.parametrize("povm_file, error", [
-    pytest.param(_ex2_frame_file(frame=qlinalg.matrix_to_json(1.001 * np.eye(3))), "InvalidPovm",
-                 id="not-unitary"),
-    pytest.param(_ex2_frame_file(ranks=[1, 1]), "InvalidPovm", id="ranks-not-n_s"),
-    pytest.param(_ex2_frame_file(ranks=[0, 1, 2]), "InvalidPovm", id="rank-zero"),
-    pytest.param(_ex2_frame_file(ranks=[True, 2]), "ParseError", id="rank-a-bool"),
-    pytest.param(_ex2_frame_file(ranks=[1.0, 2]), "ParseError", id="rank-a-float"),
-    pytest.param(_ex2_frame_file(effects=[EYE]), "InvalidPovm", id="frame-and-effects"),
-    pytest.param(_ex2_frame_file(junk=1), "ParseError", id="unknown-key"),
-    pytest.param({"ranks": [3]}, "InvalidPovm", id="neither-key"),
-    pytest.param(_ex2_frame_file(frame=qlinalg.matrix_to_json(np.eye(2))), "InvalidPovm",
+def _stencil_with(rho_center=HALF, plus=HALF, minus=HALF, h=1e-3) -> dict:
+    return {**STENCIL, "h": h, "rho_center": rho_center, "rho_plus": [plus], "rho_minus": [minus]}
+
+
+def _half_tilted(s: float) -> list:
+    """HALF plus the anti-Hermitian off-diagonal i s."""
+    return [[[0.5, 0.0], [0.0, s]], [[0.0, s], [0.5, 0.0]]]
+
+
+@pytest.mark.parametrize("config, povm_file, error", [
+    pytest.param(GOOD, _ex2_frame_file(frame=qlinalg.matrix_to_json(1.001 * np.eye(3))),
+                 "InvalidPovm", id="not-unitary"),
+    pytest.param(GOOD, _ex2_frame_file(ranks=[1, 1]), "InvalidPovm", id="ranks-not-n_s"),
+    pytest.param(GOOD, _ex2_frame_file(ranks=[0, 1, 2]), "InvalidPovm", id="rank-zero"),
+    pytest.param(GOOD, _ex2_frame_file(ranks=[True, 2]), "ParseError", id="rank-a-bool"),
+    pytest.param(GOOD, _ex2_frame_file(ranks=[1.0, 2]), "ParseError", id="rank-a-float"),
+    pytest.param(GOOD, _ex2_frame_file(effects=[EYE]), "InvalidPovm", id="frame-and-effects"),
+    pytest.param(GOOD, _ex2_frame_file(junk=1), "ParseError", id="unknown-key"),
+    pytest.param(GOOD, {"ranks": [3]}, "InvalidPovm", id="neither-key"),
+    pytest.param(GOOD, _ex2_frame_file(frame=qlinalg.matrix_to_json(np.eye(2))), "InvalidPovm",
                  id="frame-not-n_s"),
+    pytest.param(GOOD, {"effects": [EYE2]}, "InvalidPovm", id="effect-not-n_s"),
+    pytest.param(GOOD, _identity_with([0.1, 0.0], at=(0, 1)), "InvalidPovm",
+                 id="effect-not-hermitian"),
+    pytest.param({**GOOD, "box": [[0.3, 0.3], [0.0, 1.0]]}, {"effects": [EYE]}, "InvalidState",
+                 id="box-empty-interval"),
+    pytest.param(_stencil_with(rho_center=[[[1.2, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.2, 0.0]]]),
+                 {"effects": [EYE2]}, "InvalidState", id="stencil-center-negative"),
+    # each neighbour is Hermitian within tol.state, their difference over 2h is not
+    pytest.param(_stencil_with(plus=_half_tilted(2e-11), minus=_half_tilted(-2e-11), h=1e-5),
+                 {"effects": [EYE2]}, "InvalidState: derivative 0 is not Hermitian",
+                 id="stencil-derivative-not-hermitian"),
 ])
-def test_a_bad_frame_file_gives_an_error_report(tmp_path, ex2_file, povm_file, error):
-    # the frame is unitary for ranks [1, 2] on C^3: each case breaks one gate
+def test_a_bad_input_gives_a_typed_error_report(tmp_path, ex2_file, config, povm_file, error):
+    # the frame is unitary for ranks [1, 2] on C^3: each POVM case breaks one of its gates,
+    # and each model case one gate of the model file; ``error`` begins "type: message"
     assert main(["verify", ex2_file, _write_povm(tmp_path, _ex2_frame_file())]) == 2
-    code, report = run_to_file(tmp_path, ["verify", ex2_file, _write_povm(tmp_path, povm_file)])
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(config), encoding="utf-8")
+    povm_path = _write_povm(tmp_path, povm_file)
+    code, report = run_to_file(tmp_path, ["verify", str(model_path), povm_path])
     assert code == 1
-    assert report["error"]["type"] == error
+    assert f"{report['error']['type']}: {report['error']['message']}".startswith(error)
 
 
 def _write_povm(tmp_path, payload: dict) -> str:

@@ -5,13 +5,7 @@ import pytest
 
 from qcrb import linalg
 from qcrb.config import DEFAULT
-from qcrb.errors import (
-    DegeneracyUnresolved,
-    DimensionMismatch,
-    NoConvergence,
-    NotHermitian,
-    ParseError,
-)
+from qcrb.errors import DegeneracyUnresolved, NoConvergence, ParseError
 
 from util import charpoly_roots, pauli, random_hermitian, random_unitary, rotate_groups
 
@@ -44,10 +38,6 @@ class TestHermEigen:
         assert linalg.fro(a @ eig.vectors - eig.vectors * eig.values) <= scale
         assert linalg.fro(linalg.dag(eig.vectors) @ eig.vectors - np.eye(n)) <= 1e-10
         assert np.all(np.diff(eig.values) >= 0)
-
-    def test_not_hermitian_rejected(self):
-        with pytest.raises(NotHermitian):
-            linalg.herm_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_lapack_failure_is_no_convergence(self, monkeypatch):
         def fail(_):
@@ -159,10 +149,6 @@ class TestPinv:
     def test_zero_matrix(self):
         for shape in [(2, 3), (3, 2), (1, 1)]:
             assert np.array_equal(linalg.pinv(np.zeros(shape), CUT), np.zeros(shape[::-1]))
-
-    def test_requires_positive_cut(self):
-        with pytest.raises(ValueError):
-            linalg.pinv(np.eye(2), sv_cut=0.0)
 
     def test_lapack_failure_is_no_convergence(self, monkeypatch):
         def fail(*_, **__):
@@ -423,10 +409,6 @@ class TestCommNorm:
         b = random_hermitian(rng, 4)
         assert linalg.comm_norm(a, b) == linalg.comm_norm(b, a)
         assert linalg.comm_norm(a, a) == 0.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            linalg.comm_norm(np.eye(2), np.eye(3))
 
 
 class TestRealRatio:
