@@ -25,8 +25,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import linalg
 from .config import DEFAULT, Tolerances
-from .errors import NegativeProbability, NoConvergence, ParseError, SingularFisher
+from .errors import NegativeProbability, ParseError, SingularFisher
 from .model import StateModel, eval_bundle
 from .povm import Povm, fisher_information, outcome_table
 
@@ -58,10 +59,7 @@ class SimResult(NamedTuple):
 def _fisher_inverse(f_c: Array, tol: Tolerances) -> Array:
     # the absolute floor rejects information matrices that are pure
     # roundoff (e.g. a constant outcome distribution) at desk scale
-    try:
-        values, vecs = np.linalg.eigh(f_c)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"eigh did not converge: {exc}") from exc
+    values, vecs = linalg.herm_eigen(f_c)
     lo, hi = float(values[0]), float(values[-1])
     if lo <= 0.0 or hi <= 1e-18 or hi / lo > tol.fisher_cond:
         # canonical sign (largest-magnitude entry positive); "+ 0.0" below

@@ -8,7 +8,8 @@ situations exercised by the test-suite; user models are loaded from JSON
 config files, either as registry instances with bound constants or as
 "stencil" tables that tabulate rho at a center point and its 2p
 central-difference neighbours.  A stencil model answers only at its
-center: the neighbours are read once, at load, for the difference.
+center, which is its whole box: the neighbours are read once, at load,
+for the difference.
 """
 
 from __future__ import annotations
@@ -42,7 +43,12 @@ FD_STEP = 1e-5
 
 
 class StateModel(NamedTuple):
-    """A family rho_theta on an open parameter box."""
+    """A family rho_theta on an open parameter box.
+
+    ``eval_rho`` and ``deriv`` are read only inside the box: every package
+    caller checks theta through :func:`_require_in_box` first, so neither
+    needs a domain check of its own.
+    """
 
     name: str
     n_s: int
@@ -64,19 +70,11 @@ class StateBundle(NamedTuple):
     spectrum: Optional[linalg.HermEigen] = None   # eigendecomposition of rho
 
 
-def in_box(model: StateModel, theta: Array, margin: float = 0.0) -> bool:
+def _require_in_box(model: StateModel, theta, margin: float = 0.0) -> Array:
+    """theta as a float array; OutOfDomain unless it sits ``margin`` inside the open box."""
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (model.p,):
-        return False
-    for t, (lo, hi) in zip(theta, model.box):
-        if not (lo + margin < t < hi - margin):
-            return False
-    return True
-
-
-def _require_in_box(model: StateModel, theta: Array, margin: float) -> Array:
-    theta = np.asarray(theta, dtype=float)
-    if not in_box(model, theta, margin):
+    if theta.shape != (model.p,) or not all(
+            lo + margin < t < hi - margin for t, (lo, hi) in zip(theta, model.box)):
         raise OutOfDomain(
             f"theta {theta.tolist()} not inside the open box of {model.name!r}"
             + (f" with margin {margin}" if margin else "")
@@ -127,21 +125,21 @@ def frame_derivative(model: StateModel, theta: Array, l: int) -> Array:
 def eval_bundle(model: StateModel, theta, tol: Tolerances = DEFAULT) -> StateBundle:
     """Evaluate rho and all first derivatives at theta.
 
-    The derivatives are the model's ``deriv`` when it has one, else
-    :func:`central_difference` at ``FD_STEP`` (theta must then sit at
-    least ``FD_STEP`` inside the box).  Each must have rho's shape, be
-    Hermitian at ``tol.state`` and have trace within ``tol.trace``.
+    theta must lie inside the model's open box, the one domain rule; a
+    stencil's box is its centre.  The derivatives are the model's
+    ``deriv`` when it has one, else :func:`central_difference` at
+    ``FD_STEP`` (theta must then sit at least ``FD_STEP`` inside the
+    box).  rho and each derivative are copied; each derivative must have
+    rho's shape, be Hermitian at ``tol.state`` and have trace within
+    ``tol.trace``.
     """
     theta = _require_in_box(model, theta, FD_STEP if model.deriv is None else 0.0)
 
     rho = linalg.as_matrix(model.eval_rho(theta))
     spectrum = validate_state(rho, model.n_s, tol)
 
-    if model.deriv is None:
-        drho = [linalg.as_matrix(central_difference(model.eval_rho, theta, l))
-                for l in range(model.p)]
-    else:
-        drho = [linalg.as_matrix(model.deriv(theta, l)) for l in range(model.p)]
+    deriv = model.deriv or (lambda point, l: central_difference(model.eval_rho, point, l))
+    drho = [linalg.as_matrix(deriv(theta, l)) for l in range(model.p)]
     for l, d in enumerate(drho):
         if d.shape != rho.shape:
             raise DimensionMismatch(f"derivative {l} has shape {d.shape}, expected {rho.shape}")
@@ -370,23 +368,12 @@ def _make_stencil_model(obj: dict, tol: Tolerances) -> StateModel:
         drho.append(central_difference(lambda point: hi if point[l] > center[l] else lo,
                                        center, l, h))
 
-    # the one rule for "theta is the centre", read by eval_rho and deriv;
-    # the neighbours serve the difference only
-    def at_center(theta: Array) -> None:
-        gap = max(abs(float(c) - float(t)) for c, t in zip(center, theta))
-        if gap > 1e-12 * (1.0 + max(map(abs, center))):
-            raise OutOfDomain(f"stencil model tabulated only at its center and {2 * p} neighbours")
-
-    def eval_rho(theta: Array) -> Array:
-        at_center(theta)
-        return rho_center.copy()
-
-    def deriv(theta: Array, l: int) -> Array:
-        at_center(theta)
-        return drho[l].copy()
-
-    box = tuple((float(c - 2.0 * h), float(c + 2.0 * h)) for c in center)
-    return StateModel(name="stencil", n_s=n_s, p=p, box=box, eval_rho=eval_rho, deriv=deriv,
+    # the box is the centre alone, widened by a roundoff tolerance; every
+    # caller checks it before it reads rho or a derivative
+    w = 1e-12 * (1.0 + max(map(abs, center)))
+    box = tuple((float(c - w), float(c + w)) for c in center)
+    return StateModel(name="stencil", n_s=n_s, p=p, box=box, eval_rho=lambda theta: rho_center,
+                      deriv=lambda theta, l: drho[l],
                       constants={"h": h}, default_theta=tuple(float(c) for c in center))
 
 
@@ -415,13 +402,11 @@ def model_from_config(obj: dict, tol: Tolerances = DEFAULT) -> StateModel:
         box = tuple(map(tuple, linalg.from_json(obj["box"], (built.p, 2), "'box'").tolist()))
         if any(not lo < hi for lo, hi in box):
             raise InvalidState("box intervals must be non-empty")
-    theta = obj.get("theta")
-    if theta is not None:
-        theta = tuple(linalg.from_json(theta, (built.p,), "'theta'").tolist())
-    built = built._replace(box=box, default_theta=theta)
-    if theta is not None and not in_box(built, np.asarray(theta)):
-        raise OutOfDomain(f"config theta {list(theta)} lies outside the box")
-    return built
+    built = built._replace(box=box)
+    if obj.get("theta") is None:
+        return built
+    theta = _require_in_box(built, linalg.from_json(obj["theta"], (built.p,), "'theta'"))
+    return built._replace(default_theta=tuple(theta.tolist()))
 
 
 def load_model(path, tol: Tolerances = DEFAULT) -> StateModel:
@@ -431,18 +416,13 @@ def load_model(path, tol: Tolerances = DEFAULT) -> StateModel:
 
 def stencil_payload(model: StateModel, theta, h: float) -> dict:
     """Serialize a model to the stencil config format around one point."""
-    theta = _require_in_box(model, np.asarray(theta, dtype=float), h)
-    payload = {
+    theta = _require_in_box(model, theta, h)
+    steps = h * np.eye(model.p)
+    return {
         "model": "stencil",
         "h": float(h),
         "center": [float(t) for t in theta],
         "rho_center": linalg.matrix_to_json(model.eval_rho(theta)),
-        "rho_plus": [],
-        "rho_minus": [],
+        "rho_plus": [linalg.matrix_to_json(model.eval_rho(theta + step)) for step in steps],
+        "rho_minus": [linalg.matrix_to_json(model.eval_rho(theta - step)) for step in steps],
     }
-    for l in range(model.p):
-        step = np.zeros(model.p)
-        step[l] = h
-        payload["rho_plus"].append(linalg.matrix_to_json(model.eval_rho(theta + step)))
-        payload["rho_minus"].append(linalg.matrix_to_json(model.eval_rho(theta - step)))
-    return payload

@@ -643,7 +643,8 @@ def test_every_eigensolve_input_is_exactly_hermitian(tmp_path, monkeypatch):
     # linalg gates nothing it is handed: every matrix herm_eigen receives,
     # and every member of a family simultaneous_diagonalize receives, equals
     # its conjugate transpose bit for bit, through analyze, construct and
-    # verify on the five built-ins, both dense families and an effects file
+    # verify on the five built-ins, both dense families and an effects file,
+    # and through simulate's classical Fisher matrix at a displaced point
     herm_eigen, joint = qlinalg.herm_eigen, qlinalg.simultaneous_diagonalize
     calls, inexact = {"herm_eigen": 0, "simultaneous_diagonalize": 0}, []
 
@@ -678,6 +679,8 @@ def test_every_eigensolve_input_is_exactly_hermitian(tmp_path, monkeypatch):
     _write_effects_of(tmp_path / "example2-povm.json", effects_path)
     assert main(["verify", str(tmp_path / "example2.json"), str(effects_path),
                  "--out", report]) == 0
+    assert main(["simulate", str(tmp_path / "example2.json"), str(tmp_path / "example2-povm.json"),
+                 "--delta", "0", "0.05", "--out", report]) == 0
     assert inexact == [] and min(calls.values()) > 0, (inexact, calls)
 
 
@@ -734,6 +737,23 @@ class TestSimulate:
         code, report = run_to_file(tmp_path, ["simulate", diag_file, str(povm_path),
                                               "--R", "100", "--N", "10"])
         assert code == 0, report.get("error")
+
+    @pytest.mark.parametrize("displacement", [["--delta", "1e-5", "0"], ["--study", "1e-3"]],
+                             ids=["delta-h", "study"])
+    def test_a_stencil_is_simulated_only_at_its_centre(self, tmp_path, displacement):
+        # the stencil's box is its centre, widened by w = 1e-12 (1 + max|centre|),
+        # so its report says so, and a neighbour or a study point is OutOfDomain
+        centre, h = [0.25, 0.5], 1e-5
+        stencil = tmp_path / "stencil.json"
+        stencil.write_text(json.dumps(stencil_payload(build_model("example2"), centre, h)))
+        povm_path = self._povm(tmp_path, str(stencil))
+        code, report = run_to_file(tmp_path, ["analyze", str(stencil)])
+        w = 1e-12 * (1.0 + max(centre))
+        assert code == 0 and report["model"]["box"] == [[c - w, c + w] for c in centre]
+        code, report = run_to_file(tmp_path, ["simulate", str(stencil), povm_path, *displacement,
+                                              "--csv", str(tmp_path / "study.csv")])
+        assert code == 1
+        assert report["error"]["type"] == "OutOfDomain"
 
     def test_trials_beyond_memory_give_an_error_report(self, tmp_path, ex2_file):
         # 10**15 x 3 int64 counts exceed the address space, so nothing is allocated

@@ -238,7 +238,7 @@ class TestStencil:
         for a, b in zip(direct.drho, tabulated.drho):
             assert np.max(np.abs(a - b)) <= 1e-12
 
-    def test_usable_only_at_center(self, tmp_path, example2):
+    def test_usable_only_at_its_center(self, tmp_path, example2):
         payload = model.stencil_payload(example2, [0.25, 0.5], 1e-5)
         path = tmp_path / "stencil.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
@@ -263,9 +263,12 @@ class TestStencil:
         stencil = model.load_model(path)
         for neighbour in ([0.25 + 1e-5, 0.5], [0.25, 0.5 - 1e-5]):
             with pytest.raises(OutOfDomain):
-                stencil.eval_rho(np.array(neighbour))
-            with pytest.raises(OutOfDomain):
-                stencil.deriv(np.array(neighbour), 0)
+                model.eval_bundle(stencil, neighbour)
+
+    def test_a_stencil_has_no_neighbours_to_tabulate(self, example2):
+        stencil = model.model_from_config(model.stencil_payload(example2, [0.25, 0.5], 1e-5))
+        with pytest.raises(OutOfDomain):
+            model.stencil_payload(stencil, [0.25, 0.5], 1e-5)
 
     def test_state_and_derivative_share_one_centre_rule(self, tmp_path, example2):
         payload = model.stencil_payload(example2, [0.25, 0.5], 1e-5)
